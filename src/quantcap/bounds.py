@@ -25,6 +25,7 @@ from .channel import ChannelSpec, OutputPmf, bin_probability_matrix, _kl_rows_bi
 from .special import LN2
 
 _ACTIVE_RTOL = 1e-12
+_FLAT_SLOPE = np.finfo(float).eps ** 2
 
 
 class EnvelopeMinimum(NamedTuple):
@@ -60,8 +61,8 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
     if float(np.max(s[act0])) >= 0.0:
         return EnvelopeMinimum(0.0, m0, int(np.argmax(d)))
     if float(np.max(s)) <= 0.0:
-        raise ValueError(
-            "envelope is nonincreasing for all gamma; minimum not attained"
+        return _degenerate_minimum(
+            d, s, max_rounds, "envelope is decreasing for all gamma; minimum not attained"
         )
 
     # expand hi until the envelope stops decreasing there
@@ -84,7 +85,9 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
         line_hi = int(idx[np.argmin(s[idx])])
         break
     if line_hi is None:
-        raise ValueError("failed to bracket the envelope minimum")
+        return _degenerate_minimum(
+            d, s, max_rounds, "failed to bracket the envelope minimum"
+        )
 
     for _ in range(max_rounds):
         sa, sb = s[line_lo], s[line_hi]
@@ -112,6 +115,26 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
             line_hi = int(idx[np.argmin(s[idx])])
     m_f, _ = probe(lo)
     return EnvelopeMinimum(float(lo), m_f, int(np.argmax(d + s * lo)))
+
+
+def _degenerate_minimum(d, s, max_rounds, reason):
+    """Envelope minimum when no line rises, or when bracketing fails.
+
+    A slope this small moves its line by less than a rounding unit of the
+    intercepts for every gamma up to 1/eps, so such slopes are taken as flat
+    and the search reruns.  With no rising line, the envelope falls until
+    every falling line is below the highest flat one, and stays there.
+    """
+    tiny = (s != 0.0) & (np.abs(s) <= _FLAT_SLOPE * max(1.0, float(np.max(np.abs(d)))))
+    if np.any(tiny):
+        return minimize_max_affine(d, np.where(tiny, 0.0, s), max_rounds)
+    flat = s == 0.0
+    if float(np.max(s)) <= 0.0 and np.any(flat):
+        floor = float(np.max(d[flat]))
+        g = float(np.max((d[~flat] - floor) / -s[~flat]))
+        vals = d + s * g
+        return EnvelopeMinimum(g, float(np.max(vals)), int(np.argmax(vals)))
+    raise ValueError(reason)
 
 
 def default_bound_grid(spec: ChannelSpec, point_count: int = 4001):
@@ -230,10 +253,6 @@ def _certified_symmetric_bound(spec: ChannelSpec, out: OutputPmf) -> float:
         tail = float(-np.log2(min(out.probs[0], out.probs[-1])))
         best = max(best, tail)
     return best
-
-
-def _bound_from_profile(d, slopes):
-    return minimize_max_affine(d, slopes)
 
 
 def best_symmetric_bound(spec: ChannelSpec, resolution: int = 2000):

@@ -282,7 +282,9 @@ def cmd_sweep(args) -> int:
         rows, blocks = [], []
         for db in snrs:
             snr = 10.0 ** (db / 10.0)
-            jr = optimize_quantizer_2bit(snr, noise_variance=args.sigma2)
+            jr = optimize_quantizer_2bit(
+                snr, noise_variance=args.sigma2, scan_points=200
+            )
             for q, cap in jr.curve:
                 rows.append([db, q, cap])
             best_q = jr.quantizer.thresholds[-1]
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--curve",
         choices=("q",),
-        help="emit the symmetric-threshold capacity curve per SNR",
+        help="emit the symmetric-threshold capacity curve per SNR (200 q points)",
     )
     sp.add_argument(
         "--dump-dist",

@@ -39,6 +39,9 @@ _SCAN_GRID = GridConfig(10.0, 501)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Scan peaks within this many bits of the best scanned capacity are refined.
+_PEAK_WINDOW = 2e-3
+
 
 def _check_k(k):
     if k not in (2, 4, 8):
@@ -128,7 +131,8 @@ class JointResult:
 
     `trace` records the capacity after each outer round of the iterative
     method; `curve` keeps the scanned (threshold, capacity) pairs of the
-    brute-force method.
+    brute-force method in ascending threshold order, including any points
+    the scan added past its initial range, but not the refinement solves.
     """
 
     quantizer: Quantizer
@@ -179,57 +183,70 @@ def optimize_quantizer_2bit(
     q_grid=None,
     *,
     noise_variance: float = 1.0,
-    scan_points: int = 200,
+    scan_points: int = 24,
     tol: float = 1e-4,
     final_grid=None,
 ) -> JointResult:
     """Best symmetric 2-bit quantizer {-q, 0, q} by threshold scan.
 
-    Scans q over (0, 4 sqrt(P)] (or the provided grid), solving the inner
-    input problem at each point with the previous support as seed, then
-    refines around the winner by golden section to 1e-3 sqrt(P).  The
-    capacity varies slowly in q, so a coarse scan plus local refinement is
-    reliable; the returned curve is the scanned (q, capacity) data.  Ties
-    break toward the smaller threshold.
+    Scans `scan_points` equispaced q over (0, 4 max(sqrt(P), sigma)] (or the
+    provided grid), solving the inner input problem at each point with the
+    previous support as seed.  While the best scanned value is the last
+    point, the scan extends past it at the same step, so the winner is never
+    on the scan edge.  The capacity is multimodal in q, and the optimum jumps
+    between branches as the SNR moves, so every local maximum of the scan
+    within 2e-3 bits of the best is refined by golden section on its
+    bracket of scan neighbours to 1e-3 max(sqrt(P), sigma), seeded with that
+    point's support; the best refined peak wins, ties toward the smaller
+    threshold.  The returned curve is the scanned (q, capacity) data.
     """
     _check_snr(snr)
     power = snr * noise_variance
-    root_p = math.sqrt(power)
+    scale = max(math.sqrt(power), math.sqrt(noise_variance))
     if q_grid is None:
-        qs = np.linspace(0.0, 4.0 * root_p, scan_points + 1)[1:]
+        qs = np.linspace(0.0, 4.0 * scale, scan_points + 1)[1:]
     else:
         qs = np.asarray(q_grid, dtype=float)
         if qs.ndim != 1 or qs.size < 2 or np.any(qs <= 0.0) or np.any(np.diff(qs) <= 0.0):
             raise ValueError("q_grid must be positive and strictly ascending")
 
-    seed = None
-    best_seed = None
-    best_cap = -math.inf
-    caps = np.empty(qs.size)
-    for i, q in enumerate(qs):
-        spec = ChannelSpec(noise_variance, power, Quantizer((-q, 0.0, q)))
-        res = optimize_input_cutting_plane(
-            spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
-        )
-        caps[i] = res.capacity
-        seed = res.dist.locations
-        if res.capacity > best_cap:
-            best_cap = res.capacity
-            best_seed = seed
-
-    best = int(np.argmax(caps > np.max(caps) - 1e-12))  # first of the tied best
-    lo = qs[best - 1] if best > 0 else 0.5 * qs[0]
-    hi = qs[best + 1] if best + 1 < qs.size else qs[-1]
-
-    def capacity_at(q):
+    def solve(q, seed):
         spec = ChannelSpec(noise_variance, power, Quantizer((-q, 0.0, q)))
         return optimize_input_cutting_plane(
-            spec, grid=_SCAN_GRID, tol=tol, initial_support=best_seed
-        ).capacity
+            spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
+        )
 
-    q_star, cap_star = _golden_max(capacity_at, lo, hi, 1e-3 * root_p)
-    if caps[best] >= cap_star:
-        q_star = float(qs[best])
+    caps, seeds = [], []
+
+    def scan(q):
+        res = solve(q, seeds[-1] if seeds else None)
+        caps.append(res.capacity)
+        seeds.append(res.dist.locations)
+
+    qs = qs.tolist()
+    for q in qs:
+        scan(q)
+    step = qs[-1] - qs[-2]
+    while caps[-1] > max(caps[:-1]):
+        qs.append(qs[-1] + step)
+        scan(qs[-1])
+
+    q_star, cap_star, best_seed = None, -math.inf, None
+    top = max(caps)
+    for i, cap in enumerate(caps):
+        left = caps[i - 1] if i > 0 else -math.inf
+        right = caps[i + 1] if i + 1 < len(caps) else -math.inf
+        if cap < top - _PEAK_WINDOW or cap < left or cap < right:
+            continue
+        lo = qs[i - 1] if i > 0 else 0.5 * qs[0]
+        hi = qs[i + 1] if i + 1 < len(qs) else qs[i] + step
+        q_peak, cap_peak = _golden_max(
+            lambda q: solve(q, seeds[i]).capacity, lo, hi, 1e-3 * scale
+        )
+        if cap >= cap_peak:
+            q_peak, cap_peak = qs[i], cap
+        if cap_peak > cap_star:
+            q_star, cap_star, best_seed = q_peak, cap_peak, seeds[i]
 
     spec = ChannelSpec(noise_variance, power, Quantizer((-q_star, 0.0, q_star)))
     final = optimize_input_cutting_plane(
@@ -240,7 +257,7 @@ def optimize_quantizer_2bit(
         capacity_result=final,
         method="brute_force",
         trace=(final.capacity,),
-        curve=tuple(zip(qs.tolist(), caps.tolist())),
+        curve=tuple(zip(qs, caps)),
     )
 
 

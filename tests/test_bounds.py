@@ -101,6 +101,12 @@ class TestMinimizeMaxAffine:
         assert env.gamma == pytest.approx(0.5, abs=1e-12)
         assert env.value == pytest.approx(0.5, abs=1e-12)
 
+    def test_flat_envelope_attains_minimum(self):
+        # max(0, 1 - g) stops falling at g = 1 and stays at 0
+        env = minimize_max_affine([0.0, 1.0], [0.0, -1.0])
+        assert env.gamma == pytest.approx(1.0, abs=1e-12)
+        assert env.value == pytest.approx(0.0, abs=1e-12)
+
     def test_rejects_nonincreasing_envelope(self):
         with pytest.raises(ValueError):
             minimize_max_affine([1.0, 2.0], [-1.0, -0.5])

@@ -40,6 +40,11 @@ def two_bit_0db():
 
 
 @pytest.fixture(scope="module")
+def two_bit_minus20db():
+    return optimize_quantizer_2bit(0.01)
+
+
+@pytest.fixture(scope="module")
 def three_bit_0db():
     return optimize_quantizer_3bit_iterative(1.0)
 
@@ -163,7 +168,7 @@ class TestOptimizeQuantizer2bit:
         res = two_bit_0db
         assert res.method == "brute_force"
         assert res.capacity_result.converged
-        assert len(res.curve) == 200
+        assert len(res.curve) == 24  # the default scan; no extension at 0 dB
         thr = np.asarray(res.quantizer.thresholds)
         assert thr.size == 3 and thr[1] == 0.0 and thr[2] == -thr[0] > 0.0
 
@@ -191,6 +196,46 @@ class TestOptimizeQuantizer2bit:
         spec = ChannelSpec(1.0, 1.0, Quantizer((-1e-4, 0.0, 1e-4)))
         cap = optimize_input_cutting_plane(spec).capacity
         assert cap == pytest.approx(onebit_capacity(1.0), abs=2e-3)
+
+    def test_low_snr_optimum_is_interior(self, two_bit_minus20db):
+        # the scan spans 4 max(sqrt(P), sigma); a sqrt(P)-scaled scan ends at
+        # 0.4 sigma here and returns its edge point
+        q = two_bit_minus20db.quantizer.thresholds[2]
+        assert 0.5 < q < 2.0
+        scanned = [q for q, _ in two_bit_minus20db.curve]
+        assert scanned[0] < q < scanned[-1]
+
+    def test_low_snr_capacity_matches_published(self, two_bit_minus20db):
+        assert two_bit_minus20db.capacity_result.capacity == pytest.approx(
+            0.0063, rel=0.02
+        )
+
+    def test_user_grid_with_best_on_edge_is_extended(self):
+        grid = np.linspace(0.05, 0.3, 6)
+        res = optimize_quantizer_2bit(0.01, q_grid=grid)
+        qs = [q for q, _ in res.curve]
+        caps = [cap for _, cap in res.curve]
+        assert qs[: grid.size] == pytest.approx(grid.tolist(), abs=1e-15)
+        assert len(qs) > grid.size
+        np.testing.assert_allclose(np.diff(qs), 0.05, atol=1e-12)
+        assert int(np.argmax(caps)) < len(caps) - 1
+        assert 0.5 < res.quantizer.thresholds[2] < 2.0
+
+    def test_lands_on_upper_branch_at_8db(self):
+        # between 7 and 8 dB the optimal threshold jumps from about 1.79 to
+        # 3.29; a second peak near 1.91 sits 0.012 bits lower, so a search
+        # that follows the branch of the neighbouring SNR ends on it
+        res = optimize_quantizer_2bit(10.0**0.8)
+        assert res.quantizer.thresholds[2] == pytest.approx(3.29, abs=0.05)
+        assert res.capacity_result.capacity >= 1.2153 - 1e-4
+
+    def test_refines_every_near_best_peak_at_3db(self):
+        # the best scanned point lies on the q ~ 1.23 branch, but the peak
+        # near 0.80 refines 4.6e-4 bits higher; refining only the best scan
+        # point's bracket returns the lower one
+        res = optimize_quantizer_2bit(10.0**0.3)
+        assert res.quantizer.thresholds[2] == pytest.approx(0.80, abs=0.05)
+        assert res.capacity_result.capacity >= 0.69264 - 1e-4
 
     def test_rejects_bad_q_grid(self):
         with pytest.raises(ValueError):
