@@ -3,10 +3,11 @@
 Two independent routes to the same optimum:
 
 * a cutting-plane scheme that grows a small support set, re-optimizes the
-  masses on it (a finite concave program solved by SLSQP with analytic
-  gradients), and certifies progress with the exact minimax multiplier from
-  the duality envelope, so the reported kkt_max_violation is a true bound on
-  the distance to the grid-restricted capacity;
+  masses on it (a finite concave program solved by an active-set Newton
+  method with the analytic gradient and Hessian), and certifies progress
+  with the exact minimax multiplier from the duality envelope, so the
+  reported kkt_max_violation is a true bound on the distance to the
+  grid-restricted capacity;
 * a power-tilted Blahut-Arimoto fixed point over the whole grid, made
   power-feasible by an outer bisection on the multiplier.  This is the
   independent oracle used for cross-checks.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dgesdd
 from scipy.special import xlogy
 
 from .bounds import minimize_max_affine
@@ -158,68 +159,199 @@ def _feasible_start(p, xsq, power):
     return mix / mix.sum()
 
 
+# Mass solve tolerances, all in bits.  A point joins the free set when its
+# reduced gradient exceeds _ADD_TOL; a face is optimal when the KKT residual
+# on its free set is at most _FACE_TOL; the line search treats objective
+# values within _F_NOISE (relative) as equal, since a step whose gain is below
+# rounding cannot be checked.  Singular values, and the spread of x^2 over
+# the free set, below _RANK_RTOL of their scale count as zero.
+_ADD_TOL = 1e-13
+_FACE_TOL = 1e-12
+_F_NOISE = 1e-15
+_RANK_RTOL = 1e-10
+# A solve takes about 6 Newton iterations and rarely more than 20.
+_NEWTON_MAX_ITER = 200
+
+
+def _mass_objective(p, w, negent):
+    """Mutual information in bits, sum_j p_j negent_j - H(p W)."""
+    r = p @ w
+    return float(p @ negent - xlogy(r, r).sum() / LN2)
+
+
+def _face_basis(xsq, power_row):
+    """Directions v with sum(v) = 0, and xsq @ v = 0 if `power_row`.
+
+    Returns (z, pair): the columns of z span those directions.  With the
+    power row, each column moves mass between one point and the two points
+    `pair` of smallest and largest x^2; the KKT multipliers of a face are then
+    the line through the gradients at `pair`.  When x^2 is constant over the
+    face the power row repeats the sum row and is left out (pair is None).
+    """
+    n = xsq.size
+    if power_row:
+        a, b = int(np.argmin(xsq)), int(np.argmax(xsq))
+        span = float(xsq[b] - xsq[a])
+        if span > _RANK_RTOL * float(xsq[b]):
+            others = np.flatnonzero((np.arange(n) != a) & (np.arange(n) != b))
+            z = np.zeros((n, n - 2))
+            z[others, np.arange(n - 2)] = 1.0
+            z[a] = (xsq[others] - xsq[b]) / span
+            z[b] = (xsq[a] - xsq[others]) / span
+            return z, (a, b)
+    z = np.zeros((n, n - 1))
+    z[:-1] = np.eye(n - 1)
+    z[-1] = -1.0
+    return z, None
+
+
 def _optimal_masses_rows(w, negent, xsq, power, start=None):
     """Maximize mutual information over masses on a fixed support.
 
-    The objective is concave with linear constraints, so SLSQP with the
-    analytic gradient dI/dp_j = d_j - 1/ln2 (bits) converges to roughly its
-    ftol.  Returns (masses, mutual_information_bits).
+    Active-set Newton method for the concave program max_p sum_j p_j d_j(p)
+    subject to sum(p) = 1, p @ xsq <= power and p >= 0, where d_j is the
+    divergence of row j from the output law R = p W.  On the face of free
+    points F (and the power row while that constraint is active) each step
+    solves the equality-constrained Newton system with the analytic
+    Hessian -W_F diag(1/R) W_F^T / ln2, takes a ratio test against p >= 0
+    and the power budget, and backtracks (Armijo).  Along a direction that
+    leaves R unchanged the objective is linear; such a face is left by an
+    LP pivot to the next vertex, which keeps at most K+1 free points.  At a
+    face optimum the multipliers nu, gamma of the face give the reduced
+    gradient d_j - nu - gamma x_j^2 of every other point: the power row is
+    released if gamma < 0, else the point with the largest reduced gradient
+    joins F, and the solve ends when none exceeds _ADD_TOL.
+
+    Starts from `start` when given, else from uniform masses, made feasible
+    by _feasible_start.  The program is concave, so any KKT point is a
+    global optimum.  Returns (masses, mutual_information_bits); raises
+    RuntimeError if _NEWTON_MAX_ITER iterations do not reach one.
     """
     m = negent.size
     if m == 1:
         return np.ones(1), 0.0
-
-    def negated(p):
-        d = _divergences_bits(w, negent, p @ w)
-        return -float(p @ d), -(d - 1.0 / LN2)
-
-    constraints = [
-        {"type": "eq", "fun": lambda p: p.sum() - 1.0, "jac": lambda p: np.ones(m)},
-        {"type": "ineq", "fun": lambda p: power - p @ xsq, "jac": lambda p: -xsq},
-    ]
-
-    def solve_from(p0):
-        res = minimize(
-            negated,
-            p0,
-            jac=True,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * m,
-            constraints=constraints,
-            options={"ftol": 1e-12, "maxiter": 500},
-        )
-        p = np.clip(res.x, 0.0, None)
-        total = p.sum()
-        if total <= 0.0:
-            return None
-        p /= total
-        if float(p @ xsq) > power * (1.0 + 1e-10):
-            p = _feasible_start(p, xsq, power)
-        return p
-
-    starts = []
+    p = np.full(m, 1.0 / m)
     if start is not None:
-        s = np.clip(np.asarray(start, dtype=float), 1e-12, None)
-        starts.append(_feasible_start(s / s.sum(), xsq, power))
-    starts.append(_feasible_start(np.full(m, 1.0 / m), xsq, power))
-
-    best_p, best_mi = None, -np.inf
-    for p0 in starts:
-        p = solve_from(p0)
-        if p is None:
+        # points without warm mass start off the face and join it only if
+        # their reduced gradient asks for them
+        s = np.clip(np.asarray(start, dtype=float), 0.0, None)
+        if s.sum() > 0.0:
+            p = s / s.sum()
+    p = np.array(_feasible_start(p, xsq, power), dtype=float)
+    free = p > 0.0
+    on_power = float(p @ xsq) >= power
+    added = -1
+    steps = 0
+    while True:
+        idx = np.flatnonzero(free)
+        pf, wf, xf, negf = p[idx], w[idx], xsq[idx], negent[idx]
+        z, pair = _face_basis(xf, on_power)
+        r = pf @ wf
+        f = _mass_objective(pf, wf, negf)
+        # Newton steps on this face, until it is optimal or the face changes
+        while True:
+            steps += 1
+            if steps > _NEWTON_MAX_ITER:
+                raise RuntimeError(
+                    f"mass optimization did not converge in {_NEWTON_MAX_ITER} Newton iterations"
+                )
+            v = None
+            # The gradient is d - 1/ln2; the constant is orthogonal to every
+            # face direction and only shifts nu.
+            g = _divergences_bits(wf, negf, r)
+            zg = g @ z
+            stationary = not zg.size or np.abs(zg).max() <= _FACE_TOL
+            # A stationary face is optimal unless it has more free directions
+            # than the K - 1 that R can take; such a face is degenerate.
+            if stationary and zg.size < w.shape[1]:
+                break
+            # Reduced Hessian z^T W_F diag(1/R) W_F^T z / ln2 = G^T G; bins
+            # that no free point reaches add zero rows to G.
+            scaled = wf / np.sqrt(np.maximum(r, _R_FLOOR) * LN2)
+            _, sv, vt, info = dgesdd(scaled.T @ z)
+            if info:
+                raise np.linalg.LinAlgError("SVD of the reduced Hessian did not converge")
+            pivot = np.count_nonzero(sv > _RANK_RTOL * sv[0]) < zg.size
+            if pivot:
+                # R is constant along this null direction, so the objective
+                # is linear there with slope g @ v (= negent @ v).
+                v = z @ vt[-1]
+                if g @ v < 0.0:
+                    v = -v
+            elif stationary:
+                break
+            else:
+                v = z @ (((vt @ zg) / sv**2) @ vt)
+            if added >= 0 and v[np.searchsorted(idx, added)] < 0.0:
+                # The step would drop the point that just joined: its reduced
+                # gradient was within rounding of the face's own residual.
+                return p, float(pf @ g)
+            added = -1
+            t_max, hit = np.inf, None
+            neg = (v < 0.0).nonzero()[0]
+            if neg.size:
+                with np.errstate(over="ignore"):  # tiny components give inf
+                    ratios = pf[neg] / -v[neg]
+                k = int(np.argmin(ratios))
+                t_max, hit = float(ratios[k]), int(idx[neg[k]])
+            rise = float(xf @ v)
+            if not on_power and rise > 0.0:
+                t_power = max(power - float(pf @ xf), 0.0) / rise
+                if t_power <= t_max:
+                    t_max, hit = t_power, None
+            t = t_max
+            if not pivot:
+                t = min(1.0, t_max)
+                gain = float(g @ v)
+                slack = _F_NOISE * max(1.0, abs(f))
+                while True:
+                    f_new = _mass_objective(pf + t * v, wf, negf)
+                    if f_new >= f + 1e-4 * t * gain - slack:
+                        break
+                    t *= 0.5
+                f = f_new
+            pf = np.maximum(pf + t * v, 0.0)
+            r = pf @ wf
+            if t == t_max:
+                break
+        p[idx] = pf
+        if v is not None:  # a step reached the boundary of the face
+            if hit is None:
+                on_power = True
+            else:
+                p[hit] = 0.0
+            free[idx[(p[idx] == 0.0) & (v < 0.0)]] = False
             continue
-        mi = float(p @ _divergences_bits(w, negent, p @ w))
-        if mi > best_mi:
-            best_p, best_mi = p, mi
-        if best_mi > -np.inf and start is not None:
-            break  # warm start succeeded; skip the cold solve
-    if best_p is None:
-        raise RuntimeError("mass optimization failed from every starting point")
-    return best_p, best_mi
+        # Face optimum: multipliers, then the reduced gradient off the face.
+        if pair is None:
+            nu, gamma = float(np.mean(g)), 0.0
+        else:
+            a, b = pair
+            span = float(xf[b] - xf[a])
+            gamma = float(g[b] - g[a]) / span
+            # Release only a multiplier that is negative beyond the face's
+            # residual; the step that follows then lowers the power.
+            if gamma * span < -10.0 * _FACE_TOL:
+                on_power = False
+                continue
+            gamma = max(gamma, 0.0)
+            nu = float(g[a]) - gamma * float(xf[a])
+        reduced = _divergences_bits(w, negent, r) - nu - gamma * xsq
+        reduced[idx] = -np.inf
+        j = int(np.argmax(reduced))
+        if reduced[j] <= _ADD_TOL:
+            return p, float(pf @ g)
+        free[j] = True
+        added = j
 
 
 def optimal_masses(locations, spec: ChannelSpec, start=None):
-    """Best masses for fixed support locations under the power constraint."""
+    """Best masses for fixed support locations under the power constraint.
+
+    Returns (masses, mutual_information_bits) from the active-set Newton
+    solve of _optimal_masses_rows, warm-started from `start` when given.  At
+    most K+1 of the masses are positive for a K-bin quantizer.
+    """
     xs = np.asarray(locations, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or np.any(np.diff(xs) <= 0.0):
         raise ValueError("locations must be a non-empty strictly ascending 1-d array")

@@ -145,9 +145,9 @@ class JointResult:
         if self.method not in ("brute_force", "iterative"):
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.method == "iterative":
-            # The alternation is monotone in exact arithmetic; the recorded
-            # capacities carry inner-solver noise of order 1e-6 at the final
-            # (sub-eps) round, so the structural check allows that much.
+            # optimize_quantizer_3bit_iterative discards any round whose
+            # capacity falls, so its trace is nondecreasing by construction;
+            # this structural check allows 1e-6 for traces built elsewhere.
             for prev, nxt in zip(self.trace, self.trace[1:]):
                 if nxt < prev - 1e-6:
                     raise ValueError(
@@ -315,7 +315,9 @@ def optimize_quantizer_3bit_iterative(
     coordinate-ascend the three positive thresholds at the fixed input with a
     step shrinking from 0.1 sigma to 1e-4 sigma.  Stops when one round gains
     less than `eps` bits.  Each input solve is seeded with the previous
-    support, which keeps the capacity trace nondecreasing.
+    support.  A round whose capacity falls below the previous round's is
+    discarded with its quantizer and ends the alternation, so the trace is
+    nondecreasing and the final solve uses the best round's quantizer.
     """
     _check_snr(snr)
     if eps <= 0.0:
@@ -339,10 +341,17 @@ def optimize_quantizer_3bit_iterative(
         res = optimize_input_cutting_plane(
             spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
         )
+        if trace and res.capacity < trace[-1]:
+            # Each inner solve is certified only to `tol` and is seeded with a
+            # grid-snapped support, so a round can lose up to about `tol`:
+            # discard it and keep the previous round's quantizer and seed.
+            quant, seed = prev_quant, prev_seed
+            break
         trace.append(res.capacity)
         seed = res.dist.locations
         if len(trace) >= 2 and trace[-1] - trace[-2] < eps:
             break
+        prev_quant, prev_seed = quant, seed
         halves = _threshold_ascent(
             res.dist, halves, sigma, start_step=0.1 * sigma, floor_step=1e-4 * sigma
         )

@@ -3,26 +3,33 @@
 The cutting-plane solver and the power-matched Blahut-Arimoto iteration are
 independent routes to the same grid-restricted optimum, so each serves as the
 oracle for the other; the one-bit closed form anchors both on single-threshold
-channels.
+channels.  The fixed-support mass solver is checked against an SLSQP oracle
+kept here for that purpose, and against its own KKT conditions.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize
+from scipy.special import xlogy
 
 from quantcap import (
+    BenchmarkScheme,
     ChannelSpec,
     GridConfig,
     CapacityResult,
     Quantizer,
+    minimize_max_affine,
     mutual_information,
     onebit_capacity,
+    optimal_masses,
     optimize_input_blahut_arimoto,
     optimize_input_cutting_plane,
     power_bisection,
 )
+from quantcap.channel import bin_probability_matrix
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 ONEBIT = Quantizer((0.0,))
@@ -86,6 +93,99 @@ class TestOnebitCapacity:
             onebit_capacity(0.0)
         with pytest.raises(ValueError):
             onebit_capacity(-1.0)
+
+
+def _divergences(w, p):
+    """d_j = D(W_j || p W) in bits, computed directly from the rows."""
+    r = p @ w
+    return (xlogy(w, w).sum(axis=1) - xlogy(w, r).sum(axis=1)) / math.log(2.0)
+
+
+def _slsqp_masses(w, xsq, power):
+    """Independent oracle: SLSQP on the same concave program, from uniform.
+
+    A result over the power budget is mixed toward the point mass at x = 0
+    (always in the support here) until it is feasible.
+    """
+    m = xsq.size
+
+    def negated(p):
+        d = _divergences(w, p)
+        return -float(p @ d), -(d - 1.0 / math.log(2.0))
+
+    res = minimize(
+        negated,
+        np.full(m, 1.0 / m),
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * m,
+        constraints=[
+            {"type": "eq", "fun": lambda p: p.sum() - 1.0, "jac": lambda p: np.ones(m)},
+            {"type": "ineq", "fun": lambda p: power - p @ xsq, "jac": lambda p: -xsq},
+        ],
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    p = np.clip(res.x, 0.0, None)
+    p /= p.sum()
+    excess = float(p @ xsq) - power
+    if excess > 0.0:
+        p *= 1.0 - excess / float(p @ xsq)
+        p[np.flatnonzero(xsq == 0.0)[0]] += 1.0 - p.sum()
+    return p
+
+
+class TestOptimalMasses:
+    @given(
+        bins=st.sampled_from([2, 4, 8]),
+        snr_db=st.floats(min_value=-15.0, max_value=20.0),
+        jitter=st.booleans(),
+        size=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_optimal_feasible_kkt_and_sparse(self, bins, snr_db, jitter, size, seed):
+        rng = np.random.default_rng(seed)
+        power = 10.0 ** (snr_db / 10.0)
+        thr = np.asarray(BenchmarkScheme.build(bins, power).quantizer.thresholds)
+        if jitter:
+            thr = np.sort(thr + rng.normal(0.0, 0.3, thr.size))
+            assume(np.all(np.diff(thr) > 1e-6))
+        spec = ChannelSpec(1.0, power, Quantizer(tuple(thr)))
+        # x = 0 is always in the support, as the cutting plane's anchor is
+        half = 3.0 * math.sqrt(power)
+        xs = np.unique(np.concatenate([[0.0], rng.uniform(-half, half, size - 1)]))
+        w = bin_probability_matrix(xs, thr, 1.0)
+        xsq = xs**2
+
+        p, mi = optimal_masses(xs, spec)
+        d = _divergences(w, p)
+        assert mi == pytest.approx(float(p @ d), abs=1e-12)
+        oracle = _slsqp_masses(w, xsq, power)
+        assert mi >= float(oracle @ _divergences(w, oracle)) - 1e-10
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert np.all(p >= 0.0)
+        assert p @ xsq <= power * (1.0 + 1e-12)
+        # KKT with nu = I - gamma P: d_j - gamma x_j^2 - nu <= 0 everywhere,
+        # with equality on the support
+        gamma = minimize_max_affine(d, power - xsq).gamma
+        slack = d + gamma * (power - xsq) - mi
+        assert np.max(slack) <= 1e-9
+        assert np.all(np.abs(slack[p > 1e-12]) <= 1e-9)
+        assert np.sum(p > 1e-12) <= bins + 1
+
+        _, mi_warm = optimal_masses(xs, spec, start=rng.random(xs.size))
+        assert mi_warm == pytest.approx(mi, abs=1e-12)
+
+    def test_degenerate_face_terminates_at_antipodal_optimum(self):
+        # One threshold (K = 2) and seven points: every face with more than
+        # three free points is degenerate, and the optimum is antipodal
+        # signaling at +/- sqrt(P) with the power constraint binding.
+        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
+        xs = np.array([-2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0])
+        p, mi = optimal_masses(xs, spec)
+        assert mi == pytest.approx(onebit_capacity(1.0), abs=1e-12)
+        np.testing.assert_allclose(p, [0, 0, 0.5, 0, 0.5, 0, 0], atol=1e-12)
+        assert p @ xs**2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCapacityResultValidation:

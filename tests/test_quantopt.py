@@ -5,6 +5,7 @@ mutual-information path, and the 2-bit brute force at its published operating
 points anchors the alternating 3-bit procedure.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -268,6 +269,32 @@ class TestOptimizeQuantizer3bitIterative:
         steps = np.diff(np.asarray(three_bit_0db.trace))
         assert steps.size >= 1
         assert np.all(steps >= -1e-6)
+
+    def test_discards_a_round_that_loses_capacity(self, monkeypatch):
+        # Each inner solve is certified only to its tolerance, so a round can
+        # come out below the one before it.  Whatever the solver returns,
+        # the alternation must keep the earlier round and stop.
+        from quantcap import quantopt
+
+        real = quantopt.optimize_input_cutting_plane
+        quantizers, capacities = [], []
+
+        def lossy(spec, **kwargs):
+            res = real(spec, **kwargs)
+            quantizers.append(spec.quantizer)
+            if len(quantizers) == 2:
+                res = dataclasses.replace(res, capacity=capacities[0] - 1e-3)
+            capacities.append(res.capacity)
+            return res
+
+        monkeypatch.setattr(quantopt, "optimize_input_cutting_plane", lossy)
+        out = optimize_quantizer_3bit_iterative(1.0)
+        assert quantizers[1] != quantizers[0]
+        assert out.trace == (capacities[0],)
+        assert np.all(np.diff(out.trace) >= 0.0)
+        assert out.quantizer == quantizers[0]
+        # the final solve runs at the round-1 quantizer too
+        assert len(quantizers) == 3 and quantizers[2] == quantizers[0]
 
     def test_dominates_benchmark(self, three_bit_0db):
         assert (
