@@ -169,7 +169,7 @@ _ADD_TOL = 1e-13
 _FACE_TOL = 1e-12
 _F_NOISE = 1e-15
 _RANK_RTOL = 1e-10
-# A solve takes about 6 Newton iterations and rarely more than 20.
+# In the capacity_sweep benchmark a solve takes about 7 steps, 25 at most.
 _NEWTON_MAX_ITER = 200
 
 
@@ -219,8 +219,8 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
     LP pivot to the next vertex, which keeps at most K+1 free points.  At a
     face optimum the multipliers nu, gamma of the face give the reduced
     gradient d_j - nu - gamma x_j^2 of every other point: the power row is
-    released if gamma < 0, else the point with the largest reduced gradient
-    joins F, and the solve ends when none exceeds _ADD_TOL.
+    released if gamma < 0 beyond rounding, else the point with the largest
+    reduced gradient joins F, and the solve ends when none exceeds _ADD_TOL.
 
     Starts from `start` when given, else from uniform masses, made feasible
     by _feasible_start.  The program is concave, so any KKT point is a

@@ -187,6 +187,14 @@ class TestOptimalMasses:
         np.testing.assert_allclose(p, [0, 0, 0.5, 0, 0.5, 0, 0], atol=1e-12)
         assert p @ xs**2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        from quantcap import optimize
+
+        monkeypatch.setattr(optimize, "_NEWTON_MAX_ITER", 2)
+        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            optimal_masses(np.array([-2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0]), spec)
+
 
 class TestCapacityResultValidation:
     def test_rejects_capacity_above_certificate(self):
