@@ -8,18 +8,24 @@ so minimizing the right-hand side over gamma >= 0 gives a valid upper
 bound for each candidate R.  On a fixed x-grid the objective is a maximum
 of finitely many affine functions of gamma — piecewise-linear and convex —
 and the minimum is found exactly by locating the breakpoint where the
-active slope changes sign.  Searching over a family of symmetric output
-pmfs then tightens the bound.
+active slope changes sign.
+
+The resulting bound is a convex function of R (the divergence is convex in
+R, the objective is jointly convex in (R, gamma), and a partial minimum of a
+jointly convex function is convex), so the best symmetric R is found by a
+local search: a bounded Brent search over the one free mass for K=4 and
+Nelder-Mead from the uniform output for K=8.  The value returned for the
+chosen R is re-certified over continuous x.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+from scipy.special import xlogy
 
 from .channel import ChannelSpec, OutputPmf, bin_probability_matrix, _kl_rows_bits
 from .special import LN2
@@ -255,16 +261,28 @@ def _certified_symmetric_bound(spec: ChannelSpec, out: OutputPmf) -> float:
     return best
 
 
-def best_symmetric_bound(spec: ChannelSpec, resolution: int = 2000):
+def best_symmetric_bound(spec: ChannelSpec):
     """Best duality bound over symmetric output pmfs for a symmetric quantizer.
 
-    Returns (bound, output_pmf).  K=2 has a single symmetric output; K=4 is a
-    one-parameter sweep refined by golden section; K=8 walks a coarse grid
-    over the three free parameters and polishes the winner with Nelder-Mead.
-    For symmetric outputs the divergence profile is even in x, so the grids
-    only cover [0, max threshold + 5 sigma].  The returned value re-takes
-    the inner sup over continuous x for the winning pmf, so it stays a true
-    bound rather than a grid maximum.
+    Returns (bound, output_pmf).  The objective
+
+        F(R) = min_{gamma >= 0} max_x [ D(W(.|x) || R) + gamma (P - x^2) ]
+
+    is convex in R: D(W(.|x) || R) is convex in R, adding gamma (P - x^2)
+    keeps it jointly convex in (R, gamma), a pointwise max over x preserves
+    that, and minimizing a jointly convex function over gamma leaves a
+    convex function of R.  Restricted to the affine family of symmetric
+    pmfs it stays convex, so every local minimum there is the global one.
+
+    K=2 has a single symmetric output.  K=4 has one free parameter, the
+    inner-bin mass alpha in R = (1/2 - alpha, alpha, alpha, 1/2 - alpha);
+    a bounded Brent search runs over the open interval (0, 1/2), at whose
+    ends some bin mass vanishes and F grows without bound, so the minimum
+    is interior.  K=8 has three free masses, found by Nelder-Mead from the
+    uniform output.  For symmetric outputs the divergence profile is even
+    in x, so the search grids only cover [0, max threshold + 5 sigma].  The
+    returned value re-takes the inner sup over continuous x for the chosen
+    pmf, so it stays a true bound whatever the search returns.
     """
     quant = spec.quantizer
     if not quant.is_symmetric():
@@ -278,8 +296,6 @@ def best_symmetric_bound(spec: ChannelSpec, resolution: int = 2000):
 
     xs = _symmetric_half_grid(spec, 4001 if k == 4 else 2001)
     w = bin_probability_matrix(xs, quant.thresholds, spec.sigma)
-    from scipy.special import xlogy
-
     negent = xlogy(w, w).sum(axis=1) / LN2
     slopes = power - xs**2
     half = k // 2
@@ -293,70 +309,31 @@ def best_symmetric_bound(spec: ChannelSpec, resolution: int = 2000):
         return minimize_max_affine(d, slopes).value
 
     if k == 4:
-        alphas = np.linspace(0.001, 0.499, resolution)
-        vals = np.empty(resolution)
-        for i, a in enumerate(alphas):
-            vals[i] = bound_for_half(np.array([0.5 - a, a]))
-        best = int(np.argmin(vals))
-        lo = alphas[max(best - 1, 0)]
-        hi = alphas[min(best + 1, resolution - 1)]
         res = minimize_scalar(
             lambda a: bound_for_half(np.array([0.5 - a, a])),
-            bracket=(lo, alphas[best], hi),
-            method="golden",
-            options={"xtol": 1e-6},
+            bounds=(0.0, 0.5),
+            method="bounded",
+            options={"xatol": 1e-10},
         )
         alpha = float(res.x)
-        bound = float(res.fun)
-        if vals[best] < bound:  # golden never worse than the grid winner
-            alpha, bound = float(alphas[best]), float(vals[best])
         out = OutputPmf(np.array([0.5 - alpha, alpha, alpha, 0.5 - alpha]))
         return _certified_symmetric_bound(spec, out), out
 
     if k == 8:
-        per_axis = max(10, min(50, resolution // 40)) if resolution != 2000 else 50
-        axis = (np.arange(per_axis) + 0.5) * (0.5 / per_axis)
-        coarse_xs = _symmetric_half_grid(spec, 501)
-        w_c = bin_probability_matrix(coarse_xs, quant.thresholds, spec.sigma)
-        negent_c = xlogy(w_c, w_c).sum(axis=1) / LN2
-        slopes_c = power - coarse_xs**2
-        paired_c = np.empty((coarse_xs.size, half))
-        for i in range(half):
-            paired_c[:, i] = w_c[:, i] + w_c[:, k - 1 - i]
-        best_val, best_h = math.inf, None
-        floor = 1e-3
-        for h1 in axis:
-            for h2 in axis:
-                rem = 0.5 - h1 - h2
-                if rem <= floor:
-                    continue
-                for h3 in axis:
-                    h4 = rem - h3
-                    if h3 >= rem or h4 <= floor:
-                        continue
-                    h = np.array([h1, h2, h3, h4])
-                    d = negent_c - paired_c @ np.log2(h)
-                    val = minimize_max_affine(d, slopes_c).value
-                    if val < best_val:
-                        best_val, best_h = val, h
 
         def objective(v):
-            h1, h2, h3 = v
-            h4 = 0.5 - h1 - h2 - h3
-            if min(h1, h2, h3, h4) <= 1e-6:
+            h = np.append(v, 0.5 - v.sum())
+            if h.min() <= 1e-9:
                 return 1e6
-            return bound_for_half(np.array([h1, h2, h3, h4]))
+            return bound_for_half(h)
 
         res = minimize(
             objective,
-            best_h[:3],
+            np.full(3, 0.125),
             method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 600},
         )
-        v = res.x if res.fun <= objective(best_h[:3]) else best_h[:3]
-        h1, h2, h3 = v
-        h4 = 0.5 - h1 - h2 - h3
-        h = np.array([h1, h2, h3, h4])
+        h = np.append(res.x, 0.5 - res.x.sum())
         out = OutputPmf(np.concatenate([h, h[::-1]]))
         return _certified_symmetric_bound(spec, out), out
 
