@@ -25,10 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import xlogy
 
-from .channel import ChannelSpec, OutputPmf, bin_probability_matrix, _kl_rows_bits
-from .special import LN2
+from .channel import (
+    ChannelSpec,
+    OutputPmf,
+    bin_probability_matrix,
+    _divergences_bits,
+    _row_negentropy_bits,
+)
 
 _ACTIVE_RTOL = 1e-12
 _FLAT_SLOPE = np.finfo(float).eps ** 2
@@ -190,7 +194,7 @@ def divergence_to_output(x, output: OutputPmf, spec: ChannelSpec):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"divergence_to_output: non-finite input {x!r}")
     w = bin_probability_matrix(arr, spec.quantizer.thresholds, spec.sigma)
-    rows = _kl_rows_bits(w, output.probs)
+    rows = _divergences_bits(w, _row_negentropy_bits(w), output.probs)
     if arr.ndim == 0:
         return float(rows[0])
     return rows
@@ -296,16 +300,12 @@ def best_symmetric_bound(spec: ChannelSpec):
 
     xs = _symmetric_half_grid(spec, 4001 if k == 4 else 2001)
     w = bin_probability_matrix(xs, quant.thresholds, spec.sigma)
-    negent = xlogy(w, w).sum(axis=1) / LN2
+    negent = _row_negentropy_bits(w)
     slopes = power - xs**2
-    half = k // 2
-    paired = np.empty((xs.size, half))
-    for i in range(half):
-        paired[:, i] = w[:, i] + w[:, k - 1 - i]
 
     def bound_for_half(h):
         # h: probabilities of bins 1..K/2 (outermost first), summing to 1/2
-        d = negent - paired @ np.log2(h)
+        d = _divergences_bits(w, negent, np.concatenate([h, h[::-1]]))
         return minimize_max_affine(d, slopes).value
 
     if k == 4:

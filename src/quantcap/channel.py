@@ -3,8 +3,9 @@
 The channel is Y = quantize(X + N) with N ~ Normal(0, noise_variance) and a
 quantizer described by its K-1 ascending thresholds.  Everything downstream
 (optimizers, bounds, reports) works through the types and quantities here:
-transition probabilities, output pmf, mutual information, the divergence
-profile d(x; F), and the KKT residual that certifies optimality.
+transition probabilities, output pmf, mutual information and the divergence
+profile d(x; F).  The divergence profile has one kernel,
+_divergences_bits, which every other module uses.
 
 All information quantities are in bits.
 """
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
+from scipy.special import xlogy
 
 from .special import LN2, gaussian_q
 
@@ -27,6 +28,8 @@ POWER_RTOL = 1e-9
 MERGE_SCALE = 1e-6
 #: canonical cleanup: masses below this are dropped and the rest renormalized
 PRUNE_TOL = 1e-7
+#: floor applied to output probabilities before taking their logarithm
+_R_FLOOR = 1e-300
 
 
 class OutputBinZeroError(ArithmeticError):
@@ -207,9 +210,6 @@ class InputDistribution:
     def is_power_feasible(self, spec: ChannelSpec) -> bool:
         return self.average_power() <= spec.power_constraint * (1.0 + POWER_RTOL)
 
-    def mirrored(self) -> "InputDistribution":
-        return InputDistribution(-self.locations[::-1], self.masses[::-1].copy())
-
     def symmetrized(self) -> "InputDistribution":
         """Equal mixture of the distribution and its mirror image.
 
@@ -270,9 +270,6 @@ class OutputPmf:
     def bins(self) -> int:
         return int(self.probs.size)
 
-    def is_palindromic(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.probs - self.probs[::-1]) <= tol))
-
 
 def bin_probability_matrix(x, thresholds, sigma):
     """Row-stochastic matrix of P(bin | input) for an array of inputs.
@@ -317,64 +314,40 @@ def transition_probs(x, spec: ChannelSpec):
     return rows
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Transition rows for a whole input grid (grid[i] -> probs[i, :])."""
-
-    grid: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        w = np.asarray(self.probs, dtype=float)
-        if g.ndim != 1 or w.ndim != 2 or w.shape[0] != g.size:
-            raise ValueError("grid must be 1-d and probs must have one row per grid point")
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid must be strictly ascending")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > PROB_ATOL):
-            raise ValueError("every transition row must sum to 1")
-        g = g.copy()
-        w = w.copy()
-        g.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "probs", w)
-
-    @classmethod
-    def build(cls, grid, spec: ChannelSpec) -> "TransitionMatrix":
-        g = np.asarray(grid, dtype=float)
-        return cls(g, bin_probability_matrix(g, spec.quantizer.thresholds, spec.sigma))
-
-
 def output_pmf(dist: InputDistribution, spec: ChannelSpec) -> OutputPmf:
     """Marginal output pmf induced by the input distribution."""
     w = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
     return OutputPmf(dist.masses @ w)
 
 
-def _kl_rows_bits(w, r):
-    """Row-wise KL divergence sum_i w_i log2(w_i / r_i); w rows, r a vector.
+def _row_negentropy_bits(w):
+    """sum_k w_k log2 w_k for each row of w; zero entries contribute zero."""
+    return xlogy(w, w).sum(axis=1) / LN2
 
-    Zero w entries contribute zero.  A positive w against a zero r is a
-    signaled error (the divergence is infinite).
+
+def _divergences_bits(w, negent, r):
+    """KL divergence D(w_j || r) in bits for each row w_j of w.
+
+    negent is _row_negentropy_bits(w), passed in so that callers evaluating
+    many output laws against the same rows compute it once.  A zero r_k is
+    floored at _R_FLOOR; it is harmless only when no row reaches bin k, which
+    callers that cannot rule it out check first.  KL >= 0, so the tiny
+    negatives that rounding leaves are clamped to zero.
     """
-    r = np.asarray(r, dtype=float)
-    hit_zero = (r <= 0.0) & np.any(w > 0.0, axis=0)
-    if np.any(hit_zero):
-        bins = np.nonzero(hit_zero)[0].tolist()
-        raise OutputBinZeroError(
-            f"output bins {bins} have zero probability but are reachable"
-        )
-    safe_r = np.where(r > 0.0, r, 1.0)
-    rows = (_sp.xlogy(w, w) - _sp.xlogy(w, safe_r[None, :])).sum(axis=1) / LN2
-    return np.maximum(rows, 0.0)  # KL >= 0; tiny negatives are rounding
+    return np.maximum(negent - w @ np.log2(np.maximum(r, _R_FLOOR)), 0.0)
 
 
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:
     """Mutual information in bits between the input and the quantized output."""
     w = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
     r = dist.masses @ w
-    rows = _kl_rows_bits(w, r)
+    hit_zero = (r <= 0.0) & np.any(w > 0.0, axis=0)
+    if np.any(hit_zero):
+        bins = np.nonzero(hit_zero)[0].tolist()
+        raise OutputBinZeroError(
+            f"output bins {bins} have zero probability but are reachable"
+        )
+    rows = _divergences_bits(w, _row_negentropy_bits(w), r)
     return float(np.dot(dist.masses, rows))
 
 
@@ -394,30 +367,8 @@ def divergence(x, dist: InputDistribution, spec: ChannelSpec):
         bins = np.nonzero(r <= 0.0)[0].tolist()
         raise OutputBinZeroError(f"output bins {bins} have zero probability")
     w = bin_probability_matrix(arr, spec.quantizer.thresholds, spec.sigma)
-    rows = _kl_rows_bits(w, r)
+    rows = _divergences_bits(w, _row_negentropy_bits(w), r)
     if arr.ndim == 0:
         return float(rows[0])
     return rows
 
-
-def kkt_residual(dist, gamma, spec, grid):
-    """Optimality-certificate residuals for a candidate (dist, gamma) pair.
-
-    The optimality condition requires d(x;F) + gamma*(P - x^2) <= I(F) for
-    all x with equality on the support.  Returns (max_violation, support_gap):
-    the worst excess over the grid and the worst absolute slack on support.
-    """
-    if gamma < 0.0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
-    power = spec.power_constraint
-    mi = mutual_information(dist, spec)
-    g_grid = divergence(xs, dist, spec) + gamma * (power - xs**2)
-    max_violation = float(np.max(g_grid) - mi)
-    g_sup = divergence(dist.locations, dist, spec) + gamma * (
-        power - dist.locations**2
-    )
-    support_gap = float(np.max(np.abs(g_sup - mi)))
-    return max_violation, support_gap

@@ -8,9 +8,9 @@ Two independent routes to the same optimum:
   with the exact minimax multiplier from the duality envelope, so the
   reported kkt_max_violation is a true bound on the distance to the
   grid-restricted capacity;
-* a power-tilted Blahut-Arimoto fixed point over the whole grid, made
-  power-feasible by an outer bisection on the multiplier.  This is the
-  independent oracle used for cross-checks.
+* a tilted Blahut-Arimoto fixed point over the whole grid at a given
+  multiplier gamma; at the cutting plane's gamma* its value equals C by
+  strong duality.  This is the independent oracle used for cross-checks.
 """
 
 from __future__ import annotations
@@ -27,16 +27,12 @@ from .channel import (
     ChannelSpec,
     InputDistribution,
     PRUNE_TOL,
+    _R_FLOOR,
+    _divergences_bits,
+    _row_negentropy_bits,
     bin_probability_matrix,
 )
 from .special import LN2, binary_entropy, gaussian_q
-
-_R_FLOOR = 1e-300
-
-
-class BracketingError(RuntimeError):
-    """The power-multiplier bisection could not bracket the target power."""
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -126,14 +122,6 @@ def _materialize_grid(grid, power):
     if np.any(np.diff(xs) <= 0.0):
         raise ValueError("grid points must be strictly ascending")
     return xs
-
-
-def _row_negentropy_bits(w):
-    return xlogy(w, w).sum(axis=1) / LN2
-
-
-def _divergences_bits(w, negent, r):
-    return negent - w @ np.log2(np.maximum(r, _R_FLOOR))
 
 
 def _feasible_start(p, xsq, power):
@@ -510,24 +498,34 @@ def optimize_input_cutting_plane(
 _MASS_FLOOR = 1e-300
 
 
-def _ba_arrays(w, negent, xsq, power, gamma, tol, max_iter, start=None):
-    """Tilted Blahut-Arimoto ascent of I(F) - gamma (E[X^2] - P) on a grid.
+def _ba_arrays(w, negent, xsq, gamma, tol, max_iter):
+    """Tilted Blahut-Arimoto ascent of I(F) - gamma E[X^2] on a grid.
 
     The base update p <- p * 2^(d - gamma x^2) / Z is the standard fixed
-    point with an exponential power tilt; every third evaluation applies a
-    squared-extrapolation step in log-mass space (Varadhan-Roland style) to
-    collapse the near-unit eigenmode that otherwise makes plain iteration
-    crawl.  Extrapolations that fail to keep the objective monotone are
-    discarded.  Stops when the sup-gap max_j g_j - sum_j p_j g_j, which
-    bounds all remaining improvement, drops to tol.  Returns
-    (p, mutual_information, mean_square, sup_gap, evaluations).
+    point with an exponential power tilt, started from uniform masses; every
+    third evaluation applies a squared-extrapolation step in log-mass space
+    (Varadhan-Roland style) to collapse the near-unit eigenmode that
+    otherwise makes plain iteration crawl.  Extrapolations that fail to keep
+    the objective monotone are discarded.  Stops when the sup-gap
+    max_j g_j - sum_j p_j g_j, which bounds all remaining improvement, drops
+    to tol, and raises RuntimeError if that takes more than max_iter
+    evaluations.  Returns (p, d): the masses and their divergence profile.
     """
     n = negent.size
-    p = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float).copy()
-    p = np.maximum(p, _MASS_FLOOR)
-    p /= p.sum()
+    p = np.full(n, 1.0 / n)
+    p /= p.sum()  # normalized like every later iterate
+    evals = 0
+    sup_gap = math.inf
 
     def step(q):
+        # One evaluation at q: (update of q, divergences, tilted value, sup-gap)
+        nonlocal evals
+        if evals == max_iter:
+            raise RuntimeError(
+                f"Blahut-Arimoto did not converge in {max_iter} evaluations "
+                f"(sup-gap {sup_gap:.3g} > tol {tol:g})"
+            )
+        evals += 1
         d = _divergences_bits(w, negent, q @ w)
         g = d - gamma * xsq
         value = float(q @ g)
@@ -538,23 +536,16 @@ def _ba_arrays(w, negent, xsq, power, gamma, tol, max_iter, start=None):
             # A degenerate iterate (all mass far from the tilted optimum)
             # can underflow the whole update; leave it unchanged and let
             # the monotonicity safeguard discard the candidate.
-            return q, value, gap
-        return nxt / total, value, gap
+            return q, d, value, gap
+        return nxt / total, d, value, gap
 
-    evals = 0
-    sup_gap = np.inf
-    while evals < max_iter:
-        p1, _, gap0 = step(p)
-        evals += 1
-        sup_gap = gap0
-        if gap0 <= tol:
-            break
-        p2, value1, gap1 = step(p1)
-        evals += 1
-        if gap1 <= tol:
-            p = p1
-            sup_gap = gap1
-            break
+    while True:
+        p1, d, _, sup_gap = step(p)
+        if sup_gap <= tol:
+            return p, d
+        p2, d, value1, sup_gap = step(p1)
+        if sup_gap <= tol:
+            return p1, d
         u0 = np.log(np.maximum(p, _MASS_FLOOR))
         u1 = np.log(np.maximum(p1, _MASS_FLOOR))
         u2 = np.log(np.maximum(p2, _MASS_FLOOR))
@@ -569,18 +560,8 @@ def _ba_arrays(w, negent, xsq, power, gamma, tol, max_iter, start=None):
         u -= np.max(u)
         cand = np.exp(u)
         cand /= cand.sum()
-        p3, value_c, gap_c = step(cand)
-        evals += 1
-        if value_c >= value1 - 1e-12:
-            p = p3
-            sup_gap = gap_c
-        else:
-            p = p2
-            sup_gap = gap1
-    d = _divergences_bits(w, negent, p @ w)
-    g = d - gamma * xsq
-    sup_gap = float(np.max(g) - float(p @ g))
-    return p, float(p @ d), float(p @ xsq), sup_gap, evals
+        p3, _, value_c, _ = step(cand)
+        p = p3 if value_c >= value1 - 1e-12 else p2
 
 
 def optimize_input_blahut_arimoto(
@@ -594,166 +575,24 @@ def optimize_input_blahut_arimoto(
 
     Runs the tilted multiplicative fixed point for a fixed multiplier and
     returns (distribution, value) where value = I(F) - gamma (E[X^2] - P) in
-    bits.  The distribution keeps every grid point that retains positive
-    mass; no merging is applied, since this routine is the raw oracle.
+    bits.  By strong duality the value at the optimal multiplier gamma* (the
+    cutting plane's CapacityResult.gamma) is the capacity, and any other
+    gamma gives a value above it.  The distribution keeps every grid point
+    that retains positive mass; no merging is applied, since this routine is
+    the raw oracle.  Raises RuntimeError when the sup-gap does not reach
+    `tol` within `max_iter` evaluations.
     """
     if not math.isfinite(gamma) or gamma < 0.0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    power = spec.power_constraint
-    xs = _materialize_grid(grid, power)
-    w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
-    p, mi, mean_sq, _, _ = _ba_arrays(
-        w, _row_negentropy_bits(w), xs**2, power, gamma, tol, max_iter
-    )
-    keep = p > 0.0
-    dist = InputDistribution(xs[keep], p[keep] / p[keep].sum())
-    return dist, mi - gamma * (mean_sq - power)
-
-
-def power_bisection(
-    spec: ChannelSpec,
-    grid=None,
-    tol: float = 1e-4,
-    inner_tol: float = 1e-6,
-    max_rounds: int = 80,
-) -> CapacityResult:
-    """Capacity via the Blahut-Arimoto oracle with a power-matching multiplier.
-
-    Drives gamma until the oracle's average power is within `tol` of the
-    constraint (approaching from the feasible side), or reports the
-    slack-constraint optimum with a vanishing multiplier when even that is
-    power-feasible.  Gamma descends geometrically from a provably feasible
-    anchor, each stage warm-started from the last; the first infeasible
-    stage brackets the crossing, which geometric bisection then closes.
-    The reported capacity is the mutual information of the raw grid
-    iterate; the reported distribution is its cluster-merged canonical
-    form.
-    """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     power = spec.power_constraint
     xs = _materialize_grid(grid, power)
     w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
-    negent = _row_negentropy_bits(w)
     xsq = xs**2
-    slopes = power - xsq
-    spacing = float(np.median(np.diff(xs)))
-
-    def solve(gamma, start, budget):
-        if start is not None:
-            # Reseed a tiny floor so mass can regrow exponentially at any
-            # grid point; pure multiplicative updates would otherwise take
-            # thousands of iterations to repopulate an underflowed region.
-            start = np.maximum(start, 1e-12)
-        return _ba_arrays(w, negent, xsq, power, gamma, inner_tol, budget, start)
-
-    total_iters = 0
-    # Continuation runs DOWNWARD in gamma.  At gamma_max the optimum value is
-    # at least gamma*P (point mass at zero), so I - gamma(E - P) >= gamma*P
-    # forces E <= I/gamma <= P/10: the top of the ladder is provably on the
-    # feasible side, and the strong tilt makes the cold solve collapse fast.
-    # Each quartering of gamma widens the fixed point only slightly, so warm
-    # starts stay honest; the first stage whose power exceeds the budget
-    # yields a ratio-4 bracket.  Walking upward instead would start from the
-    # untilted solution, which is degenerate wherever the divergence profile
-    # saturates (any spread over the saturated region is near-optimal, with
-    # arbitrary power), and mass migration out of a collapsed iterate is the
-    # slowest mode of the update.
-    gamma_max = 10.0 * math.log2(spec.quantizer.bins) / power
-    gamma_floor = 1e-9 * gamma_max
-    p_sel, mi_sel, e_sel, _, it0 = solve(gamma_max, None, 30_000)
-    total_iters += it0
-    if e_sel > power:
-        raise BracketingError(
-            f"average power {e_sel:g} above target {power:g} at "
-            f"gamma_max {gamma_max:g}; no feasible anchor"
-        )
-    gamma_sel = gamma_max
-    matched = power - e_sel <= tol
-    lo = None
-    p_lo = e_lo = None
-    while not matched:
-        nxt = max(gamma_sel / 4.0, gamma_floor)
-        p_n, mi_n, e_n, _, it_n = solve(nxt, p_sel, 12_000)
-        total_iters += it_n
-        if e_n > power:
-            lo = nxt
-            p_lo, e_lo = p_n, e_n
-            break
-        gamma_sel, p_sel, mi_sel, e_sel = nxt, p_n, mi_n, e_n
-        matched = power - e_n <= tol
-        if nxt <= gamma_floor:
-            # Still feasible with a vanishing multiplier: the power
-            # constraint is slack and the capacity is the untilted optimum.
-            matched = True
-    if lo is not None:
-        # Refinement phase: geometric bisection on the ratio-4 bracket.
-        # The gamma scale near the crossing spans decades across operating
-        # points, so splitting in log space is the natural metric; warm
-        # starts from the wide (infeasible) side collapse inward quickly,
-        # which keeps every probe's measured power honest.
-        hi = gamma_sel
-        matched = power - e_sel <= tol
-        for _ in range(max_rounds):
-            if matched or hi / lo <= 1.005:
-                break
-            mid = math.sqrt(lo * hi)
-            p_mid, mi_mid, e_mid, _, it_mid = solve(mid, p_lo, 8_000)
-            total_iters += it_mid
-            if e_mid <= power:
-                hi = mid
-                p_sel, mi_sel, e_sel, gamma_sel = p_mid, mi_mid, e_mid, mid
-                matched = power - e_mid <= tol
-            else:
-                lo = mid
-                p_lo, e_lo = p_mid, e_mid
-    if lo is not None and not matched and e_lo > power:
-        # The slowest update mode is mass balance between neighboring
-        # grid points, which is exactly what interpolates the average
-        # power; rather than iterating it out, polish both bracket
-        # iterates and mix them.  Concavity of mutual information makes
-        # the mixture at least as good as the weighted endpoints, and
-        # its power can be placed exactly.
-        candidates = [(p_sel, mi_sel, e_sel, gamma_sel)]
-        for gam, start in ((gamma_sel, p_sel), (lo, p_lo)):
-            pp, mm, ee, _, used = solve(gam, start, 20_000)
-            total_iters += used
-            if ee <= power:
-                candidates.append((pp, mm, ee, gam))
-            elif ee < e_lo:
-                p_lo, e_lo = pp, ee
-        p_sel, mi_sel, e_sel, gamma_sel = max(candidates, key=lambda c: c[1])
-        if e_lo > power:
-            margin = min(max(0.5 * tol, 1e-6 * power), tol)
-            p_mix, e_mix = p_sel, e_sel
-            for _ in range(4):
-                theta = (e_lo - (power - margin)) / (e_lo - e_sel)
-                theta = min(max(theta, 0.0), 1.0)
-                p_mix = theta * p_sel + (1.0 - theta) * p_lo
-                e_mix = float(p_mix @ xsq)
-                if e_mix <= power:
-                    break
-                margin = min(4.0 * margin, tol)
-            mi_mix = float(p_mix @ _divergences_bits(w, negent, p_mix @ w))
-            if mi_mix >= mi_sel and e_mix <= power:
-                p_sel, mi_sel, e_sel = p_mix, mi_mix, e_mix
-                gamma_sel = theta * gamma_sel + (1.0 - theta) * lo
-        matched = power - e_sel <= tol
-
-    strong = p_sel > 1e-10
-    dist = _canonical_dist(
-        xs[strong], p_sel[strong] / p_sel[strong].sum(), spec, 3.0 * spacing
-    )
-    d_grid = _divergences_bits(w, negent, p_sel @ w)
-    env = minimize_max_affine(d_grid, slopes)
-    return CapacityResult(
-        capacity=mi_sel,
-        dist=dist,
-        gamma=gamma_sel,
-        upper_bound=env.value,
-        kkt_max_violation=max(env.value - mi_sel, 0.0),
-        iterations=total_iters,
-        converged=matched,
-    )
+    p, d = _ba_arrays(w, _row_negentropy_bits(w), xsq, gamma, tol, max_iter)
+    keep = p > 0.0
+    dist = InputDistribution(xs[keep], p[keep] / p[keep].sum())
+    return dist, float(p @ d) - gamma * (float(p @ xsq) - power)

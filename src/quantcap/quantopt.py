@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import xlogy
 
 from .channel import (
     ChannelSpec,
@@ -27,13 +26,15 @@ from .channel import (
     Quantizer,
     bin_probability_matrix,
     mutual_information,
+    _divergences_bits,
+    _row_negentropy_bits,
 )
 from .optimize import (
     CapacityResult,
     GridConfig,
     optimize_input_cutting_plane,
 )
-from .special import LN2, binary_entropy, gaussian_q
+from .special import binary_entropy, gaussian_q
 
 _SCAN_GRID = GridConfig(10.0, 501)
 
@@ -276,9 +277,7 @@ def _threshold_ascent(dist: InputDistribution, halves, sigma, start_step, floor_
             return -math.inf
         thr = np.concatenate([-h[::-1], [0.0], h])
         w = bin_probability_matrix(locs, thr, sigma)
-        r = masses @ w
-        negent = xlogy(w, w).sum(axis=1) / LN2
-        return float(masses @ (negent - w @ np.log2(np.maximum(r, 1e-300))))
+        return float(masses @ _divergences_bits(w, _row_negentropy_bits(w), masses @ w))
 
     h = np.asarray(halves, dtype=float).copy()
     best = mi_of(h)

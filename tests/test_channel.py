@@ -1,4 +1,4 @@
-"""Channel-model tests: transition probabilities, MI, divergence, KKT residuals.
+"""Channel-model tests: transition probabilities, MI, divergence kernel.
 
 Quadrature oracles (scipy.integrate.quad of the Gaussian density over each
 bin) provide the independent route for the transition probabilities.
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import xlogy
 
 from quantcap import (
     ChannelSpec,
@@ -17,15 +18,17 @@ from quantcap import (
     OutputBinZeroError,
     OutputPmf,
     Quantizer,
-    TransitionMatrix,
     divergence,
     gaussian_q,
-    kkt_residual,
     mutual_information,
     output_pmf,
     transition_probs,
 )
-from quantcap.channel import bin_probability_matrix
+from quantcap.channel import (
+    _divergences_bits,
+    _row_negentropy_bits,
+    bin_probability_matrix,
+)
 
 
 def _bin_prob_quadrature(lo, hi, x, sigma):
@@ -201,16 +204,6 @@ class TestTransitionProbs:
             assert np.all(np.diff(w[:, -1]) >= 0.0)
             assert np.all(np.diff(w[:, 0]) <= 0.0)
 
-    def test_matrix_type(self):
-        spec = ChannelSpec(1.0, 1.0, Quantizer((-1.0, 1.0)))
-        grid = np.linspace(-5, 5, 101)
-        tm = TransitionMatrix.build(grid, spec)
-        assert tm.probs.shape == (101, 3)
-        with pytest.raises(ValueError):
-            TransitionMatrix(grid, tm.probs * 1.5)
-        with pytest.raises(ValueError):
-            TransitionMatrix(grid[::-1], tm.probs)
-
 
 class TestOutputPmf:
     def test_sums_to_one(self):
@@ -225,7 +218,8 @@ class TestOutputPmf:
         d = InputDistribution.point_masses(
             [(-2.0, 0.2), (-0.5, 0.3), (0.5, 0.3), (2.0, 0.2)]
         )
-        assert output_pmf(d, spec).is_palindromic(tol=1e-14)
+        r = output_pmf(d, spec).probs
+        assert np.abs(r - r[::-1]).max() <= 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -269,6 +263,27 @@ class TestMutualInformation:
             [(-9.0, 0.25), (-2.5, 0.25), (2.5, 0.25), (9.0, 0.25)]
         )
         assert mutual_information(d, spec) == pytest.approx(2.0, abs=1e-9)
+
+
+class TestDivergenceKernel:
+    def test_matches_xlogy_form_and_is_nonnegative(self):
+        # rows with zero entries, and a row equal to r, whose divergence is
+        # zero up to rounding
+        rng = _rng()
+        for _ in range(50):
+            k = int(rng.integers(2, 9))
+            w = rng.random((30, k))
+            w[rng.random(w.shape) < 0.3] = 0.0
+            if rng.random() < 0.3:
+                w[:, -1] = 0.0  # a bin that neither the rows nor r reach
+            w[w.sum(axis=1) == 0.0, 0] = 1.0
+            w /= w.sum(axis=1, keepdims=True)
+            r = w.mean(axis=0)
+            w[0] = r
+            oracle = (xlogy(w, w) - xlogy(w, r)).sum(axis=1) / math.log(2.0)
+            got = _divergences_bits(w, _row_negentropy_bits(w), r)
+            assert np.all(got >= 0.0)
+            np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-13)
 
 
 class TestDivergence:
@@ -353,23 +368,6 @@ class TestScaleInvariance:
             assert mutual_information(d2, spec2) == pytest.approx(
                 mutual_information(d, spec), abs=1e-10
             )
-
-
-class TestKktResidual:
-    def test_rejects_negative_gamma(self):
-        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
-        d = InputDistribution.binary_antipodal(1.0)
-        with pytest.raises(ValueError):
-            kkt_residual(d, -0.1, spec, np.linspace(-10, 10, 101))
-
-    def test_support_gap_zero_for_binary_symmetric(self):
-        # binary antipodal +-sqrt(P) on the one-bit channel: d is equal at the
-        # two support points, so any gamma gives support equality there
-        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
-        d = InputDistribution.binary_antipodal(1.0)
-        grid = np.linspace(-10, 10, 2001)
-        max_v, support_gap = kkt_residual(d, 0.15, spec, grid)
-        assert support_gap <= 1e-12
 
 
 @st.composite

@@ -1,8 +1,9 @@
 """Input-optimizer tests: closed form, cutting plane, tilted BA oracle.
 
-The cutting-plane solver and the power-matched Blahut-Arimoto iteration are
-independent routes to the same grid-restricted optimum, so each serves as the
-oracle for the other; the one-bit closed form anchors both on single-threshold
+The cutting plane and the tilted Blahut-Arimoto iteration are independent
+routes to the same grid-restricted optimum: by strong duality the BA value
+at the cutting plane's certified multiplier gamma* equals the capacity, and
+the one-bit closed form anchors the cutting plane on single-threshold
 channels.  The fixed-support mass solver is checked against an SLSQP oracle
 kept here for that purpose, and against its own KKT conditions.
 """
@@ -27,7 +28,6 @@ from quantcap import (
     optimal_masses,
     optimize_input_blahut_arimoto,
     optimize_input_cutting_plane,
-    power_bisection,
 )
 from quantcap.channel import bin_probability_matrix
 
@@ -37,6 +37,11 @@ ONEBIT = Quantizer((0.0,))
 # reduced grid for the fast paths; full default retained where a published
 # support location is being resolved
 FAST = GridConfig(10.0, 501)
+
+# Thresholds 0 and +/-2d matched to 4-PAM at +/-d, +/-3d with power 10^4
+# (40 dB): the power constraint goes slack and capacity nears 2 bits.
+_MATCHED_D = math.sqrt(3.0 * 10.0**4.0 / 15.0)
+MATCHED = Quantizer((-2.0 * _MATCHED_D, 0.0, 2.0 * _MATCHED_D))
 
 
 def spec_db(snr_db, quant=TWOBIT):
@@ -348,54 +353,59 @@ class TestBlahutArimoto:
         assert center > 0.999
         assert mi < 1e-3
 
-    def test_agrees_with_cutting_plane_when_power_matched(self):
-        # multiplier swept until E[X^2] hits P within 1e-4: both solvers then
-        # target the same concave program
-        spec = spec_db(5.0)
-        cp = optimize_input_cutting_plane(spec)
-        ba = power_bisection(spec, tol=1e-4)
-        assert ba.converged
-        assert abs(spec.power_constraint - ba.dist.average_power()) <= 2e-4
-        assert ba.capacity == pytest.approx(cp.capacity, abs=1e-3)
-
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             optimize_input_blahut_arimoto(spec_db(0.0), gamma=-1.0)
 
+    def test_rejects_bad_tol_and_max_iter(self):
+        for kwargs in ({"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}):
+            with pytest.raises(ValueError):
+                optimize_input_blahut_arimoto(spec_db(0.0), grid=FAST, **kwargs)
 
-class TestPowerBisection:
-    def test_onebit_reference(self):
-        res = power_bisection(spec_db(0.0, ONEBIT), grid=FAST)
-        assert res.converged
-        assert res.capacity == pytest.approx(0.3689, abs=2e-3)
+    def test_iteration_cap_raises(self, monkeypatch):
+        # every evaluation computes the divergence profile once
+        from quantcap import optimize
 
-    def test_twobit_reference(self):
-        res = power_bisection(spec_db(0.0), grid=FAST)
-        assert res.converged
-        assert res.capacity == pytest.approx(0.4046, abs=5e-3)
+        kernel = optimize._divergences_bits
+        calls = []
 
-    def test_slack_constraint_at_huge_snr(self):
-        # thresholds matched to the signal amplitude: the power constraint
-        # goes slack and capacity approaches the 2-bit ceiling
-        power = 10.0**4.0  # 40 dB
-        d = math.sqrt(3.0 * power / 15.0)
-        quant = Quantizer((-2.0 * d, 0.0, 2.0 * d))
-        res = power_bisection(ChannelSpec(1.0, power, quant), grid=FAST)
-        assert res.capacity > 2.0 - 1e-4
-        assert res.gamma < 1e-6
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
 
-    def test_fixed_narrow_quantizer_saturates(self):
-        # with thresholds pinned at +/-2 the channel tops out well below
-        # 2 bits no matter how much power is available
-        res = power_bisection(spec_db(40.0), grid=FAST)
-        assert res.capacity == pytest.approx(1.483872, abs=2e-3)
-        assert res.gamma < 1e-6
+        monkeypatch.setattr(optimize, "_divergences_bits", counted)
+        with pytest.raises(RuntimeError, match="did not converge in 5 evaluations"):
+            optimize_input_blahut_arimoto(
+                spec_db(0.0), grid=FAST, gamma=1e3, tol=1e-10, max_iter=5
+            )
+        assert len(calls) == 5
 
-    def test_sandwich_against_certificate(self):
-        res = power_bisection(spec_db(10.0), grid=FAST)
-        assert res.upper_bound is not None
-        assert res.capacity <= res.upper_bound + 1e-9
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            power_bisection(spec_db(0.0), tol=-1.0)
+    @pytest.mark.parametrize(
+        "snr_db, quant, grid, reference",
+        [
+            pytest.param(0.0, ONEBIT, FAST, 0.3689, id="onebit-0dB"),
+            pytest.param(0.0, TWOBIT, FAST, 0.4046, id="twobit-0dB"),
+            pytest.param(5.0, TWOBIT, None, None, id="twobit-5dB-default-grid"),
+            pytest.param(40.0, TWOBIT, FAST, 1.483872, id="twobit-40dB"),
+            pytest.param(40.0, MATCHED, FAST, None, id="matched-40dB"),
+        ],
+    )
+    def test_ba_value_at_certified_multiplier_is_capacity(
+        self, snr_db, quant, grid, reference
+    ):
+        # Strong duality: max_F I(F) - gamma* (E[X^2] - P) = C at the optimal
+        # multiplier gamma*, so one BA run at the cutting plane's gamma*
+        # checks both its capacity and its multiplier; any other gamma
+        # leaves the BA value above C when gamma* > 0.
+        spec = spec_db(snr_db, quant)
+        cp = optimize_input_cutting_plane(spec, grid=grid)
+        assert cp.converged
+        _, value = optimize_input_blahut_arimoto(spec, grid=grid, gamma=cp.gamma, tol=1e-5)
+        assert abs(value - cp.capacity) <= 1e-4
+        if reference is not None:
+            assert cp.capacity == pytest.approx(reference, abs=2e-3)
+        if snr_db == 40.0:
+            # the power constraint is slack: the multiplier vanishes
+            assert cp.gamma < 1e-6
+        if quant is MATCHED:
+            assert cp.capacity > 2.0 - 1e-4
