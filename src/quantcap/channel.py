@@ -24,8 +24,6 @@ from .special import LN2, gaussian_q
 PROB_ATOL = 1e-10
 #: relative slack allowed on the average-power constraint
 POWER_RTOL = 1e-9
-#: canonical cleanup: support points closer than this * sqrt(P) are merged
-MERGE_SCALE = 1e-6
 #: canonical cleanup: masses below this are dropped and the rest renormalized
 PRUNE_TOL = 1e-7
 #: floor applied to output probabilities before taking their logarithm
@@ -275,30 +273,22 @@ def bin_probability_matrix(x, thresholds, sigma):
     """Row-stochastic matrix of P(bin | input) for an array of inputs.
 
     Row i is the conditional law of the quantized output given input x[i].
-    Each interior bin probability is computed as a difference of Gaussian
-    tails taken on whichever side keeps both operands in the same tail, so
-    nothing cancels catastrophically far from the thresholds.
+    An interior bin with standardized edges a < b has probability Q(a) - Q(b)
+    if a >= 0, (1 - Q(b)) - (1 - Q(a)) if b <= 0, else 1 - (1 - Q(a)) - Q(b):
+    both operands stay in the same tail, so nothing cancels catastrophically
+    far from the thresholds.  Non-finite x or thresholds raise ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     thr = np.asarray(thresholds, dtype=float)
     z = (thr[None, :] - x[:, None]) / sigma  # ascending along axis 1
-    tail = gaussian_q(z)  # Q(z)
-    comp = gaussian_q(-z)  # 1 - Q(z), accurate when z << 0
-    n, km1 = z.shape
-    out = np.empty((n, km1 + 1))
+    # Q(z) and 1 - Q(z) in one erfc call: (-z)/sqrt2 is bitwise -(z/sqrt2)
+    tail, comp = gaussian_q(np.stack((z, -z)))
+    out = np.empty((z.shape[0], z.shape[1] + 1))
     out[:, 0] = comp[:, 0]
     out[:, -1] = tail[:, -1]
-    for i in range(1, km1):
-        a = z[:, i - 1]
-        b = z[:, i]
-        col = np.empty(n)
-        pos = a >= 0.0
-        neg = b <= 0.0
-        mid = ~(pos | neg)
-        col[pos] = tail[pos, i - 1] - tail[pos, i]
-        col[neg] = comp[neg, i] - comp[neg, i - 1]
-        col[mid] = 1.0 - comp[mid, i - 1] - tail[mid, i]
-        out[:, i] = col
+    ta, tb, ca, cb = tail[:, :-1], tail[:, 1:], comp[:, :-1], comp[:, 1:]
+    inner = np.where(z[:, 1:] <= 0.0, cb - ca, 1.0 - ca - tb)
+    out[:, 1:-1] = np.where(z[:, :-1] >= 0.0, ta - tb, inner)
     np.clip(out, 0.0, 1.0, out=out)
     return out
 

@@ -265,8 +265,9 @@ def optimize_quantizer_2bit(
 def _threshold_ascent(dist: InputDistribution, halves, sigma, start_step, floor_step):
     """Coordinate ascent of MI over the positive half-thresholds.
 
-    The input is fixed, so each candidate costs one small transition-matrix
-    rebuild on the support points.  Candidates that break the strict ordering
+    The input is fixed, so each candidate costs one transition-matrix build
+    on the support points (about 9 x 8), whose cost is the overhead of a few
+    numpy calls, not arithmetic.  Candidates that break the strict ordering
     0 < q1 < ... are discarded; the step shrinks when no coordinate improves.
     """
     locs = np.asarray(dist.locations)

@@ -195,6 +195,68 @@ class TestTransitionProbs:
             total += xs.size
         assert total == 10_000
 
+    @staticmethod
+    def _per_bin_reference(x, thresholds, sigma):
+        # the per-bin loop the kernel replaces, same arithmetic per element
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
+        tail = gaussian_q(z)
+        comp = gaussian_q(-z)
+        n, km1 = z.shape
+        out = np.empty((n, km1 + 1))
+        out[:, 0] = comp[:, 0]
+        out[:, -1] = tail[:, -1]
+        for i in range(1, km1):
+            a = z[:, i - 1]
+            b = z[:, i]
+            col = np.empty(n)
+            pos = a >= 0.0
+            neg = b <= 0.0
+            mid = ~(pos | neg)
+            col[pos] = tail[pos, i - 1] - tail[pos, i]
+            col[neg] = comp[neg, i] - comp[neg, i - 1]
+            col[mid] = 1.0 - comp[mid, i - 1] - tail[mid, i]
+            out[:, i] = col
+        np.clip(out, 0.0, 1.0, out=out)
+        return out
+
+    @pytest.mark.parametrize("bins", [2, 3, 8, 16])
+    def test_matches_per_bin_reference_exactly(self, bins):
+        rng = np.random.default_rng(6000 + bins)
+        straddling = deep = 0
+        for trial in range(150):
+            sigma = (0.3, 1.0, 2.0)[trial % 3]
+            thr = np.sort(rng.uniform(-12.0, 12.0, size=bins - 1))
+            if np.any(np.diff(thr) <= 0.0):
+                continue
+            # a few inputs inside every bin (so some bins straddle x), plus
+            # inputs far enough out that every tail underflows (|z| > 37)
+            cases = [
+                rng.uniform(-16.0, 16.0, size=int(rng.integers(1, 30))),
+                rng.uniform(40.0, 110.0, size=3) * sigma * rng.choice([-1.0, 1.0], size=3),
+                np.array([rng.uniform(-16.0, 16.0)]),
+                float(rng.uniform(-16.0, 16.0)),
+            ]
+            for x in cases:
+                z = (thr[None, :] - np.atleast_1d(x)[:, None]) / sigma
+                straddling += int(np.sum((z[:, :-1] < 0.0) & (z[:, 1:] > 0.0)))
+                deep += int(np.sum(np.abs(z) > 37.0))
+                got = bin_probability_matrix(x, thr, sigma)
+                assert np.array_equal(got, self._per_bin_reference(x, thr, sigma))
+        if bins > 2:
+            assert straddling > 100
+        assert deep > 100
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_input_and_thresholds(self, bad):
+        thr = (-1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            bin_probability_matrix([0.0, bad], thr, 1.0)
+        with pytest.raises(ValueError):
+            bin_probability_matrix(bad, thr, 1.0)
+        with pytest.raises(ValueError):
+            bin_probability_matrix([0.0, 0.5], (-1.0, bad, 1.0), 1.0)
+
     def test_extreme_bin_monotonicity(self):
         rng = _rng()
         for _ in range(10):

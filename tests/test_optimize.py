@@ -355,12 +355,21 @@ class TestBlahutArimoto:
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
-            optimize_input_blahut_arimoto(spec_db(0.0), gamma=-1.0)
+            optimize_input_blahut_arimoto(spec_db(0.0), gamma=-1.0, tol=1e-5)
 
     def test_rejects_bad_tol_and_max_iter(self):
-        for kwargs in ({"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}):
+        for kwargs in (
+            {"tol": 0.0},
+            {"tol": math.inf},
+            {"tol": math.nan},
+            {"tol": 1e-5, "max_iter": 0},
+        ):
             with pytest.raises(ValueError):
                 optimize_input_blahut_arimoto(spec_db(0.0), grid=FAST, **kwargs)
+
+    def test_tol_is_required(self):
+        with pytest.raises(TypeError, match="tol"):
+            optimize_input_blahut_arimoto(spec_db(0.0), grid=FAST, gamma=1e3)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # every evaluation computes the divergence profile once
