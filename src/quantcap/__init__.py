@@ -31,7 +31,6 @@ from .optimize import (
 )
 from .quantopt import (
     BenchmarkScheme,
-    CapacityCurve,
     JointResult,
     benchmark_error_probability,
     benchmark_fano_lower_bound,
@@ -80,7 +79,6 @@ __all__ = [
     "best_symmetric_bound",
     "BenchmarkScheme",
     "JointResult",
-    "CapacityCurve",
     "benchmark_mutual_information",
     "benchmark_error_probability",
     "benchmark_fano_lower_bound",

@@ -10,6 +10,7 @@ and ``--out -`` sends the machine format to stdout instead.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import best_symmetric_bound
@@ -46,12 +47,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(text: str) -> float:
+    """argparse type of the float flags: finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _db(text: str) -> float:
+    """One SNR in dB whose linear value is finite and > 0; else ValueError."""
+    value = float(text)
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(text)
+    return value
+
+
 def _snr_values(text: str, step: float):
     """A single dB value or an inclusive 'lo..hi' range walked by `step`."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
-            lo, hi = float(lo_s), float(hi_s)
+            lo, hi = _db(lo_s), _db(hi_s)
             if hi < lo:
                 raise UsageError(f"empty SNR range {text!r}")
             if not step > 0.0:
@@ -65,7 +86,7 @@ def _snr_values(text: str, step: float):
                 out.append(min(v, hi))
                 k += 1
             return out
-        return [float(text)]
+        return [_db(text)]
     except ValueError:
         raise UsageError(f"invalid --snr-db value {text!r}") from None
 
@@ -114,9 +135,9 @@ def _solver_kwargs(args):
 
 
 def _manifest(args, snrs=None, **extra) -> RunManifest:
-    """Resolved invocation parameters.  Worker count and output destination
-    never change the numbers, so they stay out of the manifest: reports must
-    be byte-identical across --jobs and file names.
+    """Resolved invocation parameters.  The output destination never changes
+    the numbers, so it stays out of the manifest: reports must be
+    byte-identical across file names.
     """
     params = {"sigma2": getattr(args, "sigma2", 1.0)}
     if snrs is not None:
@@ -313,7 +334,7 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
 
     precisions = [args.bits] if args.bits is not None else [1, 2, 3, "inf"]
-    records = run_sweep(precisions, snrs, jobs=args.jobs)
+    records = run_sweep(precisions, snrs)
     rows = [[str(p), db, cap] for p, db, cap in records]
     by_cell = {(p, db): cap for p, db, cap in records}
     labels = [_PRECISION_LABELS[p] for p in precisions]
@@ -358,8 +379,8 @@ def _add_snr_flags(sp, required=True):
         required=required,
         help="SNR in dB: a number or an inclusive range 'lo..hi'",
     )
-    sp.add_argument("--step", type=float, default=1.0, help="dB step for SNR ranges")
-    sp.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
+    sp.add_argument("--step", type=_positive, default=1.0, help="dB step for SNR ranges")
+    sp.add_argument("--sigma2", type=_positive, default=1.0, help="noise variance")
 
 
 def _add_quantizer_flags(sp):
@@ -375,7 +396,7 @@ def _add_quantizer_flags(sp):
 
 def _add_solver_flags(sp):
     sp.add_argument("--grid-points", type=int, help="input search grid size (odd)")
-    sp.add_argument("--tol", type=float, help="optimizer convergence tolerance")
+    sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
 
 
 def _add_output_flags(sp):
@@ -421,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_snr_flags(sp)
     sp.add_argument("--bits", type=int, choices=(2, 3), required=True)
-    sp.add_argument("--tol", type=float, help="optimizer convergence tolerance")
+    sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_optimize_quantizer)
 
@@ -446,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--thresholds", help="comma-separated ascending quantizer thresholds")
     sp.add_argument("--onebit", action="store_true", help="single threshold at zero")
     _add_solver_flags(sp)
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for sweep cells")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -497,9 +517,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_merge_negative_values(list(argv)))
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help

@@ -7,18 +7,16 @@ Three layers:
   have closed or near-closed forms;
 * brute-force search over the single free threshold of a symmetric 2-bit
   quantizer, and an alternating input/threshold ascent for 3-bit;
-* the unquantized baseline and inversion of capacity-vs-SNR curves at a
-  target spectral efficiency.
+* the unquantized baseline, and the SNR at which a capacity reaches a
+  target spectral efficiency, by Newton's method on the power multiplier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .channel import (
     ChannelSpec,
@@ -376,68 +374,68 @@ def unquantized_capacity(snr: float) -> float:
     return 0.5 * math.log2(1.0 + snr)
 
 
-@dataclass(frozen=True)
-class CapacityCurve:
-    """Monotone capacity-vs-SNR curve, interpolated in dB.
-
-    Built from a ladder of (snr_db, bits) samples; evaluation uses a
-    monotonicity-preserving cubic (PCHIP), so inversion can run a root
-    finder safely.  `supremum` is the known high-SNR ceiling (log2 of the
-    bin count for a quantized channel); targets at or above it are
-    infeasible even when rounding makes sampled values touch the ceiling.
-    """
-
-    snr_db: tuple
-    bits: tuple
-    supremum: float | None = None
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        db = np.asarray(self.snr_db, dtype=float)
-        val = np.asarray(self.bits, dtype=float)
-        if db.size < 2 or db.shape != val.shape:
-            raise ValueError("need matching ladders of at least 2 points")
-        if np.any(np.diff(db) <= 0.0):
-            raise ValueError("snr_db ladder must be strictly ascending")
-        if np.any(np.diff(val) < -1e-9):
-            raise ValueError("capacity ladder must be nondecreasing")
-        if self.supremum is not None and np.max(val) > self.supremum + 1e-9:
-            raise ValueError("ladder exceeds the declared supremum")
-        object.__setattr__(self, "snr_db", tuple(db.tolist()))
-        object.__setattr__(self, "bits", tuple(val.tolist()))
-        object.__setattr__(self, "_interp", PchipInterpolator(db, val))
-
-    @property
-    def snr_db_range(self):
-        return self.snr_db[0], self.snr_db[-1]
-
-    def __call__(self, snr_db: float) -> float:
-        lo, hi = self.snr_db_range
-        return float(self._interp(min(max(snr_db, lo), hi)))
+# The inversion's accuracy in dB (the 0.005-dB root tolerance of the
+# interpolating root finder it replaced) and its evaluation cap.
+_DB_TOL = 0.005
+_MAX_EVALUATIONS = 30
 
 
-def snr_for_spectral_efficiency(target_bits: float, capacity_curve) -> float | None:
-    """SNR in dB at which the curve reaches the target rate, or None.
+def snr_for_spectral_efficiency(
+    target_bits: float, capacity_and_gamma, supremum: float | None = None
+) -> float | None:
+    """SNR in dB at which a capacity reaches `target_bits`, or None.
 
-    Accepts any callable of snr_db; a `snr_db_range` attribute, when present,
-    bounds the search (default [-40, 60] dB), and a `supremum` attribute
-    declares a rate ceiling the curve approaches but never attains.  Returns
-    None when the target is unreachable -- the blank cells of a fixed-rate
-    comparison -- rather than raising.  Accuracy 0.01 dB.
+    `capacity_and_gamma(snr_db)` returns the capacity C in bits and its slope
+    dC/dP in bits per unit power.  A cutting-plane solve supplies that slope
+    for free: C(P) = min over gamma >= 0 of max_F [I(F) - gamma (E[X^2] - P)],
+    so by the envelope theorem dC/dP is the minimizing multiplier gamma*,
+    `CapacityResult.gamma`.  `supremum` is a rate ceiling that the curve
+    approaches but never attains (log2 of the bin count); a target at or
+    above it returns None, the blank cells of a fixed-rate comparison.
+
+    Newton steps run in linear power, P <- P + (R - C)/gamma, from the
+    unquantized inverse 10 log10(2^(2R) - 1).  No quantized capacity exceeds
+    the unquantized one, so the start is a lower end (C < R) of a bracket
+    whose upper end has C >= R.  A joint capacity is a maximum over
+    quantizers, and where the optimum jumps between branches gamma* is not
+    its slope, so a Newton step can overshoot or cycle.  A step that leaves
+    the bracket, or a zero slope, is therefore replaced by bisection in dB,
+    and, while one end is still unknown, by a 1-dB step towards it.  The
+    solve stops when |R - C| <= 0.005 dB x dC/d(dB), with dC/d(dB) =
+    gamma P ln(10)/10, or when the bracket is narrower than 0.01 dB; the
+    latter returns the bracket's upper end, the lowest SNR seen that reaches
+    the target.  Iterates are rounded to 1e-6 dB, so the SNR returned is
+    the one evaluated.  Raises RuntimeError after 30 evaluations.
     """
     if not math.isfinite(target_bits) or target_bits <= 0.0:
         raise ValueError(f"target_bits must be finite and > 0, got {target_bits!r}")
-    ceiling = getattr(capacity_curve, "supremum", None)
-    if ceiling is not None and target_bits >= ceiling - 1e-9:
+    if supremum is not None and target_bits >= supremum - 1e-9:
         return None
-    lo, hi = getattr(capacity_curve, "snr_db_range", (-40.0, 60.0))
-    top = float(capacity_curve(hi))
-    if target_bits > top:
-        return None
-    bottom = float(capacity_curve(lo))
-    if target_bits <= bottom:
-        return float(lo)
-    root = brentq(
-        lambda db: float(capacity_curve(db)) - target_bits, lo, hi, xtol=0.005
+    lo = hi = None
+    db = 10.0 * math.log10(2.0 ** (2.0 * target_bits) - 1.0)
+    for _ in range(_MAX_EVALUATIONS):
+        db = round(db, 6)
+        cap, gamma = capacity_and_gamma(db)
+        power = 10.0 ** (db / 10.0)
+        if abs(target_bits - cap) <= _DB_TOL * gamma * power * math.log(10.0) / 10.0:
+            return db
+        if cap < target_bits:
+            lo = db
+        else:
+            hi = db
+        if lo is not None and hi is not None and hi - lo < 2.0 * _DB_TOL:
+            return hi
+        step = power + (target_bits - cap) / gamma if gamma > 0.0 else math.nan
+        db = 10.0 * math.log10(step) if step > 0.0 else math.nan
+        if hi is None:
+            if not round(db, 6) > lo:
+                db = lo + 1.0
+        elif lo is None:
+            if not round(db, 6) < hi:
+                db = hi - 1.0
+        elif not lo < round(db, 6) < hi:
+            db = 0.5 * (lo + hi)
+    raise RuntimeError(
+        f"no SNR for {target_bits!r} bits within {_MAX_EVALUATIONS} evaluations "
+        f"(bracket {lo!r}..{hi!r} dB)"
     )
-    return float(root)

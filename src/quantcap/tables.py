@@ -1,20 +1,20 @@
-"""Builders for the five benchmark comparison tables and capacity curves.
+"""Builders for the five benchmark comparison tables.
 
 Every builder computes its cells from scratch (reference values are attached
 for deviation reporting only) and accepts a shared cache dict so that
-overlapping tables — the cross-precision grid, the efficiency inversions,
-and the SNR ladders behind them — reuse each other's optimizer runs.
+overlapping tables reuse each other's optimizer runs: the joint 2- and 3-bit
+cells of the cross-precision grid, and those that Table V's Newton solves
+evaluate on their way to each target rate.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .bounds import best_symmetric_bound
 from .channel import ChannelSpec, Quantizer
 from .optimize import onebit_capacity, optimize_input_cutting_plane
 from .quantopt import (
-    CapacityCurve,
     benchmark_mutual_information,
     optimize_quantizer_2bit,
     optimize_quantizer_3bit_iterative,
@@ -23,13 +23,9 @@ from .quantopt import (
 )
 from .reference import REFERENCE_TABLES
 from .report import ReportTable
+from .special import gaussian_q
 
 TABLE_I_QUANTIZER = Quantizer((-2.0, 0.0, 2.0))
-
-# SNR ladders behind the efficiency inversions; integer-dB cells are shared
-# with the cross-precision grid through the cache
-_LADDER_DB = tuple(float(d) for d in range(-8, 21))
-_FINE_DB = tuple(np.arange(-10.0, 20.0 + 1e-9, 0.1).round(4))
 
 
 def _snr(db: float) -> float:
@@ -45,19 +41,43 @@ def _cached(cache, key, compute):
 
 
 def two_bit_cell(snr_db: float, cache=None):
-    """Joint-optimal symmetric 2-bit result at one SNR (cached)."""
-    return _cached(
-        cache, ("2bit", round(snr_db, 6)), lambda: optimize_quantizer_2bit(_snr(snr_db))
-    )
+    """Joint-optimal symmetric 2-bit result at one SNR, rounded to 1e-6 dB (cached)."""
+    db = round(snr_db, 6)
+    return _cached(cache, ("2bit", db), lambda: optimize_quantizer_2bit(_snr(db)))
 
 
 def three_bit_cell(snr_db: float, cache=None):
-    """Iteratively optimized 3-bit result at one SNR (cached)."""
+    """Iteratively optimized 3-bit result at one SNR, rounded to 1e-6 dB (cached)."""
+    db = round(snr_db, 6)
     return _cached(
-        cache,
-        ("3bit", round(snr_db, 6)),
-        lambda: optimize_quantizer_3bit_iterative(_snr(snr_db)),
+        cache, ("3bit", db), lambda: optimize_quantizer_3bit_iterative(_snr(db))
     )
+
+
+def capacity_and_gamma(precision, snr_db: float, cache=None):
+    """Capacity in bits and its slope dC/dP in bits per unit power at one SNR.
+
+    `precision` is 1, 2, 3 bits or "inf".  A joint cell's slope is its power
+    multiplier gamma* (envelope theorem, see `snr_for_spectral_efficiency`);
+    the 1-bit row differentiates 1 - h(q) with q = Q(sqrt P), and the
+    unquantized row 0.5 log2(1 + P).
+    """
+    power = _snr(snr_db)
+    if precision == 1:
+        root = math.sqrt(power)
+        q = gaussian_q(root)
+        if q == 0.0:  # above about 31.5 dB; the slope has underflowed too
+            return onebit_capacity(power), 0.0
+        density = math.exp(-0.5 * power) / math.sqrt(2.0 * math.pi)
+        log_odds = math.log2(1.0 - q) - math.log2(q)
+        return onebit_capacity(power), log_odds * density / (2.0 * root)
+    if precision in (2, 3):
+        cell = two_bit_cell if precision == 2 else three_bit_cell
+        result = cell(snr_db, cache).capacity_result
+        return result.capacity, result.gamma
+    if precision == "inf":
+        return unquantized_capacity(power), 1.0 / (2.0 * math.log(2.0) * (1.0 + power))
+    raise ValueError(f"precision must be 1, 2, 3 or 'inf', got {precision!r}")
 
 
 def table_i_mutual_information(snr_db: float, cache=None):
@@ -142,53 +162,25 @@ def build_table_iv(cache=None) -> ReportTable:
     )
 
 
-def capacity_curve(precision, cache=None) -> CapacityCurve:
-    """Capacity-vs-SNR curve for a precision: 1, 2, 3 bits or "inf".
-
-    Closed-form precisions use a 0.1-dB ladder; the optimizing precisions use
-    a 1-dB ladder, which keeps interpolation error well under the 0.01-dB
-    inversion accuracy (the curves bend slowly in dB).
-    """
-
-    def compute():
-        if precision == 1:
-            return CapacityCurve(
-                _FINE_DB,
-                tuple(onebit_capacity(_snr(d)) for d in _FINE_DB),
-                supremum=1.0,
-            )
-        if precision == 2:
-            caps = tuple(
-                two_bit_cell(d, cache).capacity_result.capacity for d in _LADDER_DB
-            )
-            return CapacityCurve(_LADDER_DB, caps, supremum=2.0)
-        if precision == 3:
-            caps = tuple(
-                three_bit_cell(d, cache).capacity_result.capacity for d in _LADDER_DB
-            )
-            return CapacityCurve(_LADDER_DB, caps, supremum=3.0)
-        if precision == "inf":
-            return CapacityCurve(
-                _FINE_DB, tuple(unquantized_capacity(_snr(d)) for d in _FINE_DB)
-            )
-        raise ValueError(f"precision must be 1, 2, 3 or 'inf', got {precision!r}")
-
-    return _cached(cache, ("curve", precision), compute)
-
-
 def build_table_v(cache=None) -> ReportTable:
+    """SNR per target rate, one bracketed Newton solve per cell (see
+    `snr_for_spectral_efficiency`); log2 of the bin count is each quantized
+    row's unattainable ceiling."""
     ref = REFERENCE_TABLES["V"]
     targets = ref.columns
     rows = []
-    for label, precision in (
-        ("1-bit", 1),
-        ("2-bit", 2),
-        ("3-bit", 3),
-        ("Unquantized", "inf"),
+    for label, precision, supremum in (
+        ("1-bit", 1, 1.0),
+        ("2-bit", 2, 2.0),
+        ("3-bit", 3, 3.0),
+        ("Unquantized", "inf", None),
     ):
-        curve = capacity_curve(precision, cache)
+
+        def curve(snr_db, precision=precision):
+            return capacity_and_gamma(precision, snr_db, cache)
+
         rows.append(
-            (label, tuple(snr_for_spectral_efficiency(t, curve) for t in targets))
+            (label, tuple(snr_for_spectral_efficiency(t, curve, supremum) for t in targets))
         )
     return ReportTable(
         name="V",
@@ -219,34 +211,10 @@ def build_table(name: str, cache=None) -> ReportTable:
 
 
 def sweep_cell(precision, snr_db: float) -> float:
-    """One (precision, SNR) capacity cell; top-level so worker pools can pickle it."""
-    if precision == 1:
-        return onebit_capacity(_snr(snr_db))
-    if precision == 2:
-        return optimize_quantizer_2bit(_snr(snr_db)).capacity_result.capacity
-    if precision == 3:
-        return optimize_quantizer_3bit_iterative(_snr(snr_db)).capacity_result.capacity
-    if precision == "inf":
-        return unquantized_capacity(_snr(snr_db))
-    raise ValueError(f"precision must be 1, 2, 3 or 'inf', got {precision!r}")
+    """One uncached (precision, SNR) capacity cell."""
+    return capacity_and_gamma(precision, snr_db)[0]
 
 
-def _sweep_cell_star(args) -> float:
-    return sweep_cell(*args)
-
-
-def run_sweep(precisions, snr_dbs, jobs: int = 1):
-    """Capacity cells for every (precision, SNR) pair, in input order.
-
-    With jobs > 1 the independent cells go through a process pool; result
-    order is preserved either way.
-    """
-    pairs = [(p, db) for p in precisions for db in snr_dbs]
-    if jobs <= 1 or len(pairs) <= 1:
-        caps = [sweep_cell(p, db) for p, db in pairs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            caps = list(pool.map(_sweep_cell_star, pairs))
-    return [(p, db, cap) for (p, db), cap in zip(pairs, caps)]
+def run_sweep(precisions, snr_dbs):
+    """Capacity cells for every (precision, SNR) pair, in input order."""
+    return [(p, db, sweep_cell(p, db)) for p in precisions for db in snr_dbs]

@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from quantcap import (
     BenchmarkScheme,
-    CapacityCurve,
     ChannelSpec,
     JointResult,
     Quantizer,
@@ -29,6 +29,7 @@ from quantcap import (
     snr_for_spectral_efficiency,
     unquantized_capacity,
 )
+from quantcap.tables import build_table, capacity_and_gamma
 
 # Frozen against the gaussian_q quadrature oracle: 2*(K-1)/K * Q(sqrt(3*snr/(K^2-1)))
 PE_K2_SNR1 = 0.15865525393145707  # = Q(1)
@@ -371,88 +372,102 @@ class TestUnquantizedCapacity:
             unquantized_capacity(-0.5)
 
 
-def _unquantized_curve(step=0.25, lo=-10.0, hi=20.0):
-    dbs = np.arange(lo, hi + 1e-9, step)
-    return CapacityCurve(
-        tuple(dbs), tuple(unquantized_capacity(10.0 ** (d / 10.0)) for d in dbs)
-    )
+def _jump_curve(db):
+    """The unquantized curve less 0.3 bits below 8 dB and 0.05 bits above:
+    Newton steps alone cycle across the jump for a 1.25-bit target."""
+    power = 10.0 ** (db / 10.0)
+    drop = 0.3 if db < 8.0 else 0.05
+    return unquantized_capacity(power) - drop, 1.0 / (2.0 * math.log(2.0) * (1.0 + power))
 
 
-def _onebit_curve():
-    dbs = np.arange(-10.0, 15.0 + 1e-9, 0.1)
-    return CapacityCurve(
-        tuple(dbs),
-        tuple(onebit_capacity(10.0 ** (d / 10.0)) for d in dbs),
-        supremum=1.0,
-    )
+class _Counted:
+    def __init__(self, curve):
+        self.curve = curve
+        self.calls = []
+
+    def __call__(self, db):
+        self.calls.append(db)
+        return self.curve(db)
 
 
-class TestCapacityCurve:
-    def test_interpolation_accuracy(self):
-        curve = _unquantized_curve()
-        for db in np.linspace(-9.9, 19.9, 200):
-            assert curve(db) == pytest.approx(
-                unquantized_capacity(10.0 ** (db / 10.0)), abs=1e-5
-            )
-
-    def test_clamps_outside_range(self):
-        curve = _unquantized_curve()
-        assert curve(-50.0) == curve(-10.0)
-        assert curve(90.0) == curve(20.0)
-
-    def test_rejects_short_ladder(self):
-        with pytest.raises(ValueError):
-            CapacityCurve((0.0,), (0.5,))
-
-    def test_rejects_unsorted_ladder(self):
-        with pytest.raises(ValueError):
-            CapacityCurve((0.0, -1.0), (0.4, 0.5))
-
-    def test_rejects_decreasing_capacities(self):
-        with pytest.raises(ValueError):
-            CapacityCurve((0.0, 1.0, 2.0), (0.5, 0.4, 0.6))
-
-    def test_rejects_ladder_above_supremum(self):
-        with pytest.raises(ValueError):
-            CapacityCurve((0.0, 10.0), (0.5, 1.2), supremum=1.0)
+def _unquantized(db):
+    return capacity_and_gamma("inf", db)
 
 
 class TestSnrForSpectralEfficiency:
     def test_unquantized_half_bit_is_zero_db(self):
-        root = snr_for_spectral_efficiency(0.5, _unquantized_curve())
-        assert root == pytest.approx(0.0, abs=0.01)
+        assert snr_for_spectral_efficiency(0.5, _unquantized) == 0.0
 
     @given(st.floats(min_value=0.2, max_value=2.2))
     @settings(max_examples=30, deadline=None)
     def test_matches_analytic_inversion(self, target):
-        root = snr_for_spectral_efficiency(target, _unquantized_curve())
+        # exact in one evaluation: the start is the unquantized inverse
+        curve = _Counted(_unquantized)
+        root = snr_for_spectral_efficiency(target, curve)
         analytic = 10.0 * math.log10(2.0 ** (2.0 * target) - 1.0)
-        assert root == pytest.approx(analytic, abs=0.02)
-
-    def test_one_bit_half_rate(self):
-        root = snr_for_spectral_efficiency(0.5, _onebit_curve())
-        assert root == pytest.approx(1.79, abs=0.05)
-
-    def test_one_bit_full_rate_infeasible(self):
-        # the 1-bit ceiling is approached but never attained at finite SNR,
-        # even though sampled values round to it
-        assert snr_for_spectral_efficiency(1.0, _onebit_curve()) is None
-        assert snr_for_spectral_efficiency(2.5, _onebit_curve()) is None
-
-    def test_target_below_range_pins_to_left_edge(self):
-        curve = _unquantized_curve(lo=5.0)
-        root = snr_for_spectral_efficiency(0.1, curve)
-        assert root == 5.0
+        assert len(curve.calls) == 1
+        assert root == round(analytic, 6)
 
     def test_bare_callable_support(self):
         root = snr_for_spectral_efficiency(
-            1.0, lambda db: unquantized_capacity(10.0 ** (db / 10.0))
+            1.0, lambda db: (unquantized_capacity(10.0 ** (db / 10.0)), 0.5)
         )
-        assert root == pytest.approx(10.0 * math.log10(3.0), abs=0.02)
+        assert root == pytest.approx(10.0 * math.log10(3.0), abs=1e-6)
+
+    def test_one_bit_half_rate(self):
+        root = snr_for_spectral_efficiency(
+            0.5, lambda db: capacity_and_gamma(1, db), supremum=1.0
+        )
+        assert root == pytest.approx(1.79, abs=0.05)
+
+    @pytest.mark.parametrize("target", [0.05, 0.25, 0.5, 0.75, 0.9])
+    def test_onebit_row_matches_brentq_on_closed_form(self, target):
+        root = snr_for_spectral_efficiency(
+            target, lambda db: capacity_and_gamma(1, db), supremum=1.0
+        )
+        oracle = brentq(
+            lambda db: onebit_capacity(10.0 ** (db / 10.0)) - target,
+            -30.0,
+            20.0,
+            xtol=1e-10,
+        )
+        assert root == pytest.approx(oracle, abs=0.005)
+
+    def test_jump_converges_through_bisection(self):
+        curve = _Counted(_jump_curve)
+        root = snr_for_spectral_efficiency(1.25, curve)
+        # no SNR reaches the target within tolerance; the bracket closes on
+        # the jump and returns its upper end, where the target is reached
+        assert 8.0 <= root < 8.01
+        assert _jump_curve(root)[0] >= 1.25
+        assert len(curve.calls) < 30
+
+    def test_evaluation_cap_raises(self):
+        # a zero slope below the target steps up 1 dB per evaluation
+        curve = _Counted(lambda db: (0.1, 0.0))
+        with pytest.raises(RuntimeError, match="30 evaluations"):
+            snr_for_spectral_efficiency(0.5, curve)
+        assert len(curve.calls) == 30
+        assert np.allclose(np.diff(curve.calls), 1.0)
+
+    def test_one_bit_full_rate_infeasible(self):
+        # the 1-bit ceiling is approached but never attained at finite SNR
+        def never(db):
+            raise AssertionError("an infeasible target must not be evaluated")
+
+        for target in (1.0, 1.0 - 1e-10, 2.5):
+            assert snr_for_spectral_efficiency(target, never, supremum=1.0) is None
+
+    def test_table_v_independent_of_cache_contents(self, cell_cache):
+        for name in ("I", "II", "III", "IV"):
+            build_table(name, cell_cache)
+        warm = build_table("V", cell_cache).computed
+        assert build_table("V", {}).computed == warm
 
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            snr_for_spectral_efficiency(0.0, _unquantized_curve())
+        for target in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                snr_for_spectral_efficiency(target, lambda db: (0.0, 1.0))
 
 
 class TestPrecisionOrdering:

@@ -233,6 +233,30 @@ class TestCapacityCommand:
         code, _, _ = run_cli([], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "0"],
+            ["--tol", "nan"],
+            ["--sigma2", "-1"],
+            ["--sigma2", "inf"],
+            ["--grid-points", "100"],
+            ["--step", "0"],
+            ["--snr-db", "nan"],
+            ["--snr-db", "4000"],
+            ["--snr-db=-4000"],
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, capsys, monkeypatch, flags):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a bad flag must fail before any solve")
+
+        monkeypatch.setattr(cli, "optimize_input_cutting_plane", unreached)
+        argv = ["capacity", "--snr-db", "0..1", "--onebit"]
+        code, _, err = run_cli(argv + flags, capsys)
+        assert code == 1
+        assert "usage error" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
 
@@ -244,6 +268,16 @@ class TestCapacityCommand:
         code, _, err = run_cli(["capacity", "--snr-db", "0", "--onebit"], capsys)
         assert code == 2
         assert "computation error" in err
+
+    def test_value_error_inside_solve_is_computation_error(self, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise ValueError("minimize_max_affine: failed to bracket")
+
+        monkeypatch.setattr(cli, "optimize_input_cutting_plane", fails)
+        code, _, err = run_cli(["capacity", "--snr-db", "0", "--onebit"], capsys)
+        assert code == 2
+        assert "computation error" in err
+        assert "usage error" not in err
 
 
 class TestBenchmarkAndBoundCommands:
@@ -291,16 +325,14 @@ class TestSweepCommand:
         caps = {r[0]: float(r[2]) for r in rows}
         assert caps["1"] <= caps["2"] <= caps["3"] <= caps["inf"]
 
-    def test_csv_deterministic_and_jobs_invariant(self, capsys, monkeypatch, tmp_path):
+    def test_csv_deterministic(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         argv = ["sweep", "--snr-db=-5..5", "--step", "5", "--bits", "1"]
-        paths = [tmp_path / f"r{i}.csv" for i in range(3)]
-        for path, extra in zip(paths, ([], [], ["--jobs", "2"])):
-            code, _, _ = run_cli(argv + extra + ["--out", str(path)], capsys)
+        paths = [tmp_path / f"r{i}.csv" for i in range(2)]
+        for path in paths:
+            code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
             assert code == 0
-        blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1]  # rerun
-        assert blobs[0] == blobs[2]  # worker count
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_threshold_curve_endpoints_approach_onebit(self, capsys):
         code, out, _ = run_cli(

@@ -1,7 +1,8 @@
-"""Tests for the comparison-table builders, capacity curves, and the
-self-check suites.  Numerical agreement with the published cells is asserted
+"""Tests for the comparison-table builders and the self-check suites.  Numerical agreement with the published cells is asserted
 end-to-end in test_acceptance.py; here the focus is structure, caching, and
 the invariant suites themselves."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from quantcap.quantopt import unquantized_capacity
 from quantcap.reference import REFERENCE_TABLES
 from quantcap.tables import (
     build_table,
-    capacity_curve,
+    capacity_and_gamma,
     run_sweep,
     sweep_cell,
     three_bit_cell,
@@ -53,37 +54,53 @@ class TestCells:
 
 
 class TestCurves:
-    def test_onebit_curve_matches_closed_form(self, cell_cache):
-        curve = capacity_curve(1, cell_cache)
-        for db in (-10.0, 0.0, 7.0, 15.0):
-            assert curve(db) == pytest.approx(
-                onebit_capacity(10.0 ** (db / 10.0)), abs=1e-6
-            )
+    """The per-precision (capacity, dC/dP) curves that Table V inverts,
+    sampled at the Table IV SNRs, whose joint cells the tables share."""
+
+    LADDER_DB = REFERENCE_TABLES["IV"].columns
+
+    def test_onebit_curve_matches_closed_form(self):
+        # past about 31.5 dB Q(sqrt P) underflows to 0 and so does the slope
+        for db in (-10.0, 0.0, 7.0, 15.0, 31.5, 40.0):
+            cap, slope = capacity_and_gamma(1, db)
+            assert cap == onebit_capacity(10.0 ** (db / 10.0))
+            assert math.isfinite(slope) and slope >= 0.0
 
     def test_curves_cached_by_precision(self, cell_cache):
-        assert capacity_curve(3, cell_cache) is capacity_curve(3, cell_cache)
+        for precision, kind in ((2, "2bit"), (3, "3bit")):
+            cap, gamma = capacity_and_gamma(precision, 0.0, cell_cache)
+            cell = cell_cache[(kind, 0.0)].capacity_result
+            assert (cap, gamma) == (cell.capacity, cell.gamma)
 
     def test_quantized_curves_nondecreasing_and_capped(self, cell_cache):
-        for precision, cap in ((2, 2.0), (3, 3.0)):
-            curve = capacity_curve(precision, cell_cache)
-            bits = np.asarray(curve.bits)
+        for precision in (2, 3):
+            points = [capacity_and_gamma(precision, db, cell_cache) for db in self.LADDER_DB]
+            bits = np.array([cap for cap, _ in points])
             assert np.all(np.diff(bits) >= -1e-9)
-            assert bits[-1] <= cap + 1e-9
-            assert curve.supremum == cap
+            assert bits[-1] <= precision + 1e-9
+            assert all(gamma > 0.0 for _, gamma in points)
 
     def test_precision_ordering_along_ladder(self, cell_cache):
-        c1 = capacity_curve(1, cell_cache)
-        c2 = capacity_curve(2, cell_cache)
-        c3 = capacity_curve(3, cell_cache)
-        cinf = capacity_curve("inf", cell_cache)
-        for db in np.linspace(-8.0, 20.0, 15):
-            assert c1(db) <= c2(db) + 1e-9
-            assert c2(db) <= c3(db) + 1e-9
-            assert c3(db) <= cinf(db) + 1e-9
+        for db in self.LADDER_DB:
+            c1, c2, c3, cinf = (
+                capacity_and_gamma(p, db, cell_cache)[0] for p in (1, 2, 3, "inf")
+            )
+            assert c1 <= c2 + 1e-9
+            assert c2 <= c3 + 1e-9
+            assert c3 <= cinf + 1e-9
+
+    @pytest.mark.parametrize("precision", [1, "inf"])
+    @pytest.mark.parametrize("snr_db", [-10.0, -3.0, 0.0, 1.8, 6.0, 12.0])
+    def test_closed_form_slopes_match_central_differences(self, precision, snr_db):
+        _, slope = capacity_and_gamma(precision, snr_db)
+        power, h = 10.0 ** (snr_db / 10.0), 1e-5
+        up = capacity_and_gamma(precision, 10.0 * math.log10(power + h))[0]
+        down = capacity_and_gamma(precision, 10.0 * math.log10(power - h))[0]
+        assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
 
     def test_unknown_precision(self):
         with pytest.raises(ValueError):
-            capacity_curve(4)
+            capacity_and_gamma(4, 0.0)
 
 
 class TestTableBuilders:
@@ -102,6 +119,19 @@ class TestTableBuilders:
                 assert all(c is not None and np.isfinite(c) for c in cells)
         t5 = build_table("V", cell_cache)
         assert any(None in cells for _, cells in t5.computed)
+
+    def test_table_v_joint_cells_reach_target_at_reported_snr(self, cell_cache):
+        # each reported SNR is the key of the joint cell solved there; its
+        # capacity is within 0.005 dB times the local slope of the target
+        table = build_table("V", cell_cache)
+        rows = dict(table.computed)
+        for label, cell in (("2-bit", two_bit_cell), ("3-bit", three_bit_cell)):
+            for target, db in zip(table.columns, rows[label]):
+                if db is None:
+                    continue
+                res = cell(db, cell_cache).capacity_result
+                per_db = res.gamma * 10.0 ** (db / 10.0) * np.log(10.0) / 10.0
+                assert abs(res.capacity - target) <= 0.005 * per_db, (label, target)
 
     def test_unknown_table_name(self):
         with pytest.raises(ValueError):
