@@ -8,24 +8,13 @@ from .channel import (
     OutputBinZeroError,
     OutputPmf,
     Quantizer,
-    divergence,
     mutual_information,
-    output_pmf,
-    transition_probs,
 )
-from .bounds import (
-    BoundProblem,
-    BoundResult,
-    best_symmetric_bound,
-    divergence_to_output,
-    minimize_max_affine,
-    upper_bound_for_output,
-)
+from .bounds import best_symmetric_bound, divergence_to_output, minimize_max_affine
 from .optimize import (
     CapacityResult,
     GridConfig,
     onebit_capacity,
-    optimal_masses,
     optimize_input_blahut_arimoto,
     optimize_input_cutting_plane,
 )
@@ -61,21 +50,14 @@ __all__ = [
     "InputDistribution",
     "OutputPmf",
     "OutputBinZeroError",
-    "transition_probs",
-    "output_pmf",
     "mutual_information",
-    "divergence",
     "GridConfig",
     "CapacityResult",
     "onebit_capacity",
-    "optimal_masses",
     "optimize_input_cutting_plane",
     "optimize_input_blahut_arimoto",
-    "BoundProblem",
-    "BoundResult",
     "minimize_max_affine",
     "divergence_to_output",
-    "upper_bound_for_output",
     "best_symmetric_bound",
     "BenchmarkScheme",
     "JointResult",

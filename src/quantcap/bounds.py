@@ -8,19 +8,20 @@ so minimizing the right-hand side over gamma >= 0 gives a valid upper
 bound for each candidate R.  On a fixed x-grid the objective is a maximum
 of finitely many affine functions of gamma — piecewise-linear and convex —
 and the minimum is found exactly by locating the breakpoint where the
-active slope changes sign.
+active slope changes sign (`minimize_max_affine`; the cutting plane
+certifies its gap with it too).  `divergence_to_output` is D(W(.|x) || R).
 
 The resulting bound is a convex function of R (the divergence is convex in
 R, the objective is jointly convex in (R, gamma), and a partial minimum of a
 jointly convex function is convex), so the best symmetric R is found by a
 local search: a bounded Brent search over the one free mass for K=4 and
 Nelder-Mead from the uniform output for K=8.  The value returned for the
-chosen R is re-certified over continuous x.
+chosen R is re-certified over continuous x.  `check_bound_quantizer`
+states which quantizers the search takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,15 +37,15 @@ from .channel import (
 
 _ACTIVE_RTOL = 1e-12
 _FLAT_SLOPE = np.finfo(float).eps ** 2
+_MAX_ROUNDS = 500
 
 
 class EnvelopeMinimum(NamedTuple):
     gamma: float
     value: float
-    argmax_index: int
 
 
-def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
+def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
     """Exact minimum over gamma >= 0 of max_i(intercepts[i] + slopes[i]*gamma).
 
     The upper envelope of affine functions is convex; its minimizer over the
@@ -69,10 +70,10 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
 
     m0, act0 = probe(0.0)
     if float(np.max(s[act0])) >= 0.0:
-        return EnvelopeMinimum(0.0, m0, int(np.argmax(d)))
+        return EnvelopeMinimum(0.0, m0)
     if float(np.max(s)) <= 0.0:
         return _degenerate_minimum(
-            d, s, max_rounds, "envelope is decreasing for all gamma; minimum not attained"
+            d, s, "envelope is decreasing for all gamma; minimum not attained"
         )
 
     # expand hi until the envelope stops decreasing there
@@ -91,15 +92,13 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
             hi *= 4.0
             continue
         if smin <= 0.0:  # zero sits in the subgradient: hi is the minimizer
-            return EnvelopeMinimum(hi, m_hi, int(np.argmax(d + s * hi)))
+            return EnvelopeMinimum(hi, m_hi)
         line_hi = int(idx[np.argmin(s[idx])])
         break
     if line_hi is None:
-        return _degenerate_minimum(
-            d, s, max_rounds, "failed to bracket the envelope minimum"
-        )
+        return _degenerate_minimum(d, s, "failed to bracket the envelope minimum")
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         sa, sb = s[line_lo], s[line_hi]
         da, db = d[line_lo], d[line_hi]
         if sb <= sa:
@@ -110,13 +109,13 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
         pair_val = da + sa * g_x
         atol = _ACTIVE_RTOL * max(1.0, abs(m_x))
         if m_x <= pair_val + atol:
-            return EnvelopeMinimum(float(g_x), m_x, int(np.argmax(d + s * g_x)))
+            return EnvelopeMinimum(float(g_x), m_x)
         # a third line is strictly above the candidate pair at g_x
         idx = np.flatnonzero(act_x)
         smax = float(np.max(s[idx]))
         smin = float(np.min(s[idx]))
         if smin <= 0.0 <= smax:
-            return EnvelopeMinimum(float(g_x), m_x, int(np.argmax(d + s * g_x)))
+            return EnvelopeMinimum(float(g_x), m_x)
         if smax < 0.0:
             lo = g_x
             line_lo = int(idx[np.argmax(s[idx])])
@@ -124,10 +123,10 @@ def minimize_max_affine(intercepts, slopes, max_rounds=500) -> EnvelopeMinimum:
             hi = g_x
             line_hi = int(idx[np.argmin(s[idx])])
     m_f, _ = probe(lo)
-    return EnvelopeMinimum(float(lo), m_f, int(np.argmax(d + s * lo)))
+    return EnvelopeMinimum(float(lo), m_f)
 
 
-def _degenerate_minimum(d, s, max_rounds, reason):
+def _degenerate_minimum(d, s, reason):
     """Envelope minimum when no line rises, or when bracketing fails.
 
     A slope this small moves its line by less than a rounding unit of the
@@ -137,53 +136,13 @@ def _degenerate_minimum(d, s, max_rounds, reason):
     """
     tiny = (s != 0.0) & (np.abs(s) <= _FLAT_SLOPE * max(1.0, float(np.max(np.abs(d)))))
     if np.any(tiny):
-        return minimize_max_affine(d, np.where(tiny, 0.0, s), max_rounds)
+        return minimize_max_affine(d, np.where(tiny, 0.0, s))
     flat = s == 0.0
     if float(np.max(s)) <= 0.0 and np.any(flat):
         floor = float(np.max(d[flat]))
         g = float(np.max((d[~flat] - floor) / -s[~flat]))
-        vals = d + s * g
-        return EnvelopeMinimum(g, float(np.max(vals)), int(np.argmax(vals)))
+        return EnvelopeMinimum(g, float(np.max(d + s * g)))
     raise ValueError(reason)
-
-
-def default_bound_grid(spec: ChannelSpec, point_count: int = 4001):
-    """Default x-grid for bound evaluation: thresholds padded by 5 sigma.
-
-    Beyond the outermost thresholds the divergence profile saturates (the
-    conditional law stops changing in any bin that matters), so 5 sigma of
-    padding captures the supremum to well below the bound tolerances used
-    here.
-    """
-    thr = spec.quantizer.thresholds
-    lo = thr[0] - 5.0 * spec.sigma
-    hi = thr[-1] + 5.0 * spec.sigma
-    return np.linspace(lo, hi, point_count)
-
-
-@dataclass(frozen=True)
-class BoundProblem:
-    """A bound evaluation instance: channel, candidate output pmf, x-grid."""
-
-    spec: ChannelSpec
-    output: OutputPmf
-    x_grid: np.ndarray
-
-    def __post_init__(self):
-        if self.output.bins != self.spec.quantizer.bins:
-            raise ValueError("output pmf size must match the quantizer bin count")
-        if np.any(self.output.probs <= 0.0):
-            raise ValueError("output pmf must be strictly positive in every bin")
-        g = np.asarray(self.x_grid, dtype=float)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0.0):
-            raise ValueError("x_grid must be a strictly ascending 1-d array")
-        g = g.copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "x_grid", g)
-
-    @classmethod
-    def for_spec(cls, spec, output, point_count=4001):
-        return cls(spec, output, default_bound_grid(spec, point_count))
 
 
 def divergence_to_output(x, output: OutputPmf, spec: ChannelSpec):
@@ -198,25 +157,6 @@ def divergence_to_output(x, output: OutputPmf, spec: ChannelSpec):
     if arr.ndim == 0:
         return float(rows[0])
     return rows
-
-
-class BoundResult(NamedTuple):
-    bound: float
-    gamma: float
-    x_star: float
-
-
-def upper_bound_for_output(problem: BoundProblem) -> BoundResult:
-    """Tightest duality bound available from the problem's output pmf.
-
-    Minimizes max_x [ d(x -> R) + gamma (P - x^2) ] exactly over gamma >= 0
-    (the inner max taken over the problem grid).
-    """
-    xs = problem.x_grid
-    d = divergence_to_output(xs, problem.output, problem.spec)
-    slopes = problem.spec.power_constraint - xs**2
-    env = minimize_max_affine(d, slopes)
-    return BoundResult(env.value, env.gamma, float(xs[env.argmax_index]))
 
 
 def _symmetric_half_grid(spec: ChannelSpec, point_count: int):
@@ -265,10 +205,25 @@ def _certified_symmetric_bound(spec: ChannelSpec, out: OutputPmf) -> float:
     return best
 
 
+_BOUND_BINS = (2, 4, 8)
+
+
+def check_bound_quantizer(quantizer) -> None:
+    """Raise ValueError unless `best_symmetric_bound` accepts the quantizer:
+    symmetric thresholds and a bin count K in _BOUND_BINS."""
+    if not quantizer.is_symmetric():
+        raise ValueError("the symmetric duality bound requires a symmetric quantizer")
+    if quantizer.bins not in _BOUND_BINS:
+        raise ValueError(
+            f"the symmetric duality bound supports K in {_BOUND_BINS}, "
+            f"got K={quantizer.bins}"
+        )
+
+
 def best_symmetric_bound(spec: ChannelSpec):
     """Best duality bound over symmetric output pmfs for a symmetric quantizer.
 
-    Returns (bound, output_pmf).  The objective
+    Returns (bound, output pmf).  The objective
 
         F(R) = min_{gamma >= 0} max_x [ D(W(.|x) || R) + gamma (P - x^2) ]
 
@@ -283,14 +238,14 @@ def best_symmetric_bound(spec: ChannelSpec):
     a bounded Brent search runs over the open interval (0, 1/2), at whose
     ends some bin mass vanishes and F grows without bound, so the minimum
     is interior.  K=8 has three free masses, found by Nelder-Mead from the
-    uniform output.  For symmetric outputs the divergence profile is even
-    in x, so the search grids only cover [0, max threshold + 5 sigma].  The
-    returned value re-takes the inner sup over continuous x for the chosen
-    pmf, so it stays a true bound whatever the search returns.
+    uniform output; other K raise ValueError.  For symmetric outputs the
+    divergence profile is even in x, so the search grids only cover [0, max
+    threshold + 5 sigma].  The returned value re-takes the inner sup over
+    continuous x for the chosen pmf, so it stays a true bound whatever the
+    search returns.
     """
     quant = spec.quantizer
-    if not quant.is_symmetric():
-        raise ValueError("best_symmetric_bound requires a symmetric quantizer")
+    check_bound_quantizer(quant)
     k = quant.bins
     power = spec.power_constraint
 
@@ -319,22 +274,18 @@ def best_symmetric_bound(spec: ChannelSpec):
         out = OutputPmf(np.array([0.5 - alpha, alpha, alpha, 0.5 - alpha]))
         return _certified_symmetric_bound(spec, out), out
 
-    if k == 8:
+    def objective(v):
+        h = np.append(v, 0.5 - v.sum())
+        if h.min() <= 1e-9:
+            return 1e6
+        return bound_for_half(h)
 
-        def objective(v):
-            h = np.append(v, 0.5 - v.sum())
-            if h.min() <= 1e-9:
-                return 1e6
-            return bound_for_half(h)
-
-        res = minimize(
-            objective,
-            np.full(3, 0.125),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 600},
-        )
-        h = np.append(res.x, 0.5 - res.x.sum())
-        out = OutputPmf(np.concatenate([h, h[::-1]]))
-        return _certified_symmetric_bound(spec, out), out
-
-    raise ValueError(f"symmetric-output search supports K in {{2, 4, 8}}, got K={k}")
+    res = minimize(
+        objective,
+        np.full(3, 0.125),
+        method="Nelder-Mead",
+        options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 600},
+    )
+    h = np.append(res.x, 0.5 - res.x.sum())
+    out = OutputPmf(np.concatenate([h, h[::-1]]))
+    return _certified_symmetric_bound(spec, out), out

@@ -2,10 +2,10 @@
 
 The channel is Y = quantize(X + N) with N ~ Normal(0, noise_variance) and a
 quantizer described by its K-1 ascending thresholds.  Everything downstream
-(optimizers, bounds, reports) works through the types and quantities here:
-transition probabilities, output pmf, mutual information and the divergence
-profile d(x; F).  The divergence profile has one kernel,
-_divergences_bits, which every other module uses.
+(optimizers, bounds, reports) works through the types and kernels here: the
+transition rows bin_probability_matrix, the mutual information, and the one
+divergence kernel _divergences_bits, which every other module uses; callers
+form the output pmf p W themselves, from the rows they already hold.
 
 All information quantities are in bits.
 """
@@ -22,8 +22,6 @@ from .special import LN2, gaussian_q
 
 #: tolerance for "masses sum to one" checks
 PROB_ATOL = 1e-10
-#: relative slack allowed on the average-power constraint
-POWER_RTOL = 1e-9
 #: canonical cleanup: masses below this are dropped and the rest renormalized
 PRUNE_TOL = 1e-7
 #: floor applied to output probabilities before taking their logarithm
@@ -70,28 +68,6 @@ class Quantizer:
         t = np.asarray(self.thresholds)
         scale = max(1.0, float(np.max(np.abs(t))))
         return bool(np.all(np.abs(t + t[::-1]) <= tol * scale))
-
-    @classmethod
-    def symmetric_with_zero(cls, half_thresholds) -> "Quantizer":
-        """Mirror the given positive thresholds around an explicit 0 threshold.
-
-        symmetric_with_zero([]) is the one-bit quantizer {0};
-        symmetric_with_zero([q]) gives {-q, 0, q} (two-bit), and so on.
-        """
-        half = sorted(float(q) for q in half_thresholds)
-        if any(q <= 0.0 for q in half):
-            raise ValueError("half_thresholds must be strictly positive")
-        return cls(tuple(-q for q in reversed(half)) + (0.0,) + tuple(half))
-
-    def to_text(self) -> str:
-        """One threshold per line, full precision."""
-        return "\n".join(f"{t:.16e}" for t in self.thresholds) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Quantizer":
-        vals = [float(line) for line in text.split("\n") if line.strip()]
-        return cls(tuple(vals))
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -184,67 +160,11 @@ class InputDistribution:
         p = p / p.sum()
         return cls(x, p)
 
-    @classmethod
-    def point_masses(cls, pairs):
-        xs = [x for x, _ in pairs]
-        ps = [p for _, p in pairs]
-        return cls(np.asarray(xs, float), np.asarray(ps, float))
-
-    @classmethod
-    def binary_antipodal(cls, amplitude):
-        """Equiprobable mass points at +/- amplitude."""
-        a = float(amplitude)
-        if a <= 0.0:
-            raise ValueError("amplitude must be positive")
-        return cls(np.array([-a, a]), np.array([0.5, 0.5]))
-
-    @property
-    def support_size(self) -> int:
-        return int(self.locations.size)
-
-    def average_power(self) -> float:
-        return float(np.dot(self.masses, self.locations**2))
-
-    def is_power_feasible(self, spec: ChannelSpec) -> bool:
-        return self.average_power() <= spec.power_constraint * (1.0 + POWER_RTOL)
-
-    def symmetrized(self) -> "InputDistribution":
-        """Equal mixture of the distribution and its mirror image.
-
-        For a symmetric quantizer this never reduces mutual information
-        (concavity of I in the input law plus the channel's symmetry).
-        """
-        x = np.concatenate([self.locations, -self.locations])
-        p = np.concatenate([self.masses, self.masses]) * 0.5
-        scale = max(1.0, float(np.max(np.abs(x))))
-        return InputDistribution.from_points(x, p, merge_tol=1e-12 * scale)
-
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
-        x, p = self.locations, self.masses
-        scale = max(1.0, float(np.max(np.abs(x))))
-        return bool(
-            np.all(np.abs(x + x[::-1]) <= tol * scale)
-            and np.all(np.abs(p - p[::-1]) <= tol)
-        )
-
     def to_text(self) -> str:
         """One support point per line: location and mass, full precision."""
         return "\n".join(
             f"{x:.16e} {p:.16e}" for x, p in zip(self.locations, self.masses)
         ) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "InputDistribution":
-        xs, ps = [], []
-        for line in text.split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            sx, sp = line.split()
-            xs.append(float(sx))
-            ps.append(float(sp))
-        return cls(np.asarray(xs), np.asarray(ps))
-
 
 @dataclass(frozen=True)
 class OutputPmf:
@@ -263,10 +183,6 @@ class OutputPmf:
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "probs", r)
-
-    @property
-    def bins(self) -> int:
-        return int(self.probs.size)
 
 
 def bin_probability_matrix(x, thresholds, sigma):
@@ -291,23 +207,6 @@ def bin_probability_matrix(x, thresholds, sigma):
     out[:, 1:-1] = np.where(z[:, :-1] >= 0.0, ta - tb, inner)
     np.clip(out, 0.0, 1.0, out=out)
     return out
-
-
-def transition_probs(x, spec: ChannelSpec):
-    """Conditional output pmf W(.|x) as a length-K vector (or rows per x)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"transition_probs: non-finite input {x!r}")
-    rows = bin_probability_matrix(arr, spec.quantizer.thresholds, spec.sigma)
-    if arr.ndim == 0:
-        return rows[0]
-    return rows
-
-
-def output_pmf(dist: InputDistribution, spec: ChannelSpec) -> OutputPmf:
-    """Marginal output pmf induced by the input distribution."""
-    w = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
-    return OutputPmf(dist.masses @ w)
 
 
 def _row_negentropy_bits(w):
@@ -339,26 +238,3 @@ def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:
         )
     rows = _divergences_bits(w, _row_negentropy_bits(w), r)
     return float(np.dot(dist.masses, rows))
-
-
-def divergence(x, dist: InputDistribution, spec: ChannelSpec):
-    """Divergence profile d(x; F): KL distance from W(.|x) to the output pmf.
-
-    Accepts a scalar or an array of input locations.  Requires every output
-    bin to have positive probability under dist (otherwise the profile is
-    infinite somewhere and the call raises OutputBinZeroError).
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"divergence: non-finite input {x!r}")
-    w_sup = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
-    r = dist.masses @ w_sup
-    if np.any(r <= 0.0):
-        bins = np.nonzero(r <= 0.0)[0].tolist()
-        raise OutputBinZeroError(f"output bins {bins} have zero probability")
-    w = bin_probability_matrix(arr, spec.quantizer.thresholds, spec.sigma)
-    rows = _divergences_bits(w, _row_negentropy_bits(w), r)
-    if arr.ndim == 0:
-        return float(rows[0])
-    return rows
-

@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from .bounds import best_symmetric_bound
+from .bounds import best_symmetric_bound, check_bound_quantizer
 from .channel import ChannelSpec, Quantizer
 from .optimize import GridConfig, optimize_input_cutting_plane
 from .quantopt import (
@@ -122,6 +122,16 @@ def _quantizer_for(args, snr_db: float) -> Quantizer:
     raise UsageError("a quantizer is required: --thresholds, --onebit, or --bits")
 
 
+def _bound_quantizer_for(args, snr_db: float) -> Quantizer:
+    """A quantizer that the symmetric duality bound accepts, else UsageError."""
+    quant = _quantizer_for(args, snr_db)
+    try:
+        check_bound_quantizer(quant)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return quant
+
+
 def _solver_kwargs(args):
     kw = {}
     if getattr(args, "grid_points", None) is not None:
@@ -175,9 +185,12 @@ def _join(values) -> str:
 def cmd_capacity(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
     kw = _solver_kwargs(args)
+    # every quantizer is parsed and checked before the first solve
+    pick = _bound_quantizer_for if args.bound else _quantizer_for
+    quants = [pick(args, db) for db in snrs]
     rows, blocks = [], []
-    for db in snrs:
-        spec = ChannelSpec.from_snr_db(db, _quantizer_for(args, db), args.sigma2)
+    for db, quant in zip(snrs, quants):
+        spec = ChannelSpec.from_snr_db(db, quant, args.sigma2)
         res = optimize_input_cutting_plane(spec, **kw)
         bound = None
         block = f"snr_db {db:g}\n" + res.to_text()
@@ -213,9 +226,10 @@ def cmd_capacity(args) -> int:
 
 def cmd_bound(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
+    quants = [_bound_quantizer_for(args, db) for db in snrs]
     rows, blocks = [], []
-    for db in snrs:
-        spec = ChannelSpec.from_snr_db(db, _quantizer_for(args, db), args.sigma2)
+    for db, quant in zip(snrs, quants):
+        spec = ChannelSpec.from_snr_db(db, quant, args.sigma2)
         bound, out_pmf = best_symmetric_bound(spec)
         blocks.append(
             f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {_join(out_pmf.probs)}\n"
@@ -298,6 +312,8 @@ def cmd_sweep(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
     if args.curve and args.dump_dist:
         raise UsageError("--curve and --dump-dist are mutually exclusive")
+    if not args.dump_dist and (args.tol is not None or args.grid_points is not None):
+        raise UsageError("--tol and --grid-points apply only with --dump-dist")
 
     if args.curve:
         rows, blocks = [], []

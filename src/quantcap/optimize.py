@@ -68,7 +68,7 @@ class CapacityResult:
     capacity: float
     dist: InputDistribution
     gamma: float
-    upper_bound: float | None
+    upper_bound: float
     kkt_max_violation: float
     iterations: int
     converged: bool = True
@@ -78,7 +78,7 @@ class CapacityResult:
             raise ValueError(f"capacity must be finite and >= 0, got {self.capacity}")
         if not math.isfinite(self.gamma) or self.gamma < 0.0:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.upper_bound is not None and self.capacity > self.upper_bound + 1e-6:
+        if self.capacity > self.upper_bound + 1e-6:
             raise ValueError(
                 f"capacity {self.capacity} exceeds certified upper bound {self.upper_bound}"
             )
@@ -86,13 +86,12 @@ class CapacityResult:
     def to_text(self) -> str:
         lines = [
             f"capacity {self.capacity:.16e}",
+            f"upper_bound {self.upper_bound:.16e}",
             f"gamma {self.gamma:.16e}",
             f"kkt_max_violation {self.kkt_max_violation:.16e}",
             f"iterations {self.iterations}",
             f"converged {str(self.converged).lower()}",
         ]
-        if self.upper_bound is not None:
-            lines.insert(1, f"upper_bound {self.upper_bound:.16e}")
         lines.extend(
             f"point {x:.16e} {p:.16e}"
             for x, p in zip(self.dist.locations, self.dist.masses)
@@ -331,22 +330,6 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
             return p, float(pf @ g)
         free[j] = True
         added = j
-
-
-def optimal_masses(locations, spec: ChannelSpec, start=None):
-    """Best masses for fixed support locations under the power constraint.
-
-    Returns (masses, mutual_information_bits) from the active-set Newton
-    solve of _optimal_masses_rows, warm-started from `start` when given.  At
-    most K+1 of the masses are positive for a K-bin quantizer.
-    """
-    xs = np.asarray(locations, dtype=float)
-    if xs.ndim != 1 or xs.size == 0 or np.any(np.diff(xs) <= 0.0):
-        raise ValueError("locations must be a non-empty strictly ascending 1-d array")
-    w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
-    return _optimal_masses_rows(
-        w, _row_negentropy_bits(w), xs**2, spec.power_constraint, start=start
-    )
 
 
 def _canonical_dist(locations, masses, spec, merge_tol):

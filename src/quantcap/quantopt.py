@@ -41,6 +41,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Scan peaks within this many bits of the best scanned capacity are refined.
 _PEAK_WINDOW = 2e-3
 
+# Cap on the outer rounds of the 3-bit alternation, which ends at its eps test.
+_MAX_OUTER = 50
+
 
 def _check_k(k):
     if k not in (2, 4, 8):
@@ -184,7 +187,6 @@ def optimize_quantizer_2bit(
     noise_variance: float = 1.0,
     scan_points: int = 24,
     tol: float = 1e-4,
-    final_grid=None,
 ) -> JointResult:
     """Best symmetric 2-bit quantizer {-q, 0, q} by threshold scan.
 
@@ -248,9 +250,7 @@ def optimize_quantizer_2bit(
             q_star, cap_star, best_seed = q_peak, cap_peak, seeds[i]
 
     spec = ChannelSpec(noise_variance, power, Quantizer((-q_star, 0.0, q_star)))
-    final = optimize_input_cutting_plane(
-        spec, grid=final_grid, tol=tol, initial_support=best_seed
-    )
+    final = optimize_input_cutting_plane(spec, tol=tol, initial_support=best_seed)
     return JointResult(
         quantizer=spec.quantizer,
         capacity_result=final,
@@ -302,9 +302,7 @@ def optimize_quantizer_3bit_iterative(
     eps: float = 1e-4,
     *,
     noise_variance: float = 1.0,
-    max_outer: int = 50,
     tol: float = 1e-4,
-    final_grid=None,
 ) -> JointResult:
     """Alternating input/threshold optimization for symmetric 3-bit quantizers.
 
@@ -334,7 +332,7 @@ def optimize_quantizer_3bit_iterative(
     trace = []
     seed = None
     quant = init
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         spec = ChannelSpec(noise_variance, power, quant)
         res = optimize_input_cutting_plane(
             spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
@@ -356,9 +354,7 @@ def optimize_quantizer_3bit_iterative(
         quant = Quantizer(tuple(np.concatenate([-halves[::-1], [0.0], halves])))
 
     spec = ChannelSpec(noise_variance, power, quant)
-    final = optimize_input_cutting_plane(
-        spec, grid=final_grid, tol=tol, initial_support=seed
-    )
+    final = optimize_input_cutting_plane(spec, tol=tol, initial_support=seed)
     return JointResult(
         quantizer=quant,
         capacity_result=final,

@@ -3,8 +3,8 @@
 Weak duality is the load-bearing theorem here: for any positive output pmf R
 and any power-feasible input F, I(F) <= min_gamma sup_x [D(W(.|x)||R) +
 gamma (P - x^2)].  The tests check the exact envelope minimizer against dense
-scans, the divergence against a high-precision oracle, and the bound against
-batches of random feasible inputs.
+scans, the divergence against a high-precision oracle, and the certified
+bound behind Table I against batches of random feasible inputs.
 """
 
 import math
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from quantcap import (
     BenchmarkScheme,
-    BoundProblem,
     ChannelSpec,
     InputDistribution,
     OutputPmf,
@@ -26,16 +25,20 @@ from quantcap import (
     mutual_information,
     onebit_capacity,
     optimize_input_cutting_plane,
-    transition_probs,
-    upper_bound_for_output,
 )
-from quantcap.bounds import default_bound_grid
+from quantcap.bounds import _certified_symmetric_bound, _symmetric_half_grid
+from quantcap.channel import bin_probability_matrix
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 
 
 def spec_db(snr_db, quant=TWOBIT):
     return ChannelSpec.from_snr_db(snr_db, quant)
+
+
+def grid_bound(spec, out, xs):  # the envelope minimum with the sup over grid xs
+    d = divergence_to_output(xs, out, spec)
+    return minimize_max_affine(d, spec.power_constraint - xs**2)
 
 
 line_families = st.integers(min_value=2, max_value=40).flatmap(
@@ -117,7 +120,7 @@ class TestDivergenceToOutput:
     def test_zero_against_own_transition(self):
         spec = spec_db(5.0)
         for x in (-2.5, 0.0, 0.7):
-            own = OutputPmf(transition_probs(x, spec))
+            own = OutputPmf(bin_probability_matrix(x, TWOBIT.thresholds, 1.0)[0])
             assert divergence_to_output(x, own, spec) == pytest.approx(
                 0.0, abs=1e-12
             )
@@ -168,9 +171,7 @@ class TestUpperBoundForOutput:
             out = OutputPmf(np.concatenate([out_half, out_half[::-1]]))
             key = tuple(np.round(out.probs, 12))
             if key not in bound_cache:
-                bound_cache[key] = upper_bound_for_output(
-                    BoundProblem.for_spec(spec, out)
-                ).bound
+                bound_cache[key] = _certified_symmetric_bound(spec, out)
             for _ in range(4):
                 n = rng.integers(1, 6)
                 locs = np.sort(rng.uniform(-2.0, 2.0, size=n))
@@ -182,7 +183,7 @@ class TestUpperBoundForOutput:
                 )
                 locs = locs * min(1.0, scale)  # force power feasibility
                 dist = InputDistribution(locs, masses)
-                assert dist.average_power() <= spec.power_constraint + 1e-9
+                assert masses @ locs**2 <= spec.power_constraint + 1e-9
                 mi = mutual_information(dist, spec)
                 assert mi <= bound_cache[key] + 1e-9
                 checked += 1
@@ -195,37 +196,26 @@ class TestUpperBoundForOutput:
         out = OutputPmf([0.25, 0.25, 0.25, 0.25])
         root_p = math.sqrt(spec.power_constraint)
         grid = np.linspace(-0.9 * root_p, 0.9 * root_p, 801)
-        res = upper_bound_for_output(BoundProblem(spec, out, grid))
+        res = grid_bound(spec, out, grid)
         assert res.gamma == 0.0
         d = divergence_to_output(grid, out, spec)
-        assert res.bound == pytest.approx(float(np.max(d)), rel=1e-12)
+        assert res.value == pytest.approx(float(np.max(d)), rel=1e-12)
 
     def test_truncation_soundness(self):
-        # pushing the grid 5 sigma further out moves the bound by < 1e-5
+        # the symmetric half-grid's 5 sigma of padding past the outermost
+        # threshold: 5 sigma more moves the bound by < 1e-5
         for db in (0.0, 10.0):
             spec = spec_db(db)
             out = OutputPmf([0.3, 0.2, 0.2, 0.3])
-            base_grid = default_bound_grid(spec)
+            base_grid = _symmetric_half_grid(spec, 4001)
+            assert base_grid[-1] == spec.quantizer.thresholds[-1] + 5.0 * spec.sigma
             spacing = base_grid[1] - base_grid[0]
             extra = int(round(5.0 * spec.sigma / spacing))
             wide_grid = np.concatenate(
-                [
-                    base_grid[0] - spacing * np.arange(extra, 0, -1),
-                    base_grid,
-                    base_grid[-1] + spacing * np.arange(1, extra + 1),
-                ]
+                [base_grid, base_grid[-1] + spacing * np.arange(1, extra + 1)]
             )
-            base = upper_bound_for_output(BoundProblem(spec, out, base_grid))
-            wide = upper_bound_for_output(BoundProblem(spec, out, wide_grid))
-            assert abs(wide.bound - base.bound) < 1e-5
-
-    def test_problem_validation(self):
-        spec = spec_db(0.0)
-        with pytest.raises(ValueError):
-            BoundProblem.for_spec(spec, OutputPmf([0.5, 0.5]))  # wrong size
-        with pytest.raises(ValueError):
-            BoundProblem(spec, OutputPmf([0.25, 0.25, 0.25, 0.25]),
-                         np.array([1.0, 0.5, 2.0]))
+            base = grid_bound(spec, out, base_grid).value
+            assert abs(grid_bound(spec, out, wide_grid).value - base) < 1e-5
 
 
 class TestBestSymmetricBound:
@@ -304,15 +294,15 @@ class TestBestSymmetricBound:
 
     @pytest.mark.parametrize("db", [-5.0, 5.0, 15.0])
     def test_twobit_search_reaches_scan_minimum(self, db):
-        # oracle: the generic bound evaluator over a dense scan of the inner
-        # mass alpha in R = (1/2 - alpha, alpha, alpha, 1/2 - alpha), on the
+        # oracle: the envelope minimum over a dense scan of the inner mass
+        # alpha in R = (1/2 - alpha, alpha, alpha, 1/2 - alpha), on the
         # half-grid the search uses
         spec = spec_db(db)
         thr = spec.quantizer.thresholds
         half_grid = np.linspace(0.0, thr[-1] + 5.0 * spec.sigma, 4001)
 
         def grid_value(out):
-            return upper_bound_for_output(BoundProblem(spec, out, half_grid)).bound
+            return grid_bound(spec, out, half_grid).value
 
         alphas = np.linspace(0.0, 0.5, 402)[1:-1]
         scan = np.array(
@@ -326,5 +316,10 @@ class TestBestSymmetricBound:
 
     def test_rejects_asymmetric_quantizer(self):
         spec = ChannelSpec(1.0, 1.0, Quantizer((-1.0, 0.5)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric quantizer"):
             best_symmetric_bound(spec)
+
+    def test_rejects_unsupported_bin_count(self):
+        quant = Quantizer((-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="K=10"):
+            best_symmetric_bound(ChannelSpec(1.0, 1.0, quant))

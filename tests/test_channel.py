@@ -1,7 +1,9 @@
 """Channel-model tests: transition probabilities, MI, divergence kernel.
 
 Quadrature oracles (scipy.integrate.quad of the Gaussian density over each
-bin) provide the independent route for the transition probabilities.
+bin) provide the independent route for the transition probabilities.  The
+divergence profile is bounds.divergence_to_output; the mirror mixture is the
+one that optimize._canonical_dist builds.
 """
 
 import math
@@ -15,20 +17,18 @@ from scipy.special import xlogy
 from quantcap import (
     ChannelSpec,
     InputDistribution,
-    OutputBinZeroError,
     OutputPmf,
     Quantizer,
-    divergence,
+    divergence_to_output,
     gaussian_q,
     mutual_information,
-    output_pmf,
-    transition_probs,
 )
 from quantcap.channel import (
     _divergences_bits,
     _row_negentropy_bits,
     bin_probability_matrix,
 )
+from quantcap.optimize import _canonical_dist
 
 
 def _bin_prob_quadrature(lo, hi, x, sigma):
@@ -70,6 +70,23 @@ def _random_dist(rng, spec, n_max=6):
     return InputDistribution.from_points(x, p)
 
 
+def _dist(*pairs):
+    x, p = zip(*pairs)
+    return InputDistribution(np.array(x), np.array(p))
+
+
+def _output(dist, spec):  # the output pmf p W, as the solvers form it
+    w = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
+    return OutputPmf(dist.masses @ w)
+
+
+def _mirrored(dist, spec):  # equal mixture with the mirror image
+    return _canonical_dist(dist.locations, dist.masses, spec, merge_tol=0.0)
+
+
+ANTIPODAL = _dist((-1.0, 0.5), (1.0, 0.5))
+
+
 class TestQuantizer:
     def test_basic(self):
         q = Quantizer((-2.0, 0.0, 2.0))
@@ -78,7 +95,6 @@ class TestQuantizer:
 
     def test_one_bit(self):
         assert Quantizer((0.0,)).bins == 2
-        assert Quantizer.symmetric_with_zero([]).thresholds == (0.0,)
 
     def test_rejects_duplicates_and_disorder(self):
         with pytest.raises(ValueError):
@@ -91,10 +107,6 @@ class TestQuantizer:
     def test_symmetry_detection(self):
         assert not Quantizer((-1.0, 0.5)).is_symmetric()
         assert Quantizer((-1.5, 1.5)).is_symmetric()
-
-    def test_text_round_trip(self):
-        q = Quantizer((-2.0, 1.0 / 3.0, 2.0))
-        assert Quantizer.from_text(q.to_text()) == q
 
 
 class TestChannelSpec:
@@ -130,40 +142,34 @@ class TestInputDistribution:
             merge_tol=1e-6,
             prune_tol=1e-7,
         )
-        assert d.support_size == 2
+        assert d.locations.size == 2
         assert d.locations[1] == pytest.approx(1.0, abs=1e-9)
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_average_power_and_feasibility(self):
-        d = InputDistribution.binary_antipodal(2.0)
-        assert d.average_power() == pytest.approx(4.0)
-        spec = ChannelSpec(1.0, 4.0, Quantizer((0.0,)))
-        assert d.is_power_feasible(spec)
-        assert not d.is_power_feasible(ChannelSpec(1.0, 3.9, Quantizer((0.0,))))
-
     def test_symmetrized(self):
-        d = InputDistribution.point_masses([(-1.0, 0.25), (2.0, 0.75)])
-        s = d.symmetrized()
-        assert s.is_symmetric()
-        assert s.average_power() == pytest.approx(d.average_power(), rel=1e-12)
-        assert s.support_size == 4
+        d = _dist((-1.0, 0.25), (2.0, 0.75))
+        s = _mirrored(d, ChannelSpec(1.0, 4.0, Quantizer((-1.5, 0.0, 1.5))))
+        assert np.array_equal(s.locations, -s.locations[::-1])
+        assert np.array_equal(s.masses, s.masses[::-1])
+        power = d.masses @ d.locations**2
+        assert s.masses @ s.locations**2 == pytest.approx(power, rel=1e-12)
+        assert s.locations.size == 4
 
     def test_symmetrized_collapses_pairs(self):
-        d = InputDistribution.point_masses([(-1.0, 0.5), (1.0, 0.5)])
-        assert d.symmetrized().support_size == 2
+        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
+        assert _mirrored(ANTIPODAL, spec).locations.size == 2
 
     def test_text_round_trip(self):
-        d = InputDistribution.point_masses([(-2.86, 0.25), (0.52, 0.75)])
-        back = InputDistribution.from_text(d.to_text())
-        np.testing.assert_allclose(back.locations, d.locations, rtol=0, atol=0)
-        np.testing.assert_allclose(back.masses, d.masses, rtol=0, atol=0)
+        # the sweep --dump-dist format: full precision, one point per line
+        d = _dist((-2.86, 0.25), (1.0 / 3.0, 0.75))
+        rows = [tuple(map(float, line.split())) for line in d.to_text().splitlines()]
+        assert rows == list(zip(d.locations, d.masses))
 
 
 class TestTransitionProbs:
     def test_centered_example(self):
         # thresholds {-2, 0, 2}, sigma = 1, x = 0; quadrature oracle values
-        spec = ChannelSpec(1.0, 1.0, Quantizer((-2.0, 0.0, 2.0)))
-        w = transition_probs(0.0, spec)
+        w = bin_probability_matrix(0.0, (-2.0, 0.0, 2.0), 1.0)[0]
         np.testing.assert_allclose(
             w, [0.02275013194818, 0.47724986805182, 0.47724986805182, 0.02275013194818],
             atol=1e-12,
@@ -173,8 +179,7 @@ class TestTransitionProbs:
     def test_matches_quadrature(self, x):
         sigma = 1.3
         thr = (-2.0, -0.5, 1.0, 2.5)
-        spec = ChannelSpec(sigma**2, 1.0, Quantizer(thr))
-        w = transition_probs(x, spec)
+        w = bin_probability_matrix(x, thr, sigma)[0]
         edges = (-np.inf,) + thr + (np.inf,)
         oracle = [
             _bin_prob_quadrature(lo, hi, x, sigma)
@@ -270,17 +275,14 @@ class TestTransitionProbs:
 class TestOutputPmf:
     def test_sums_to_one(self):
         spec = ChannelSpec(1.0, 1.0, Quantizer((-2.0, 0.0, 2.0)))
-        d = InputDistribution.binary_antipodal(1.0)
-        r = output_pmf(d, spec)
-        assert r.bins == 4
+        r = _output(ANTIPODAL, spec)
+        assert r.probs.size == 4
         assert r.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_palindromic_for_symmetric_pair(self):
         spec = ChannelSpec(1.0, 1.0, Quantizer((-2.0, 0.0, 2.0)))
-        d = InputDistribution.point_masses(
-            [(-2.0, 0.2), (-0.5, 0.3), (0.5, 0.3), (2.0, 0.2)]
-        )
-        r = output_pmf(d, spec).probs
+        d = _dist((-2.0, 0.2), (-0.5, 0.3), (0.5, 0.3), (2.0, 0.2))
+        r = _output(d, spec).probs
         assert np.abs(r - r[::-1]).max() <= 1e-14
 
     def test_validation(self):
@@ -294,12 +296,11 @@ class TestMutualInformation:
     def test_one_bit_closed_form(self):
         # equiprobable +-1 through threshold {0} is a BSC(Q(1))
         spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
-        d = InputDistribution.binary_antipodal(1.0)
         from quantcap import binary_entropy
 
         expected = 1.0 - binary_entropy(gaussian_q(1.0))
-        assert mutual_information(d, spec) == pytest.approx(expected, abs=1e-14)
-        assert mutual_information(d, spec) == pytest.approx(0.3689, abs=5e-5)
+        assert mutual_information(ANTIPODAL, spec) == pytest.approx(expected, abs=1e-14)
+        assert mutual_information(ANTIPODAL, spec) == pytest.approx(0.3689, abs=5e-5)
 
     def test_bounded_by_log_k_and_awgn(self):
         rng = _rng()
@@ -315,15 +316,13 @@ class TestMutualInformation:
         spec = ChannelSpec(1.0, 4.0, Quantizer((-1.5, 0.0, 1.5)))
         for _ in range(50):
             d = _random_dist(rng, spec)
-            gain = mutual_information(d.symmetrized(), spec) - mutual_information(d, spec)
+            gain = mutual_information(_mirrored(d, spec), spec) - mutual_information(d, spec)
             assert gain >= -1e-12
 
     def test_deterministic_channel_saturates(self):
         # huge separation, tiny noise: MI approaches log2 K
         spec = ChannelSpec(1e-4, 100.0, Quantizer((-5.0, 0.0, 5.0)))
-        d = InputDistribution.point_masses(
-            [(-9.0, 0.25), (-2.5, 0.25), (2.5, 0.25), (9.0, 0.25)]
-        )
+        d = _dist((-9.0, 0.25), (-2.5, 0.25), (2.5, 0.25), (9.0, 0.25))
         assert mutual_information(d, spec) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -351,30 +350,29 @@ class TestDivergenceKernel:
 class TestDivergence:
     def test_zero_at_center_of_symmetric_binary(self):
         spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
-        d = InputDistribution.binary_antipodal(1.0)
-        assert divergence(0.0, d, spec) == pytest.approx(0.0, abs=1e-15)
+        r = _output(ANTIPODAL, spec)
+        assert divergence_to_output(0.0, r, spec) == pytest.approx(0.0, abs=1e-15)
 
     def test_nonnegative(self):
         rng = _rng()
         for _ in range(20):
             spec = _random_spec(rng)
-            d = _random_dist(rng, spec)
+            r = _output(_random_dist(rng, spec), spec)
             xs = rng.uniform(-20, 20, size=50)
-            assert np.all(divergence(xs, d, spec) >= 0.0)
+            assert np.all(divergence_to_output(xs, r, spec) >= 0.0)
 
     def test_saturation_limit(self):
         # d(x; F) -> -log2 R(last bin) as x grows (and mirrored on the left)
         spec = ChannelSpec.from_snr_db(5.0, Quantizer((-2.0, 0.0, 2.0)))
-        d = InputDistribution.point_masses(
-            [(-2.86, 0.25), (-0.52, 0.25), (0.52, 0.25), (2.86, 0.25)]
-        )
-        r = output_pmf(d, spec).probs
+        d = _dist((-2.86, 0.25), (-0.52, 0.25), (0.52, 0.25), (2.86, 0.25))
+        out = _output(d, spec)
+        r = out.probs
         x_hi = 2.0 + 10.0 * spec.sigma
-        assert divergence(x_hi, d, spec) == pytest.approx(
+        assert divergence_to_output(x_hi, out, spec) == pytest.approx(
             -math.log2(r[-1]), abs=1e-6
         )
         x_lo = -2.0 - 10.0 * spec.sigma
-        assert divergence(x_lo, d, spec) == pytest.approx(
+        assert divergence_to_output(x_lo, out, spec) == pytest.approx(
             -math.log2(r[0]), abs=1e-6
         )
 
@@ -385,32 +383,20 @@ class TestDivergence:
         checked = 0
         for _ in range(200):
             spec = _random_spec(rng)
-            d = _random_dist(rng, spec)
-            try:
-                r = output_pmf(d, spec).probs
-                if np.any(r <= 0.0):
-                    continue
-                limit = -math.log2(r[-1])
-                thr_hi = spec.quantizer.thresholds[-1]
-                xs = thr_hi + spec.sigma * np.linspace(0.0, 8.0, 81)
-                w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
-                crossed = np.all(w[:, :-1] < r[:-1], axis=1) & (w[:, -1] > r[-1])
-                if not np.any(crossed):
-                    continue
-                beyond = xs[crossed]
-                vals = divergence(beyond, d, spec)
-                assert np.all(vals < limit)
-                checked += 1
-            except OutputBinZeroError:
+            out = _output(_random_dist(rng, spec), spec)
+            r = out.probs
+            if np.any(r <= 0.0):
                 continue
+            limit = -math.log2(r[-1])
+            thr_hi = spec.quantizer.thresholds[-1]
+            xs = thr_hi + spec.sigma * np.linspace(0.0, 8.0, 81)
+            w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
+            crossed = np.all(w[:, :-1] < r[:-1], axis=1) & (w[:, -1] > r[-1])
+            if not np.any(crossed):
+                continue
+            assert np.all(divergence_to_output(xs[crossed], out, spec) < limit)
+            checked += 1
         assert checked >= 100
-
-    def test_zero_bin_raises(self):
-        # support so far below the top threshold that the last bin is unreachable
-        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0, 45.0)))
-        d = InputDistribution.binary_antipodal(1.0)
-        with pytest.raises(OutputBinZeroError):
-            divergence(44.0, d, spec)
 
 
 class TestScaleInvariance:
@@ -457,5 +443,5 @@ def small_distributions(draw):
 def test_mixture_improvement_property(dist):
     spec = ChannelSpec(1.0, 9.0, Quantizer((-1.0, 0.0, 1.0)))
     base = mutual_information(dist, spec)
-    sym = mutual_information(dist.symmetrized(), spec)
+    sym = mutual_information(_mirrored(dist, spec), spec)
     assert sym >= base - 1e-12

@@ -4,8 +4,8 @@ The cutting plane and the tilted Blahut-Arimoto iteration are independent
 routes to the same grid-restricted optimum: by strong duality the BA value
 at the cutting plane's certified multiplier gamma* equals the capacity, and
 the one-bit closed form anchors the cutting plane on single-threshold
-channels.  The fixed-support mass solver is checked against an SLSQP oracle
-kept here for that purpose, and against its own KKT conditions.
+channels.  The mass solve on a fixed support, _optimal_masses_rows, is checked
+against an SLSQP oracle kept here for that purpose and its own KKT conditions.
 """
 
 import math
@@ -25,11 +25,11 @@ from quantcap import (
     minimize_max_affine,
     mutual_information,
     onebit_capacity,
-    optimal_masses,
     optimize_input_blahut_arimoto,
     optimize_input_cutting_plane,
 )
-from quantcap.channel import bin_probability_matrix
+from quantcap.channel import _row_negentropy_bits, bin_probability_matrix
+from quantcap.optimize import _optimal_masses_rows
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 ONEBIT = Quantizer((0.0,))
@@ -155,14 +155,14 @@ class TestOptimalMasses:
         if jitter:
             thr = np.sort(thr + rng.normal(0.0, 0.3, thr.size))
             assume(np.all(np.diff(thr) > 1e-6))
-        spec = ChannelSpec(1.0, power, Quantizer(tuple(thr)))
         # x = 0 is always in the support, as the cutting plane's anchor is
         half = 3.0 * math.sqrt(power)
         xs = np.unique(np.concatenate([[0.0], rng.uniform(-half, half, size - 1)]))
         w = bin_probability_matrix(xs, thr, 1.0)
+        negent = _row_negentropy_bits(w)
         xsq = xs**2
 
-        p, mi = optimal_masses(xs, spec)
+        p, mi = _optimal_masses_rows(w, negent, xsq, power)
         d = _divergences(w, p)
         assert mi == pytest.approx(float(p @ d), abs=1e-12)
         oracle = _slsqp_masses(w, xsq, power)
@@ -178,16 +178,17 @@ class TestOptimalMasses:
         assert np.all(np.abs(slack[p > 1e-12]) <= 1e-9)
         assert np.sum(p > 1e-12) <= bins + 1
 
-        _, mi_warm = optimal_masses(xs, spec, start=rng.random(xs.size))
+        start = rng.random(xs.size)
+        _, mi_warm = _optimal_masses_rows(w, negent, xsq, power, start=start)
         assert mi_warm == pytest.approx(mi, abs=1e-12)
 
     def test_degenerate_face_terminates_at_antipodal_optimum(self):
         # One threshold (K = 2) and seven points: every face with more than
         # three free points is degenerate, and the optimum is antipodal
         # signaling at +/- sqrt(P) with the power constraint binding.
-        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
         xs = np.array([-2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0])
-        p, mi = optimal_masses(xs, spec)
+        w = bin_probability_matrix(xs, (0.0,), 1.0)
+        p, mi = _optimal_masses_rows(w, _row_negentropy_bits(w), xs**2, 1.0)
         assert mi == pytest.approx(onebit_capacity(1.0), abs=1e-12)
         np.testing.assert_allclose(p, [0, 0, 0.5, 0, 0.5, 0, 0], atol=1e-12)
         assert p @ xs**2 == pytest.approx(1.0, abs=1e-12)
@@ -196,9 +197,10 @@ class TestOptimalMasses:
         from quantcap import optimize
 
         monkeypatch.setattr(optimize, "_NEWTON_MAX_ITER", 2)
-        spec = ChannelSpec(1.0, 1.0, Quantizer((0.0,)))
+        xs = np.array([-2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0])
+        w = bin_probability_matrix(xs, (0.0,), 1.0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            optimal_masses(np.array([-2.0, -1.5, -1.0, 0.0, 1.0, 1.5, 2.0]), spec)
+            _optimal_masses_rows(w, _row_negentropy_bits(w), xs**2, 1.0)
 
 
 class TestCapacityResultValidation:
@@ -225,7 +227,7 @@ class TestCapacityResultValidation:
                 capacity=0.1,
                 dist=dist,
                 gamma=-1e-3,
-                upper_bound=None,
+                upper_bound=1.0,
                 kkt_max_violation=0.0,
                 iterations=1,
             )
@@ -247,10 +249,10 @@ class TestCuttingPlane:
 
     def test_certificate_fields(self):
         res = optimize_input_cutting_plane(spec_db(5.0), grid=FAST, tol=1e-4)
-        assert res.upper_bound is not None
         assert res.capacity <= res.upper_bound + 1e-9
         assert res.kkt_max_violation <= 1e-4 + 1e-12
-        assert res.dist.average_power() <= spec_db(5.0).power_constraint + 1e-9
+        x, p = res.dist.locations, res.dist.masses
+        assert p @ x**2 <= spec_db(5.0).power_constraint + 1e-9
 
     def test_matches_onebit_closed_form(self):
         for snr_db in (-5.0, 0.0, 10.0):
@@ -269,8 +271,10 @@ class TestCuttingPlane:
     def test_symmetry_and_cardinality(self):
         for snr_db in (-5.0, 5.0, 15.0):
             res = optimize_input_cutting_plane(spec_db(snr_db), grid=FAST)
-            assert res.dist.is_symmetric(tol=1e-8)
-            assert res.dist.support_size <= TWOBIT.bins + 1
+            x, p = res.dist.locations, res.dist.masses
+            assert np.abs(x + x[::-1]).max() <= 1e-8 * max(1.0, np.abs(x).max())
+            assert np.abs(p - p[::-1]).max() <= 1e-8
+            assert x.size <= TWOBIT.bins + 1
 
     def test_grid_widening_is_inert(self):
         # same spacing, wider reach: the optimizer must land on the same support
@@ -324,7 +328,7 @@ class TestCuttingPlane:
         assert float(fields["capacity"]) == res.capacity
         assert float(fields["gamma"]) == res.gamma
         points = [line for line in text.splitlines() if line.startswith("point")]
-        assert len(points) == res.dist.support_size
+        assert len(points) == res.dist.locations.size
 
 
 class TestBlahutArimoto:

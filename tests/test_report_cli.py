@@ -305,6 +305,25 @@ class TestBenchmarkAndBoundCommands:
         val = float(out.split("bound ")[1].split()[0])
         assert val == pytest.approx(0.4046, abs=2e-3)
 
+    @pytest.mark.parametrize(
+        "command", [["bound"], ["capacity", "--bound"]], ids=["bound", "capacity"]
+    )
+    @pytest.mark.parametrize(
+        "thresholds", ["-1,0.5", "-3,-2,-1,-0.5,0,0.5,1,2,3"], ids=["asymmetric", "K10"]
+    )
+    def test_unsupported_bound_quantizer_is_usage_error(
+        self, capsys, monkeypatch, command, thresholds
+    ):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a bad quantizer must fail before any solve")
+
+        monkeypatch.setattr(cli, "optimize_input_cutting_plane", unreached)
+        monkeypatch.setattr(cli, "best_symmetric_bound", unreached)
+        argv = command + ["--snr-db", "0..1", "--thresholds", thresholds]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "usage error" in err and "symmetric duality bound" in err
+
 
 class TestSweepCommand:
     def test_onebit_curve_nondecreasing(self, capsys):
@@ -379,6 +398,14 @@ class TestSweepCommand:
             ["sweep", "--curve", "q", "--dump-dist", "--snr-db", "0"], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize("mode", [["--bits", "2"], ["--curve", "q"]], ids=["bits", "q"])
+    @pytest.mark.parametrize("flags", [["--tol", "0.5"], ["--grid-points", "101"]])
+    def test_solver_flags_without_dump_dist_are_usage_errors(self, capsys, mode, flags):
+        # only --dump-dist passes them to a solver; elsewhere they were ignored
+        code, _, err = run_cli(["sweep", "--snr-db", "0"] + mode + flags, capsys)
+        assert code == 1
+        assert "--dump-dist" in err
 
 
 class TestVerifyCommand:
