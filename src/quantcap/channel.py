@@ -63,11 +63,12 @@ class Quantizer:
         """Number of output levels K."""
         return len(self.thresholds) + 1
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when the threshold set is closed under negation."""
+    def is_symmetric(self) -> bool:
+        """True when the threshold set is closed under negation, to 1e-12
+        relative to the largest |threshold| (or 1)."""
         t = np.asarray(self.thresholds)
         scale = max(1.0, float(np.max(np.abs(t))))
-        return bool(np.all(np.abs(t + t[::-1]) <= tol * scale))
+        return bool(np.all(np.abs(t + t[::-1]) <= 1e-12 * scale))
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -87,14 +88,6 @@ class ChannelSpec:
     @property
     def sigma(self) -> float:
         return math.sqrt(self.noise_variance)
-
-    @property
-    def snr(self) -> float:
-        return self.power_constraint / self.noise_variance
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
 
     @classmethod
     def from_snr_db(cls, snr_db, quantizer, noise_variance=1.0) -> "ChannelSpec":
@@ -159,12 +152,6 @@ class InputDistribution:
             x, p = x[keep], p[keep]
         p = p / p.sum()
         return cls(x, p)
-
-    def to_text(self) -> str:
-        """One support point per line: location and mass, full precision."""
-        return "\n".join(
-            f"{x:.16e} {p:.16e}" for x, p in zip(self.locations, self.masses)
-        ) + "\n"
 
 @dataclass(frozen=True)
 class OutputPmf:

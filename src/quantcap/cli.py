@@ -1,6 +1,13 @@
 """Command-line front end: capacity runs, bounds, sweeps, table reproduction,
 and self-verification.
 
+A quantizer is given by --thresholds or by --bits (1 is the sign quantizer,
+2 and 3 the uniform-PAM benchmark quantizer at each SNR).  `capacity`
+reports the optimal input's support and masses per SNR; `sweep` has two
+modes: capacity cells per precision (1, 2, 3 bits and unquantized, or the
+one --bits names), and with --curve q the 2-bit capacity over the symmetric
+threshold q.
+
 Every command prints a human-readable summary to stdout; ``--out`` addition-
 ally writes a machine-format report (CSV or JSON-lines, manifest embedded),
 and ``--out -`` sends the machine format to stdout instead.  Exit codes:
@@ -104,22 +111,18 @@ def _parsed_thresholds(args):
 
 def _quantizer_for(args, snr_db: float) -> Quantizer:
     thresholds = _parsed_thresholds(args)
-    onebit = bool(getattr(args, "onebit", False))
-    bits = getattr(args, "bits", None)
-    if sum([thresholds is not None, onebit, bits is not None]) > 1:
-        raise UsageError("give at most one of --thresholds, --onebit, --bits")
+    if thresholds is not None and args.bits is not None:
+        raise UsageError("give at most one of --thresholds, --bits")
     if thresholds is not None:
         try:
             return Quantizer(thresholds)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if onebit or bits == 1:
-        return Quantizer((0.0,))
-    if bits in (2, 3):
+    if args.bits is not None:
         snr = 10.0 ** (snr_db / 10.0)
-        scheme = BenchmarkScheme.build(2**bits, snr, noise_variance=args.sigma2)
+        scheme = BenchmarkScheme.build(2**args.bits, snr, noise_variance=args.sigma2)
         return scheme.quantizer
-    raise UsageError("a quantizer is required: --thresholds, --onebit, or --bits")
+    raise UsageError("a quantizer is required: --thresholds or --bits")
 
 
 def _bound_quantizer_for(args, snr_db: float) -> Quantizer:
@@ -134,12 +137,12 @@ def _bound_quantizer_for(args, snr_db: float) -> Quantizer:
 
 def _solver_kwargs(args):
     kw = {}
-    if getattr(args, "grid_points", None) is not None:
+    if args.grid_points is not None:
         try:
             kw["grid"] = GridConfig(point_count=args.grid_points)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         kw["tol"] = args.tol
     return kw
 
@@ -155,8 +158,6 @@ def _manifest(args, snrs=None, **extra) -> RunManifest:
     thresholds = _parsed_thresholds(args)
     if thresholds is not None:
         params["thresholds"] = list(thresholds)
-    if getattr(args, "onebit", False):
-        params["onebit"] = True
     if getattr(args, "bits", None) is not None:
         params["bits"] = args.bits
     if getattr(args, "grid_points", None) is not None:
@@ -310,10 +311,8 @@ def cmd_optimize_quantizer(args) -> int:
 
 def cmd_sweep(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
-    if args.curve and args.dump_dist:
-        raise UsageError("--curve and --dump-dist are mutually exclusive")
-    if not args.dump_dist and (args.tol is not None or args.grid_points is not None):
-        raise UsageError("--tol and --grid-points apply only with --dump-dist")
+    if args.curve and args.bits is not None:
+        raise UsageError("--curve q is the 2-bit threshold curve; it takes no --bits")
 
     if args.curve:
         rows, blocks = [], []
@@ -333,20 +332,6 @@ def cmd_sweep(args) -> int:
         header = ["snr_db", "q", "capacity"]
         manifest = _manifest(args, snrs, curve="q")
         _emit(args, manifest, header, rows, "\n".join(blocks) + "\n")
-        return EXIT_OK
-
-    if args.dump_dist:
-        kw = _solver_kwargs(args)
-        rows, blocks = [], []
-        for db in snrs:
-            spec = ChannelSpec.from_snr_db(db, _quantizer_for(args, db), args.sigma2)
-            res = optimize_input_cutting_plane(spec, **kw)
-            for x, p in zip(res.dist.locations, res.dist.masses):
-                rows.append([db, float(x), float(p)])
-            blocks.append(f"snr_db {db:g}\n" + res.dist.to_text())
-        header = ["snr_db", "location", "mass"]
-        manifest = _manifest(args, snrs, dump_dist=True)
-        _emit(args, manifest, header, rows, "\n".join(blocks))
         return EXIT_OK
 
     precisions = [args.bits] if args.bits is not None else [1, 2, 3, "inf"]
@@ -401,18 +386,13 @@ def _add_snr_flags(sp, required=True):
 
 def _add_quantizer_flags(sp):
     sp.add_argument("--thresholds", help="comma-separated ascending quantizer thresholds")
-    sp.add_argument("--onebit", action="store_true", help="single threshold at zero")
     sp.add_argument(
         "--bits",
         type=int,
         choices=(1, 2, 3),
-        help="preset uniform-spacing quantizer with 2^bits levels",
+        help="the uniform-PAM benchmark quantizer with 2^bits levels "
+        "(for 1 bit, the sign quantizer)",
     )
-
-
-def _add_solver_flags(sp):
-    sp.add_argument("--grid-points", type=int, help="input search grid size (odd)")
-    sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
 
 
 def _add_output_flags(sp):
@@ -434,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("capacity", help="optimal input for a fixed quantizer")
     _add_snr_flags(sp)
     _add_quantizer_flags(sp)
-    _add_solver_flags(sp)
+    sp.add_argument("--grid-points", type=int, help="input search grid size (odd)")
+    sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
     _add_output_flags(sp)
     sp.add_argument(
         "--bound", action="store_true", help="also print the best symmetric duality bound"
@@ -462,7 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_optimize_quantizer)
 
-    sp = sub.add_parser("sweep", help="capacity cells over an SNR range")
+    sp = sub.add_parser(
+        "sweep",
+        help="capacity cells per precision over an SNR range, or the 2-bit "
+        "threshold curve (for the optimal input per SNR, see capacity)",
+    )
     _add_snr_flags(sp)
     sp.add_argument(
         "--bits",
@@ -473,16 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--curve",
         choices=("q",),
-        help="emit the symmetric-threshold capacity curve per SNR (200 q points)",
+        help="instead of the cells, emit the 2-bit capacity over the symmetric "
+        "threshold q per SNR (200 q points); takes no --bits",
     )
-    sp.add_argument(
-        "--dump-dist",
-        action="store_true",
-        help="emit the optimal input distribution per SNR (needs a quantizer flag)",
-    )
-    sp.add_argument("--thresholds", help="comma-separated ascending quantizer thresholds")
-    sp.add_argument("--onebit", action="store_true", help="single threshold at zero")
-    _add_solver_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 

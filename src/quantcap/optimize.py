@@ -69,7 +69,6 @@ class CapacityResult:
     dist: InputDistribution
     gamma: float
     upper_bound: float
-    kkt_max_violation: float
     iterations: int
     converged: bool = True
 
@@ -82,6 +81,11 @@ class CapacityResult:
             raise ValueError(
                 f"capacity {self.capacity} exceeds certified upper bound {self.upper_bound}"
             )
+
+    @property
+    def kkt_max_violation(self) -> float:
+        """Certified gap upper_bound - capacity, clamped at zero."""
+        return max(self.upper_bound - self.capacity, 0.0)
 
     def to_text(self) -> str:
         lines = [
@@ -108,19 +112,6 @@ def onebit_capacity(snr: float) -> float:
     if not math.isfinite(snr) or snr <= 0.0:
         raise ValueError(f"snr must be finite and > 0, got {snr!r}")
     return 1.0 - binary_entropy(gaussian_q(math.sqrt(snr)))
-
-
-def _materialize_grid(grid, power):
-    if grid is None:
-        grid = GridConfig()
-    if isinstance(grid, GridConfig):
-        return grid.points(power)
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 3 or not np.all(np.isfinite(xs)):
-        raise ValueError("grid must be a finite 1-d array with at least 3 points")
-    if np.any(np.diff(xs) <= 0.0):
-        raise ValueError("grid points must be strictly ascending")
-    return xs
 
 
 def _feasible_start(p, xsq, power):
@@ -158,6 +149,8 @@ _F_NOISE = 1e-15
 _RANK_RTOL = 1e-10
 # In the capacity_sweep benchmark a solve takes about 7 steps, 25 at most.
 _NEWTON_MAX_ITER = 200
+# Cap on the cutting-plane rounds; a solve that reaches it is unconverged.
+_CUT_MAX_ITER = 200
 
 
 def _mass_objective(p, w, negent):
@@ -373,9 +366,8 @@ def _certify(dist, spec, w_grid, negent_grid, slopes):
 
 def optimize_input_cutting_plane(
     spec: ChannelSpec,
-    grid=None,
+    grid: GridConfig | None = None,
     tol: float = 1e-4,
-    max_iter: int = 200,
     initial_support=None,
 ) -> CapacityResult:
     """Capacity and an optimal input for a fixed quantizer via cutting planes.
@@ -388,13 +380,12 @@ def optimize_input_cutting_plane(
     upper bound on the remaining capacity gap: termination at `tol` is a real
     certificate rather than a stall test.  For symmetric quantizers the
     returned distribution is symmetrized, which never lowers the objective.
+    `grid` defaults to GridConfig().
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     power = spec.power_constraint
-    xs = _materialize_grid(grid, power)
+    xs = (grid or GridConfig()).points(power)
     w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
     negent = _row_negentropy_bits(w)
     slopes = power - xs**2
@@ -420,7 +411,7 @@ def optimize_input_cutting_plane(
     converged = False
     restarted = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _CUT_MAX_ITER + 1):
         idx = np.asarray(support, dtype=int)
         start = (
             np.array([warm.get(int(j), 1e-3) for j in idx]) if warm else None
@@ -472,7 +463,6 @@ def optimize_input_cutting_plane(
         dist=dist,
         gamma=gamma,
         upper_bound=bound,
-        kkt_max_violation=max(bound - mi, 0.0),
         iterations=iterations,
         converged=converged,
     )
@@ -549,7 +539,7 @@ def _ba_arrays(w, negent, xsq, gamma, tol, max_iter):
 
 def optimize_input_blahut_arimoto(
     spec: ChannelSpec,
-    grid=None,
+    grid: GridConfig | None = None,
     gamma: float = 0.0,
     *,
     tol: float,
@@ -577,7 +567,7 @@ def optimize_input_blahut_arimoto(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     power = spec.power_constraint
-    xs = _materialize_grid(grid, power)
+    xs = (grid or GridConfig()).points(power)
     w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
     xsq = xs**2
     p, d = _ba_arrays(w, _row_negentropy_bits(w), xsq, gamma, tol, max_iter)

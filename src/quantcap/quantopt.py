@@ -41,7 +41,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Scan peaks within this many bits of the best scanned capacity are refined.
 _PEAK_WINDOW = 2e-3
 
-# Cap on the outer rounds of the 3-bit alternation, which ends at its eps test.
+# The 3-bit alternation stops when a round gains less than _MIN_ROUND_GAIN
+# bits, or after _MAX_OUTER rounds.
+_MIN_ROUND_GAIN = 1e-4
 _MAX_OUTER = 50
 
 
@@ -298,40 +300,29 @@ def _threshold_ascent(dist: InputDistribution, halves, sigma, start_step, floor_
 
 def optimize_quantizer_3bit_iterative(
     snr: float,
-    init: Quantizer | None = None,
-    eps: float = 1e-4,
     *,
     noise_variance: float = 1.0,
     tol: float = 1e-4,
 ) -> JointResult:
     """Alternating input/threshold optimization for symmetric 3-bit quantizers.
 
-    Starting from the benchmark quantizer (or a supplied symmetric 7-threshold
-    one), repeats: optimize the input at the current quantizer, then
-    coordinate-ascend the three positive thresholds at the fixed input with a
-    step shrinking from 0.1 sigma to 1e-4 sigma.  Stops when one round gains
-    less than `eps` bits.  Each input solve is seeded with the previous
-    support.  A round whose capacity falls below the previous round's is
-    discarded with its quantizer and ends the alternation, so the trace is
-    nondecreasing and the final solve uses the best round's quantizer.
+    Starting from the benchmark quantizer, repeats: optimize the input at the
+    current quantizer, then coordinate-ascend the three positive thresholds
+    at the fixed input with a step shrinking from 0.1 sigma to 1e-4 sigma.
+    Stops when one round gains less than 1e-4 bits.  Each input solve is
+    seeded with the previous support.  A round whose capacity falls below
+    the previous round's is discarded with its quantizer and ends the
+    alternation, so the trace is nondecreasing and the final solve uses the
+    best round's quantizer.
     """
     _check_snr(snr)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps!r}")
     sigma = math.sqrt(noise_variance)
     power = snr * noise_variance
-    if init is None:
-        init = BenchmarkScheme.build(8, snr, noise_variance).quantizer
-    thr = np.asarray(init.thresholds)
-    if thr.size != 7 or not init.is_symmetric() or abs(thr[3]) > 1e-12:
-        raise ValueError(
-            "init must be a symmetric 7-threshold quantizer {0, +/-q1, +/-q2, +/-q3}"
-        )
-    halves = thr[4:].copy()
+    quant = BenchmarkScheme.build(8, snr, noise_variance).quantizer
+    halves = np.asarray(quant.thresholds[4:])
 
     trace = []
     seed = None
-    quant = init
     for _ in range(_MAX_OUTER):
         spec = ChannelSpec(noise_variance, power, quant)
         res = optimize_input_cutting_plane(
@@ -345,7 +336,7 @@ def optimize_quantizer_3bit_iterative(
             break
         trace.append(res.capacity)
         seed = res.dist.locations
-        if len(trace) >= 2 and trace[-1] - trace[-2] < eps:
+        if len(trace) >= 2 and trace[-1] - trace[-2] < _MIN_ROUND_GAIN:
             break
         prev_quant, prev_seed = quant, seed
         halves = _threshold_ascent(

@@ -37,10 +37,6 @@ class ReferenceTable:
                 return cells
         raise KeyError(f"table {self.name} has no row {label!r}")
 
-    @property
-    def row_labels(self) -> tuple:
-        return tuple(label for label, _ in self.rows)
-
 
 TABLE_I = ReferenceTable(
     name="I",

@@ -46,16 +46,6 @@ class RunManifest:
         }
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            parameters=data["parameters"],
-            version=data["version"],
-            timestamp=data["timestamp"],
-        )
-
 
 def format_value(value) -> str:
     """Machine cell format: full-precision float, infeasible marker, or text."""
@@ -93,13 +83,6 @@ def render_report(header, rows, fmt: str, manifest: RunManifest) -> str:
     else:
         write_jsonl(buf, header, rows, manifest)
     return buf.getvalue()
-
-
-def read_manifest_line(line: str) -> RunManifest:
-    prefix = "# manifest: "
-    if not line.startswith(prefix):
-        raise ValueError("first line does not carry a manifest comment")
-    return RunManifest.from_json(line[len(prefix):].rstrip("\n"))
 
 
 @dataclass(frozen=True)

@@ -81,14 +81,14 @@ def convexity_witness(y):
     return _maybe_scalar(out, y)
 
 
-def second_derivative_scan(f, grid, step=1e-4):
-    """Central second differences (f(y-s) - 2 f(y) + f(y+s)) / s^2 over a grid.
+def second_derivative_scan(f, grid):
+    """Central second differences (f(y-s) - 2 f(y) + f(y+s)) / s^2 over a grid,
+    with s = 1e-4.
 
-    The caller is responsible for keeping every grid point at least 2*step
+    The caller is responsible for keeping every grid point at least 2e-4
     away from the boundary of f's domain; domain errors from f propagate.
     """
-    if not (step > 0.0) or not math.isfinite(step):
-        raise ValueError(f"second_derivative_scan: step must be positive, got {step!r}")
+    step = 1e-4
     pts = _as_float_array(grid, "second_derivative_scan")
     pts = np.atleast_1d(pts)
     vals = np.empty(pts.shape)

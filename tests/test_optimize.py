@@ -214,7 +214,6 @@ class TestCapacityResultValidation:
                 dist=dist,
                 gamma=0.0,
                 upper_bound=0.5,
-                kkt_max_violation=0.0,
                 iterations=1,
             )
 
@@ -228,7 +227,6 @@ class TestCapacityResultValidation:
                 dist=dist,
                 gamma=-1e-3,
                 upper_bound=1.0,
-                kkt_max_violation=0.0,
                 iterations=1,
             )
 
@@ -259,7 +257,7 @@ class TestCuttingPlane:
             spec = spec_db(snr_db, ONEBIT)
             res = optimize_input_cutting_plane(spec, grid=FAST)
             assert res.capacity == pytest.approx(
-                onebit_capacity(spec.snr), abs=2e-3
+                onebit_capacity(10.0 ** (snr_db / 10.0)), abs=2e-3
             )
             locs = np.sort(res.dist.locations)
             root_p = math.sqrt(spec.power_constraint)
@@ -305,18 +303,9 @@ class TestCuttingPlane:
         ]
         assert np.all(np.diff(caps) > -1e-9)
 
-    def test_custom_explicit_grid(self):
-        spec = spec_db(0.0, ONEBIT)
-        xs = np.linspace(-4.0, 4.0, 801)
-        res = optimize_input_cutting_plane(spec, grid=xs)
-        assert res.capacity == pytest.approx(onebit_capacity(1.0), abs=2e-3)
-
-    def test_rejects_bad_grid(self):
-        spec = spec_db(0.0)
+    def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            optimize_input_cutting_plane(spec, grid=[0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            optimize_input_cutting_plane(spec, tol=0.0)
+            optimize_input_cutting_plane(spec_db(0.0), tol=0.0)
 
     def test_to_text_roundtrips_numbers(self):
         res = optimize_input_cutting_plane(spec_db(0.0), grid=FAST)

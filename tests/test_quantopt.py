@@ -303,30 +303,6 @@ class TestOptimizeQuantizer3bitIterative:
             >= benchmark_mutual_information(8, 1.0) - 1e-6
         )
 
-    def test_converged_rerun_stops_immediately(self, three_bit_0db):
-        # restarting from an eps-converged quantizer only squeezes out
-        # residual gains of the order of the stopping threshold
-        again = optimize_quantizer_3bit_iterative(1.0, init=three_bit_0db.quantizer)
-        assert len(again.trace) <= 3
-        assert again.trace[-1] - again.trace[0] < 5e-4
-        assert again.capacity_result.capacity == pytest.approx(
-            three_bit_0db.capacity_result.capacity, abs=1e-6
-        )
-
-    def test_rejects_wrong_threshold_count(self):
-        with pytest.raises(ValueError):
-            optimize_quantizer_3bit_iterative(1.0, init=Quantizer((-1.0, 0.0, 1.0)))
-
-    def test_rejects_asymmetric_init(self):
-        with pytest.raises(ValueError):
-            optimize_quantizer_3bit_iterative(
-                1.0, init=Quantizer((-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.5))
-            )
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            optimize_quantizer_3bit_iterative(1.0, eps=0.0)
-
 
 class TestJointResultValidation:
     def _capacity_result(self):

@@ -17,7 +17,6 @@ from quantcap.report import (
     ReportTable,
     RunManifest,
     format_value,
-    read_manifest_line,
     render_report,
     write_csv,
     write_jsonl,
@@ -32,8 +31,11 @@ def run_cli(argv, capsys):
 
 
 def parse_csv(text):
+    """(manifest dict, header, rows) of a CSV report."""
     lines = text.splitlines()
-    manifest = read_manifest_line(lines[0])
+    prefix = "# manifest: "
+    assert lines[0].startswith(prefix)
+    manifest = json.loads(lines[0][len(prefix):])
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     return manifest, rows[0], rows[1:]
 
@@ -41,7 +43,12 @@ def parse_csv(text):
 class TestRunManifest:
     def test_json_roundtrip(self):
         m = RunManifest("sweep", {"snr_db": [0.0, 5.0], "bits": 2})
-        assert RunManifest.from_json(m.to_json()) == m
+        assert json.loads(m.to_json()) == {
+            "command": "sweep",
+            "parameters": {"snr_db": [0.0, 5.0], "bits": 2},
+            "version": m.version,
+            "timestamp": m.timestamp,
+        }
 
     def test_serialization_is_stable(self):
         m = RunManifest("capacity", {"b": 1, "a": 2})
@@ -53,10 +60,6 @@ class TestRunManifest:
         m = RunManifest("verify", {})
         assert m.timestamp == "1970-01-01T00:00:00Z"
 
-    def test_read_manifest_line_rejects_other_lines(self):
-        with pytest.raises(ValueError):
-            read_manifest_line("snr_db,capacity")
-
 
 class TestWriters:
     MANIFEST = RunManifest("test", {"x": 1}, timestamp="1970-01-01T00:00:00Z")
@@ -65,7 +68,7 @@ class TestWriters:
         buf = io.StringIO()
         write_csv(buf, ["a", "b"], [[1.5, None], ["x,y", 2]], self.MANIFEST)
         lines = buf.getvalue().splitlines()
-        assert read_manifest_line(lines[0]) == self.MANIFEST
+        assert lines[0] == f"# manifest: {self.MANIFEST.to_json()}"
         assert lines[1] == "a,b"
         assert lines[2] == "1.5000000000000000e+00,-"
         # RFC-4180 quoting for cells containing the delimiter
@@ -186,7 +189,7 @@ class TestCapacityCommand:
         assert "point " in out
 
     def test_onebit_matches_closed_form(self, capsys):
-        code, out, _ = run_cli(["capacity", "--snr-db", "0", "--onebit"], capsys)
+        code, out, _ = run_cli(["capacity", "--snr-db", "0", "--bits", "1"], capsys)
         assert code == 0
         cap = float(out.split("capacity ")[1].split()[0])
         assert cap == pytest.approx(onebit_capacity(1.0), abs=1e-6)
@@ -200,6 +203,19 @@ class TestCapacityCommand:
         cap = float(out.split("capacity ")[1].split()[0])
         bound = float(out.split("symmetric_upper_bound ")[1].split()[0])
         assert bound >= cap - 1e-9
+
+    def test_support_column_matches_reference_points(self, capsys):
+        code, out, _ = run_cli(
+            ["capacity", "--snr-db", "5", "--thresholds", "-2,0,2", "--out", "-"],
+            capsys,
+        )
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        (row,) = rows
+        locs = [float(v) for v in row[header.index("support")].split()]
+        masses = [float(v) for v in row[header.index("masses")].split()]
+        assert locs == pytest.approx([-2.86, -0.52, 0.52, 2.86], abs=0.05)
+        assert sum(masses) == pytest.approx(1.0, abs=1e-9)
 
     def test_unordered_thresholds_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -221,7 +237,7 @@ class TestCapacityCommand:
 
     def test_conflicting_quantizer_flags(self, capsys):
         code, _, err = run_cli(
-            ["capacity", "--snr-db", "0", "--onebit", "--bits", "2"], capsys
+            ["capacity", "--snr-db", "0", "--thresholds", "0", "--bits", "1"], capsys
         )
         assert code == 1
 
@@ -252,7 +268,7 @@ class TestCapacityCommand:
             raise AssertionError("a bad flag must fail before any solve")
 
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", unreached)
-        argv = ["capacity", "--snr-db", "0..1", "--onebit"]
+        argv = ["capacity", "--snr-db", "0..1", "--bits", "1"]
         code, _, err = run_cli(argv + flags, capsys)
         assert code == 1
         assert "usage error" in err
@@ -265,7 +281,7 @@ class TestCapacityCommand:
             raise RuntimeError("solver blew up")
 
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", boom)
-        code, _, err = run_cli(["capacity", "--snr-db", "0", "--onebit"], capsys)
+        code, _, err = run_cli(["capacity", "--snr-db", "0", "--bits", "1"], capsys)
         assert code == 2
         assert "computation error" in err
 
@@ -274,7 +290,7 @@ class TestCapacityCommand:
             raise ValueError("minimize_max_affine: failed to bracket")
 
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", fails)
-        code, _, err = run_cli(["capacity", "--snr-db", "0", "--onebit"], capsys)
+        code, _, err = run_cli(["capacity", "--snr-db", "0", "--bits", "1"], capsys)
         assert code == 2
         assert "computation error" in err
         assert "usage error" not in err
@@ -287,7 +303,7 @@ class TestBenchmarkAndBoundCommands:
         )
         assert code == 0
         manifest, header, rows = parse_csv(out)
-        assert manifest.command == "benchmark"
+        assert manifest["command"] == "benchmark"
         assert header[2] == "mutual_information"
         assert float(rows[0][2]) == pytest.approx(
             benchmark_mutual_information(4, 1.0), rel=1e-12
@@ -335,7 +351,7 @@ class TestSweepCommand:
         manifest, header, rows = parse_csv(out)
         caps = [float(r[2]) for r in rows]
         assert caps == sorted(caps)
-        assert manifest.parameters["snr_db"] == [-20.0, -10.0, 0.0, 10.0, 20.0]
+        assert manifest["parameters"]["snr_db"] == [-20.0, -10.0, 0.0, 10.0, 20.0]
 
     def test_precision_ordering_at_zero_db(self, capsys):
         code, out, _ = run_cli(["sweep", "--snr-db", "0", "--out", "-"], capsys)
@@ -373,39 +389,26 @@ class TestSweepCommand:
         assert all(a > b for a, b in zip(tail, tail[1:]))
         assert caps[-1] < max(caps) - 0.3
 
-    def test_dump_dist_support_points(self, capsys):
-        code, out, _ = run_cli(
-            [
-                "sweep",
-                "--dump-dist",
-                "--snr-db",
-                "5",
-                "--thresholds",
-                "-2,0,2",
-                "--out",
-                "-",
-            ],
-            capsys,
-        )
-        assert code == 0
-        _, _, rows = parse_csv(out)
-        locs = sorted(float(r[1]) for r in rows)
-        assert locs == pytest.approx([-2.86, -0.52, 0.52, 2.86], abs=0.05)
-        assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-9)
-
-    def test_curve_and_dump_conflict(self, capsys):
-        code, _, _ = run_cli(
-            ["sweep", "--curve", "q", "--dump-dist", "--snr-db", "0"], capsys
-        )
-        assert code == 1
-
     @pytest.mark.parametrize("mode", [["--bits", "2"], ["--curve", "q"]], ids=["bits", "q"])
     @pytest.mark.parametrize("flags", [["--tol", "0.5"], ["--grid-points", "101"]])
     def test_solver_flags_without_dump_dist_are_usage_errors(self, capsys, mode, flags):
-        # only --dump-dist passes them to a solver; elsewhere they were ignored
+        # no sweep mode passes them to a solver, so sweep does not take them
         code, _, err = run_cli(["sweep", "--snr-db", "0"] + mode + flags, capsys)
         assert code == 1
-        assert "--dump-dist" in err
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("bits", ["1", "2", "3"])
+    def test_curve_with_bits_is_usage_error(self, capsys, monkeypatch, bits):
+        # the curve is always the 2-bit one
+        def unreached(*args, **kwargs):
+            raise AssertionError("a bad flag must fail before any solve")
+
+        monkeypatch.setattr(cli, "optimize_quantizer_2bit", unreached)
+        argv = ["sweep", "--snr-db", "0", "--curve", "q", "--bits", bits, "--out", "-"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "usage error" in err and "--bits" in err
+        assert out == ""
 
 
 class TestVerifyCommand:
@@ -445,7 +448,7 @@ class TestReproduceCommand:
         code, out, _ = run_cli(["reproduce", "--table", "I", "--out", "-"], capsys)
         assert code == 0
         manifest, header, rows = parse_csv(out)
-        assert manifest.parameters["table"] == "I"
+        assert manifest["parameters"]["table"] == "I"
         assert header == ["row", "provenance", "column", "value"]
         # 2 computed + 2 reference + 2 deviation rows, 6 columns each
         assert len(rows) == 36
@@ -460,3 +463,29 @@ class TestReproduceCommand:
     def test_unknown_table_is_usage_error(self, capsys):
         code, _, _ = run_cli(["reproduce", "--table", "VI"], capsys)
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--snr-db", "0", "--onebit"],
+        ["bound", "--snr-db", "0", "--onebit"],
+        ["sweep", "--snr-db", "0", "--onebit"],
+        ["sweep", "--snr-db", "0", "--thresholds", "-1,0,1"],
+        ["sweep", "--snr-db", "0", "--dump-dist", "--bits", "2"],
+    ],
+    ids=["capacity-onebit", "bound-onebit", "sweep-onebit", "sweep-thresholds", "sweep-dump-dist"],
+)
+def test_removed_flags_are_usage_errors(capsys, monkeypatch, argv):
+    # the sign quantizer is --bits 1, and capacity reports the optimal
+    # input's support and masses per SNR
+    def unreached(*args, **kwargs):
+        raise AssertionError("a removed flag must fail before any solve")
+
+    for name in ("optimize_input_cutting_plane", "best_symmetric_bound", "run_sweep"):
+        monkeypatch.setattr(cli, name, unreached)
+    code, out, err = run_cli(argv + ["--out", "-"], capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err
+    assert out == ""
+

@@ -151,20 +151,16 @@ class TestConvexityWitness:
 class TestSecondDerivativeScan:
     def test_exact_on_cubic(self):
         grid = np.array([0.5, 1.0, 2.0])
-        vals = second_derivative_scan(lambda y: y**3, grid, step=1e-4)
+        vals = second_derivative_scan(lambda y: y**3, grid)
         assert vals == pytest.approx(6.0 * grid, rel=1e-6)
 
     def test_hq_curvature_at_one(self):
         # mpmath oracle: d^2/dy^2 h(Q(sqrt(y))) at y=1 is 0.132985864217579
-        (val,) = second_derivative_scan(hq_of_sqrt, [1.0], step=1e-4)
+        (val,) = second_derivative_scan(hq_of_sqrt, [1.0])
         assert val == pytest.approx(0.132985864217579, abs=1e-6)
 
     def test_positive_on_low_snr_interval(self):
         # curvature of the hard-decision entropy penalty stays positive on (0, 2]
         grid = np.arange(0.01, 2.0000001, 0.01)
-        vals = second_derivative_scan(hq_of_sqrt, grid, step=1e-4)
+        vals = second_derivative_scan(hq_of_sqrt, grid)
         assert np.all(vals > 0.0)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            second_derivative_scan(hq_of_sqrt, [1.0], step=0.0)

@@ -109,7 +109,7 @@ class TestTableBuilders:
         table = build_table(name, cell_cache)
         ref = REFERENCE_TABLES[name]
         assert table.columns == ref.columns
-        assert [label for label, _ in table.computed] == list(ref.row_labels)
+        assert [label for label, _ in table.computed] == [label for label, _ in ref.rows]
         assert table.reference == ref.rows
 
     def test_only_table_v_has_infeasible_cells(self, cell_cache):
