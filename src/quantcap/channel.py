@@ -3,9 +3,10 @@
 The channel is Y = quantize(X + N) with N ~ Normal(0, noise_variance) and a
 quantizer described by its K-1 ascending thresholds.  Everything downstream
 (optimizers, bounds, reports) works through the types and kernels here: the
-transition rows bin_probability_matrix, the mutual information, and the one
-divergence kernel _divergences_bits, which every other module uses; callers
-form the output pmf p W themselves, from the rows they already hold.
+transition rows bin_probability_matrix, the mutual information, the one
+divergence kernel _divergences_bits, which every other module uses, and the
+threshold gradient _threshold_gradient_bits; callers form the output pmf
+p W themselves, from the rows they already hold.
 
 All information quantities are in bits.
 """
@@ -211,6 +212,26 @@ def _divergences_bits(w, negent, r):
     negatives that rounding leaves are clamped to zero.
     """
     return np.maximum(negent - w @ np.log2(np.maximum(r, _R_FLOOR)), 0.0)
+
+
+def _threshold_gradient_bits(x, p, thresholds, sigma, w, r):
+    """dI/dq_k in bits per unit threshold for each threshold q_k at the
+    fixed input (x, p), given its rows w and output pmf r = p w.
+
+    Raising q_k by dq moves mass phi((q_k - x)/sigma)/sigma dq from bin k+1
+    to bin k of row x; the terms from the change in r sum to zero, leaving
+    sum_x p(x) phi((q_k - x)/sigma)/sigma log2[(w_k r_{k+1})/(w_{k+1} r_k)].
+    Zero entries of w and r are floored at _R_FLOOR, so a row that reaches
+    neither bin contributes zero, not nan.
+    """
+    x = np.asarray(x, dtype=float)
+    z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
+    flow = np.asarray(p)[:, None] * np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
+    log_w = np.log2(np.maximum(w, _R_FLOOR))
+    log_r = np.log2(np.maximum(r, _R_FLOOR))
+    return (flow * (log_w[:, :-1] - log_w[:, 1:])).sum(axis=0) - flow.sum(axis=0) * (
+        log_r[:-1] - log_r[1:]
+    )
 
 
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:

@@ -152,7 +152,8 @@ def _manifest(args, snrs=None, **extra) -> RunManifest:
     the numbers, so it stays out of the manifest: reports must be
     byte-identical across file names.
     """
-    params = {"sigma2": getattr(args, "sigma2", 1.0)}
+    sigma2 = getattr(args, "sigma2", 1.0)
+    params = {} if sigma2 is None else {"sigma2": sigma2}
     if snrs is not None:
         params["snr_db"] = [float(v) for v in snrs]
     thresholds = _parsed_thresholds(args)
@@ -242,8 +243,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if args.bits is None:
-        raise UsageError("benchmark requires --bits")
     bins = 2**args.bits
     snrs = _snr_values(args.snr_db, args.step)
     rows = []
@@ -261,8 +260,6 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_optimize_quantizer(args) -> int:
-    if args.bits not in (2, 3):
-        raise UsageError("optimize-quantizer requires --bits 2 or --bits 3")
     snrs = _snr_values(args.snr_db, args.step)
     rows, blocks = [], []
     for db in snrs:
@@ -313,8 +310,14 @@ def cmd_sweep(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
     if args.curve and args.bits is not None:
         raise UsageError("--curve q is the 2-bit threshold curve; it takes no --bits")
+    if args.sigma2 is not None and not args.curve:
+        raise UsageError(
+            "--sigma2 scales q of --curve q; the capacity cells depend on the SNR alone"
+        )
 
     if args.curve:
+        if args.sigma2 is None:
+            args.sigma2 = 1.0
         rows, blocks = [], []
         for db in snrs:
             snr = 10.0 ** (db / 10.0)
@@ -374,14 +377,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed(checks) else EXIT_VERIFY
 
 
-def _add_snr_flags(sp, required=True):
+def _add_snr_flags(sp, sigma2_default=1.0):
     sp.add_argument(
         "--snr-db",
-        required=required,
+        required=True,
         help="SNR in dB: a number or an inclusive range 'lo..hi'",
     )
     sp.add_argument("--step", type=_positive, default=1.0, help="dB step for SNR ranges")
-    sp.add_argument("--sigma2", type=_positive, default=1.0, help="noise variance")
+    sp.add_argument("--sigma2", type=_positive, default=sigma2_default, help="noise variance")
 
 
 def _add_quantizer_flags(sp):
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="capacity cells per precision over an SNR range, or the 2-bit "
         "threshold curve (for the optimal input per SNR, see capacity)",
     )
-    _add_snr_flags(sp)
+    _add_snr_flags(sp, sigma2_default=None)
     sp.add_argument(
         "--bits",
         type=int,

@@ -6,7 +6,8 @@ Three layers:
   thresholds), whose mutual information, symbol error rate, and Fano floor
   have closed or near-closed forms;
 * brute-force search over the single free threshold of a symmetric 2-bit
-  quantizer, and an alternating input/threshold ascent for 3-bit;
+  quantizer, and for 3-bit an alternation of input solves with a
+  quasi-Newton threshold step on the exact gradient at the fixed input;
 * the unquantized baseline, and the SNR at which a capacity reaches a
   target spectral efficiency, by Newton's method on the power multiplier.
 """
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .channel import (
     ChannelSpec,
@@ -26,6 +28,7 @@ from .channel import (
     mutual_information,
     _divergences_bits,
     _row_negentropy_bits,
+    _threshold_gradient_bits,
 )
 from .optimize import (
     CapacityResult,
@@ -45,6 +48,11 @@ _PEAK_WINDOW = 2e-3
 # bits, or after _MAX_OUTER rounds.
 _MIN_ROUND_GAIN = 1e-4
 _MAX_OUTER = 50
+
+# The threshold step's smallest gap between neighbouring half-thresholds,
+# in units of sigma, and its L-BFGS-B settings.
+_MIN_GAP = 1e-6
+_STEP_OPTIONS = {"ftol": 0.0, "gtol": 1e-9, "maxiter": 200}
 
 
 def _check_k(k):
@@ -262,40 +270,46 @@ def optimize_quantizer_2bit(
     )
 
 
-def _threshold_ascent(dist: InputDistribution, halves, sigma, start_step, floor_step):
-    """Coordinate ascent of MI over the positive half-thresholds.
+def _threshold_step(dist: InputDistribution, halves, sigma):
+    """Quasi-Newton ascent of MI over the positive half-thresholds h.
 
-    The input is fixed, so each candidate costs one transition-matrix build
-    on the support points (about 9 x 8), whose cost is the overhead of a few
-    numpy calls, not arithmetic.  Candidates that break the strict ordering
-    0 < q1 < ... are discarded; the step shrinks when no coordinate improves.
+    The input is fixed.  L-BFGS-B runs on the gaps h_1, h_2 - h_1, ... in
+    units of sigma, bounded below by _MIN_GAP, so every iterate keeps the
+    order 0 < h_1 < h_2 < ...; each evaluation builds the transition rows
+    on the support once and takes the exact gradient from
+    _threshold_gradient_bits.  A result below the start returns the start.
     """
-    locs = np.asarray(dist.locations)
-    masses = np.asarray(dist.masses)
+    locs = dist.locations
+    masses = dist.masses
+    halves = np.asarray(halves, dtype=float)
+    n = halves.size
 
-    def mi_of(h):
-        if h[0] <= 0.0 or np.any(np.diff(h) <= 0.0):
-            return -math.inf
+    def mi_and_grad(h):
         thr = np.concatenate([-h[::-1], [0.0], h])
         w = bin_probability_matrix(locs, thr, sigma)
-        return float(masses @ _divergences_bits(w, _row_negentropy_bits(w), masses @ w))
+        r = masses @ w
+        mi = float(masses @ _divergences_bits(w, _row_negentropy_bits(w), r))
+        grad = _threshold_gradient_bits(locs, masses, thr, sigma, w, r)
+        # q_{+i} = h_i and q_{-i} = -h_i
+        return mi, grad[n + 1:] - grad[n - 1::-1]
 
-    h = np.asarray(halves, dtype=float).copy()
-    best = mi_of(h)
-    step = start_step
-    while step >= floor_step:
-        improved = False
-        for i in range(h.size):
-            for delta in (step, -step):
-                cand = h.copy()
-                cand[i] += delta
-                val = mi_of(cand)
-                if val > best:
-                    h, best = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return h
+    def neg_mi(gaps):
+        # h_i is the sum of the first i gaps
+        mi, dh = mi_and_grad(sigma * np.cumsum(gaps))
+        return -mi, -sigma * np.cumsum(dh[::-1])[::-1]
+
+    res = minimize(
+        neg_mi,
+        np.diff(halves, prepend=0.0) / sigma,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(_MIN_GAP, None)] * n,
+        options=_STEP_OPTIONS,
+    )
+    # res.fun was evaluated at exactly these thresholds
+    if not -res.fun >= mi_and_grad(halves)[0]:
+        return halves
+    return sigma * np.cumsum(res.x)
 
 
 def optimize_quantizer_3bit_iterative(
@@ -307,10 +321,12 @@ def optimize_quantizer_3bit_iterative(
     """Alternating input/threshold optimization for symmetric 3-bit quantizers.
 
     Starting from the benchmark quantizer, repeats: optimize the input at the
-    current quantizer, then coordinate-ascend the three positive thresholds
-    at the fixed input with a step shrinking from 0.1 sigma to 1e-4 sigma.
-    Stops when one round gains less than 1e-4 bits.  Each input solve is
-    seeded with the previous support.  A round whose capacity falls below
+    current quantizer, then raise the mutual information at that fixed input
+    over the three positive thresholds by L-BFGS-B on their ordered gaps,
+    with the exact threshold gradient, until its projected gradient is below
+    1e-9 bits per sigma (`_threshold_step`).  Stops when one round gains
+    less than 1e-4 bits.  Each input solve is seeded with the previous
+    support.  A round whose capacity falls below
     the previous round's is discarded with its quantizer and ends the
     alternation, so the trace is nondecreasing and the final solve uses the
     best round's quantizer.
@@ -339,9 +355,7 @@ def optimize_quantizer_3bit_iterative(
         if len(trace) >= 2 and trace[-1] - trace[-2] < _MIN_ROUND_GAIN:
             break
         prev_quant, prev_seed = quant, seed
-        halves = _threshold_ascent(
-            res.dist, halves, sigma, start_step=0.1 * sigma, floor_step=1e-4 * sigma
-        )
+        halves = _threshold_step(res.dist, halves, sigma)
         quant = Quantizer(tuple(np.concatenate([-halves[::-1], [0.0], halves])))
 
     spec = ChannelSpec(noise_variance, power, quant)

@@ -26,6 +26,7 @@ from quantcap import (
 from quantcap.channel import (
     _divergences_bits,
     _row_negentropy_bits,
+    _threshold_gradient_bits,
     bin_probability_matrix,
 )
 from quantcap.optimize import _canonical_dist
@@ -335,6 +336,36 @@ class TestDivergenceKernel:
             got = _divergences_bits(w, _row_negentropy_bits(w), r)
             assert np.all(got >= 0.0)
             np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-13)
+
+
+class TestThresholdGradient:
+    @staticmethod
+    def _mi(x, p, thresholds, sigma):
+        w = bin_probability_matrix(x, thresholds, sigma)
+        return float(p @ _divergences_bits(w, _row_negentropy_bits(w), p @ w))
+
+    @pytest.mark.parametrize("bins", [2, 4, 5, 8])
+    def test_matches_central_differences(self, bins):
+        # random asymmetric thresholds and supports, sigma != 1
+        rng = _rng()
+        step = 1e-6
+        for _ in range(20):
+            sigma = rng.uniform(0.3, 3.0)
+            thr = np.sort(rng.normal(0.0, 2.0 * sigma, size=bins - 1))
+            while np.any(np.diff(thr) < 1e-2 * sigma):
+                thr = np.sort(rng.normal(0.0, 2.0 * sigma, size=bins - 1))
+            n = int(rng.integers(1, 12))
+            x = np.sort(rng.normal(0.0, 3.0 * sigma, size=n))
+            p = rng.dirichlet(np.ones(n))
+            w = bin_probability_matrix(x, thr, sigma)
+            got = _threshold_gradient_bits(x, p, thr, sigma, w, p @ w)
+            for k in range(bins - 1):
+                e = np.zeros(bins - 1)
+                e[k] = step
+                diff = (self._mi(x, p, thr + e, sigma) - self._mi(x, p, thr - e, sigma)) / (
+                    2.0 * step
+                )
+                assert abs(got[k] - diff) <= 1e-8
 
 
 class TestDivergence:

@@ -29,6 +29,8 @@ from quantcap import (
     snr_for_spectral_efficiency,
     unquantized_capacity,
 )
+from quantcap.channel import _divergences_bits, _row_negentropy_bits, bin_probability_matrix
+from quantcap.quantopt import _SCAN_GRID, _threshold_step
 from quantcap.tables import build_table, capacity_and_gamma
 
 # Frozen against the gaussian_q quadrature oracle: 2*(K-1)/K * Q(sqrt(3*snr/(K^2-1)))
@@ -302,6 +304,41 @@ class TestOptimizeQuantizer3bitIterative:
             three_bit_0db.capacity_result.capacity
             >= benchmark_mutual_information(8, 1.0) - 1e-6
         )
+
+
+class TestThresholdStep:
+    """The 3-bit threshold step at a fixed input: the input-optimal one at
+    the benchmark quantizer, as in the alternation's first round."""
+
+    @staticmethod
+    def _mi(dist, halves, sigma):
+        thr = np.concatenate([-halves[::-1], [0.0], halves])
+        w = bin_probability_matrix(dist.locations, thr, sigma)
+        r = dist.masses @ w
+        return float(dist.masses @ _divergences_bits(w, _row_negentropy_bits(w), r))
+
+    @pytest.mark.parametrize("noise_variance", [1.0, 2.5])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
+    def test_raises_mi_to_a_converged_point(self, snr_db, noise_variance):
+        snr = 10.0 ** (snr_db / 10.0)
+        sigma = math.sqrt(noise_variance)
+        quant = BenchmarkScheme.build(8, snr, noise_variance).quantizer
+        spec = ChannelSpec(noise_variance, snr * noise_variance, quant)
+        dist = optimize_input_cutting_plane(spec, grid=_SCAN_GRID).dist
+        start = np.asarray(quant.thresholds[4:])
+        halves = _threshold_step(dist, start, sigma)
+        best = self._mi(dist, halves, sigma)
+        assert halves[0] > 0.0 and np.all(np.diff(halves) > 0.0)
+        assert best >= self._mi(dist, start, sigma)
+        # no move of one threshold by 1e-4 sigma that keeps the order gains
+        for i in range(halves.size):
+            for delta in (1e-4 * sigma, -1e-4 * sigma):
+                cand = halves.copy()
+                cand[i] += delta
+                if cand[0] > 0.0 and np.all(np.diff(cand) > 0.0):
+                    assert best >= self._mi(dist, cand, sigma) - 1e-12
+        # restarted at its own result, the step cannot lose either
+        assert self._mi(dist, _threshold_step(dist, halves, sigma), sigma) >= best
 
 
 class TestJointResultValidation:

@@ -313,6 +313,13 @@ class TestBenchmarkAndBoundCommands:
         code, _, _ = run_cli(["benchmark", "--snr-db", "0"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [[], ["--bits", "1"]], ids=["no-bits", "bits-1"])
+    def test_optimize_quantizer_requires_two_or_three_bits(self, capsys, argv):
+        code, out, err = run_cli(["optimize-quantizer", "--snr-db", "0"] + argv, capsys)
+        assert code == 1
+        assert "usage error" in err and "--bits" in err
+        assert out == ""
+
     def test_bound_command(self, capsys):
         code, out, _ = run_cli(
             ["bound", "--snr-db", "0", "--thresholds", "-2,0,2"], capsys
@@ -396,6 +403,25 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--snr-db", "0"] + mode + flags, capsys)
         assert code == 1
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--bits", "1"]], ids=["all", "bits"])
+    def test_sigma2_without_curve_is_usage_error(self, capsys, monkeypatch, mode):
+        # a capacity cell depends on the SNR alone; only --curve q scales q
+        def unreached(*args, **kwargs):
+            raise AssertionError("a bad flag must fail before any solve")
+
+        monkeypatch.setattr(cli, "run_sweep", unreached)
+        argv = ["sweep", "--snr-db", "0", "--sigma2", "4", "--out", "-"] + mode
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "usage error" in err and "--sigma2" in err
+        assert out == ""
+
+    def test_cells_manifest_has_no_sigma2(self, capsys):
+        code, out, _ = run_cli(["sweep", "--snr-db", "0", "--bits", "1", "--out", "-"], capsys)
+        assert code == 0
+        manifest, _, _ = parse_csv(out)
+        assert "sigma2" not in manifest["parameters"]
 
     @pytest.mark.parametrize("bits", ["1", "2", "3"])
     def test_curve_with_bits_is_usage_error(self, capsys, monkeypatch, bits):
