@@ -3,10 +3,12 @@ and self-verification.
 
 A quantizer is given by --thresholds or by --bits (1 is the sign quantizer,
 2 and 3 the uniform-PAM benchmark quantizer at each SNR).  `capacity`
-reports the optimal input's support and masses per SNR; `sweep` has two
-modes: capacity cells per precision (1, 2, 3 bits and unquantized, or the
-one --bits names), and with --curve q the 2-bit capacity over the symmetric
-threshold q.
+reports the optimal input's support and masses per SNR, and `bound` the
+best symmetric duality upper bound; `sweep` has two modes: capacity cells
+per precision (1, 2, 3 bits and unquantized, or the one --bits names), and
+with --curve q the 2-bit capacity at 200 symmetric thresholds q per SNR and
+its best point.  --sigma2, the noise variance, scales absolute thresholds;
+`benchmark` depends on the SNR alone and takes no --sigma2.
 
 Every command prints a human-readable summary to stdout; ``--out`` addition-
 ally writes a machine-format report (CSV or JSON-lines, manifest embedded),
@@ -30,6 +32,7 @@ from .quantopt import (
     benchmark_mutual_information,
     optimize_quantizer_2bit,
     optimize_quantizer_3bit_iterative,
+    two_bit_threshold_curve,
 )
 from .report import RunManifest, render_report
 from .tables import build_table, run_sweep
@@ -125,16 +128,6 @@ def _quantizer_for(args, snr_db: float) -> Quantizer:
     raise UsageError("a quantizer is required: --thresholds or --bits")
 
 
-def _bound_quantizer_for(args, snr_db: float) -> Quantizer:
-    """A quantizer that the symmetric duality bound accepts, else UsageError."""
-    quant = _quantizer_for(args, snr_db)
-    try:
-        check_bound_quantizer(quant)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return quant
-
-
 def _solver_kwargs(args):
     kw = {}
     if args.grid_points is not None:
@@ -152,7 +145,7 @@ def _manifest(args, snrs=None, **extra) -> RunManifest:
     the numbers, so it stays out of the manifest: reports must be
     byte-identical across file names.
     """
-    sigma2 = getattr(args, "sigma2", 1.0)
+    sigma2 = getattr(args, "sigma2", None)
     params = {} if sigma2 is None else {"sigma2": sigma2}
     if snrs is not None:
         params["snr_db"] = [float(v) for v in snrs]
@@ -187,19 +180,13 @@ def _join(values) -> str:
 def cmd_capacity(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
     kw = _solver_kwargs(args)
-    # every quantizer is parsed and checked before the first solve
-    pick = _bound_quantizer_for if args.bound else _quantizer_for
-    quants = [pick(args, db) for db in snrs]
+    # every quantizer is parsed before the first solve
+    quants = [_quantizer_for(args, db) for db in snrs]
     rows, blocks = [], []
     for db, quant in zip(snrs, quants):
         spec = ChannelSpec.from_snr_db(db, quant, args.sigma2)
         res = optimize_input_cutting_plane(spec, **kw)
-        bound = None
-        block = f"snr_db {db:g}\n" + res.to_text()
-        if args.bound:
-            bound, _ = best_symmetric_bound(spec)
-            block += f"symmetric_upper_bound {bound:.16e}\n"
-        blocks.append(block)
+        blocks.append(f"snr_db {db:g}\n" + res.to_text())
         rows.append(
             [
                 db,
@@ -207,7 +194,6 @@ def cmd_capacity(args) -> int:
                 res.gamma,
                 res.kkt_max_violation,
                 res.iterations,
-                bound,
                 _join(res.dist.locations),
                 _join(res.dist.masses),
             ]
@@ -218,7 +204,6 @@ def cmd_capacity(args) -> int:
         "gamma",
         "kkt_max_violation",
         "iterations",
-        "symmetric_upper_bound",
         "support",
         "masses",
     ]
@@ -228,7 +213,13 @@ def cmd_capacity(args) -> int:
 
 def cmd_bound(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
-    quants = [_bound_quantizer_for(args, db) for db in snrs]
+    # every quantizer is parsed and checked before the first bound search
+    quants = [_quantizer_for(args, db) for db in snrs]
+    try:
+        for quant in quants:
+            check_bound_quantizer(quant)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rows, blocks = [], []
     for db, quant in zip(snrs, quants):
         spec = ChannelSpec.from_snr_db(db, quant, args.sigma2)
@@ -249,7 +240,7 @@ def cmd_benchmark(args) -> int:
     lines = ["  snr_db  mutual_info  error_prob  fano_bound"]
     for db in snrs:
         snr = 10.0 ** (db / 10.0)
-        mi = benchmark_mutual_information(bins, snr, noise_variance=args.sigma2)
+        mi = benchmark_mutual_information(bins, snr)
         pe = benchmark_error_probability(bins, snr)
         fano = benchmark_fano_lower_bound(bins, snr)
         rows.append([db, args.bits, mi, pe, fano])
@@ -264,18 +255,13 @@ def cmd_optimize_quantizer(args) -> int:
     rows, blocks = [], []
     for db in snrs:
         snr = 10.0 ** (db / 10.0)
-        if args.bits == 2:
-            jr = optimize_quantizer_2bit(
-                snr,
-                noise_variance=args.sigma2,
-                **({"tol": args.tol} if args.tol is not None else {}),
-            )
-        else:
-            jr = optimize_quantizer_3bit_iterative(
-                snr,
-                noise_variance=args.sigma2,
-                **({"tol": args.tol} if args.tol is not None else {}),
-            )
+        jr = (
+            optimize_quantizer_2bit if args.bits == 2 else optimize_quantizer_3bit_iterative
+        )(
+            snr,
+            noise_variance=args.sigma2,
+            **({"tol": args.tol} if args.tol is not None else {}),
+        )
         cr = jr.capacity_result
         blocks.append(f"snr_db {db:g}\n" + jr.to_text())
         rows.append(
@@ -285,7 +271,6 @@ def cmd_optimize_quantizer(args) -> int:
                 cr.capacity,
                 cr.gamma,
                 cr.kkt_max_violation,
-                jr.method,
                 _join(jr.quantizer.thresholds),
                 _join(cr.dist.locations),
                 _join(cr.dist.masses),
@@ -297,7 +282,6 @@ def cmd_optimize_quantizer(args) -> int:
         "capacity",
         "gamma",
         "kkt_max_violation",
-        "method",
         "thresholds",
         "support",
         "masses",
@@ -321,15 +305,11 @@ def cmd_sweep(args) -> int:
         rows, blocks = [], []
         for db in snrs:
             snr = 10.0 ** (db / 10.0)
-            jr = optimize_quantizer_2bit(
-                snr, noise_variance=args.sigma2, scan_points=200
-            )
-            for q, cap in jr.curve:
-                rows.append([db, q, cap])
-            best_q = jr.quantizer.thresholds[-1]
-            cap = jr.capacity_result.capacity
+            curve = two_bit_threshold_curve(snr, args.sigma2)
+            rows.extend([db, q, cap] for q, cap in curve)
+            best_q, cap = max(curve, key=lambda point: point[1])
             blocks.append(
-                f"snr_db {db:g}: {len(jr.curve)} curve points, "
+                f"snr_db {db:g}: {len(curve)} curve points, "
                 f"best q {best_q:.4f} with capacity {cap:.4f}"
             )
         header = ["snr_db", "q", "capacity"]
@@ -377,14 +357,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed(checks) else EXIT_VERIFY
 
 
-def _add_snr_flags(sp, sigma2_default=1.0):
+def _add_snr_flags(sp):
     sp.add_argument(
         "--snr-db",
         required=True,
         help="SNR in dB: a number or an inclusive range 'lo..hi'",
     )
     sp.add_argument("--step", type=_positive, default=1.0, help="dB step for SNR ranges")
-    sp.add_argument("--sigma2", type=_positive, default=sigma2_default, help="noise variance")
+
+
+def _add_sigma2_flag(sp, default=1.0):
+    sp.add_argument("--sigma2", type=_positive, default=default, help="noise variance")
 
 
 def _add_quantizer_flags(sp):
@@ -416,17 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("capacity", help="optimal input for a fixed quantizer")
     _add_snr_flags(sp)
+    _add_sigma2_flag(sp)
     _add_quantizer_flags(sp)
     sp.add_argument("--grid-points", type=int, help="input search grid size (odd)")
     sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
     _add_output_flags(sp)
-    sp.add_argument(
-        "--bound", action="store_true", help="also print the best symmetric duality bound"
-    )
     sp.set_defaults(func=cmd_capacity)
 
     sp = sub.add_parser("bound", help="best symmetric duality upper bound")
     _add_snr_flags(sp)
+    _add_sigma2_flag(sp)
     _add_quantizer_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_bound)
@@ -441,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize-quantizer", help="jointly optimize thresholds and input"
     )
     _add_snr_flags(sp)
+    _add_sigma2_flag(sp)
     sp.add_argument("--bits", type=int, choices=(2, 3), required=True)
     sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
     _add_output_flags(sp)
@@ -451,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="capacity cells per precision over an SNR range, or the 2-bit "
         "threshold curve (for the optimal input per SNR, see capacity)",
     )
-    _add_snr_flags(sp, sigma2_default=None)
+    _add_snr_flags(sp)
+    _add_sigma2_flag(sp, default=None)
     sp.add_argument(
         "--bits",
         type=int,
@@ -461,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--curve",
         choices=("q",),
-        help="instead of the cells, emit the 2-bit capacity over the symmetric "
-        "threshold q per SNR (200 q points); takes no --bits",
+        help="instead of the cells, emit the 2-bit capacity at 200 symmetric "
+        "thresholds q over (0, 4 max(sqrt(P), sigma)] per SNR, and print its "
+        "best point; takes no --bits, and --sigma2 scales q",
     )
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_sweep)

@@ -5,9 +5,10 @@ Three layers:
 * the benchmark scheme (equiprobable equispaced PAM with mid-point
   thresholds), whose mutual information, symbol error rate, and Fano floor
   have closed or near-closed forms;
-* brute-force search over the single free threshold of a symmetric 2-bit
-  quantizer, and for 3-bit an alternation of input solves with a
-  quasi-Newton threshold step on the exact gradient at the fixed input;
+* brute-force search over the single free threshold q of a symmetric 2-bit
+  quantizer, the capacity curve C(q) it scans, and for 3-bit an
+  alternation of input solves with a quasi-Newton threshold step on the
+  exact gradient at the fixed input;
 * the unquantized baseline, and the SNR at which a capacity reaches a
   target spectral efficiency, by Newton's method on the power multiplier.
 """
@@ -37,7 +38,14 @@ from .optimize import (
 )
 from .special import binary_entropy, gaussian_q
 
-_SCAN_GRID = GridConfig(10.0, 501)
+# The grid of every inner solve of the joint searches and of the C(q) curve.
+_SCAN_GRID = GridConfig(point_count=501)
+
+# The 2-bit scan's points, and its span in units of max(sqrt(P), sigma);
+# the C(q) curve samples the same span at _CURVE_POINTS points.
+_SCAN_POINTS = 24
+_SCAN_SPAN = 4.0
+_CURVE_POINTS = 200
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,9 +114,10 @@ class BenchmarkScheme:
         )
 
 
-def benchmark_mutual_information(bins: int, snr: float, noise_variance: float = 1.0) -> float:
-    """Mutual information in bits of the K-PAM benchmark pair."""
-    scheme = BenchmarkScheme.build(bins, snr, noise_variance)
+def benchmark_mutual_information(bins: int, snr: float) -> float:
+    """Mutual information in bits of the K-PAM benchmark pair, which depends
+    on the SNR alone."""
+    scheme = BenchmarkScheme.build(bins, snr)
     return mutual_information(scheme.input, scheme.spec)
 
 
@@ -141,34 +150,24 @@ def benchmark_fano_lower_bound(bins: int, snr: float) -> float:
 class JointResult:
     """A quantizer choice together with its optimized-input capacity.
 
-    `trace` records the capacity after each outer round of the iterative
-    method; `curve` keeps the scanned (threshold, capacity) pairs of the
-    brute-force method in ascending threshold order, including any points
-    the scan added past its initial range, but not the refinement solves.
+    `trace` records the capacity after each outer round of the 3-bit
+    alternation, or the final capacity alone for the 2-bit scan.
     """
 
     quantizer: Quantizer
     capacity_result: CapacityResult
-    method: str
-    trace: tuple = ()
-    curve: tuple | None = None
+    trace: tuple
 
     def __post_init__(self):
-        if self.method not in ("brute_force", "iterative"):
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.method == "iterative":
-            # optimize_quantizer_3bit_iterative discards any round whose
-            # capacity falls, so its trace is nondecreasing by construction;
-            # this structural check allows 1e-6 for traces built elsewhere.
-            for prev, nxt in zip(self.trace, self.trace[1:]):
-                if nxt < prev - 1e-6:
-                    raise ValueError(
-                        f"iterative trace decreased: {prev!r} -> {nxt!r}"
-                    )
+        # optimize_quantizer_3bit_iterative discards any round whose capacity
+        # falls, so its trace is nondecreasing by construction; this
+        # structural check allows 1e-6 for traces built elsewhere.
+        for prev, nxt in zip(self.trace, self.trace[1:]):
+            if nxt < prev - 1e-6:
+                raise ValueError(f"trace decreased: {prev!r} -> {nxt!r}")
 
     def to_text(self) -> str:
         lines = [f"threshold {t:.16e}" for t in self.quantizer.thresholds]
-        lines.append(f"method {self.method}")
         return "\n".join(lines) + "\n" + self.capacity_result.to_text()
 
 
@@ -190,57 +189,53 @@ def _golden_max(f, lo, hi, xtol):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
+def _solve_q(q, power, noise_variance, tol, seed):
+    """Input solve of the symmetric 2-bit quantizer {-q, 0, q} on the scan grid."""
+    spec = ChannelSpec(noise_variance, power, Quantizer((-q, 0.0, q)))
+    return optimize_input_cutting_plane(
+        spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
+    )
+
+
+def _warm_solves(qs, power, noise_variance, tol, seed=None):
+    """_solve_q at each q in turn, each seeded with the previous support."""
+    for q in qs:
+        res = _solve_q(q, power, noise_variance, tol, seed)
+        seed = res.dist.locations
+        yield res
+
+
 def optimize_quantizer_2bit(
     snr: float,
-    q_grid=None,
     *,
     noise_variance: float = 1.0,
-    scan_points: int = 24,
     tol: float = 1e-4,
 ) -> JointResult:
     """Best symmetric 2-bit quantizer {-q, 0, q} by threshold scan.
 
-    Scans `scan_points` equispaced q over (0, 4 max(sqrt(P), sigma)] (or the
-    provided grid), solving the inner input problem at each point with the
-    previous support as seed.  While the best scanned value is the last
-    point, the scan extends past it at the same step, so the winner is never
-    on the scan edge.  The capacity is multimodal in q, and the optimum jumps
+    Scans 24 equispaced q over (0, 4 max(sqrt(P), sigma)], solving the inner
+    input problem at each point with the previous support as seed.  While
+    the best scanned value is the last point, the scan extends past it at
+    the same step, so the winner is never on the scan edge.  The capacity is multimodal in q, and the optimum jumps
     between branches as the SNR moves, so every local maximum of the scan
     within 2e-3 bits of the best is refined by golden section on its
     bracket of scan neighbours to 1e-3 max(sqrt(P), sigma), seeded with that
     point's support; the best refined peak wins, ties toward the smaller
-    threshold.  The returned curve is the scanned (q, capacity) data.
+    threshold.
     """
     _check_snr(snr)
     power = snr * noise_variance
     scale = max(math.sqrt(power), math.sqrt(noise_variance))
-    if q_grid is None:
-        qs = np.linspace(0.0, 4.0 * scale, scan_points + 1)[1:]
-    else:
-        qs = np.asarray(q_grid, dtype=float)
-        if qs.ndim != 1 or qs.size < 2 or np.any(qs <= 0.0) or np.any(np.diff(qs) <= 0.0):
-            raise ValueError("q_grid must be positive and strictly ascending")
-
-    def solve(q, seed):
-        spec = ChannelSpec(noise_variance, power, Quantizer((-q, 0.0, q)))
-        return optimize_input_cutting_plane(
-            spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
-        )
-
-    caps, seeds = [], []
-
-    def scan(q):
-        res = solve(q, seeds[-1] if seeds else None)
-        caps.append(res.capacity)
-        seeds.append(res.dist.locations)
-
-    qs = qs.tolist()
-    for q in qs:
-        scan(q)
+    qs = np.linspace(0.0, _SCAN_SPAN * scale, _SCAN_POINTS + 1)[1:].tolist()
+    scanned = list(_warm_solves(qs, power, noise_variance, tol))
     step = qs[-1] - qs[-2]
-    while caps[-1] > max(caps[:-1]):
+    while scanned[-1].capacity > max(res.capacity for res in scanned[:-1]):
         qs.append(qs[-1] + step)
-        scan(qs[-1])
+        scanned.extend(
+            _warm_solves(qs[-1:], power, noise_variance, tol, scanned[-1].dist.locations)
+        )
+    caps = [res.capacity for res in scanned]
+    seeds = [res.dist.locations for res in scanned]
 
     q_star, cap_star, best_seed = None, -math.inf, None
     top = max(caps)
@@ -252,7 +247,10 @@ def optimize_quantizer_2bit(
         lo = qs[i - 1] if i > 0 else 0.5 * qs[0]
         hi = qs[i + 1] if i + 1 < len(qs) else qs[i] + step
         q_peak, cap_peak = _golden_max(
-            lambda q: solve(q, seeds[i]).capacity, lo, hi, 1e-3 * scale
+            lambda q: _solve_q(q, power, noise_variance, tol, seeds[i]).capacity,
+            lo,
+            hi,
+            1e-3 * scale,
         )
         if cap >= cap_peak:
             q_peak, cap_peak = qs[i], cap
@@ -262,12 +260,24 @@ def optimize_quantizer_2bit(
     spec = ChannelSpec(noise_variance, power, Quantizer((-q_star, 0.0, q_star)))
     final = optimize_input_cutting_plane(spec, tol=tol, initial_support=best_seed)
     return JointResult(
-        quantizer=spec.quantizer,
-        capacity_result=final,
-        method="brute_force",
-        trace=(final.capacity,),
-        curve=tuple(zip(qs, caps)),
+        quantizer=spec.quantizer, capacity_result=final, trace=(final.capacity,)
     )
+
+
+def two_bit_threshold_curve(snr: float, noise_variance: float) -> list:
+    """(q, capacity) pairs of the symmetric 2-bit quantizer {-q, 0, q}.
+
+    200 equispaced q over the scan's span (0, 4 max(sqrt(P), sigma)], with
+    no extension and no refinement; each input solve runs on the scan grid
+    at the optimizers' default tolerance 1e-4, seeded with the previous
+    support.
+    """
+    _check_snr(snr)
+    power = snr * noise_variance
+    scale = max(math.sqrt(power), math.sqrt(noise_variance))
+    qs = np.linspace(0.0, _SCAN_SPAN * scale, _CURVE_POINTS + 1)[1:].tolist()
+    solves = _warm_solves(qs, power, noise_variance, 1e-4)
+    return [(q, res.capacity) for q, res in zip(qs, solves)]
 
 
 def _threshold_step(dist: InputDistribution, halves, sigma):
@@ -360,12 +370,7 @@ def optimize_quantizer_3bit_iterative(
 
     spec = ChannelSpec(noise_variance, power, quant)
     final = optimize_input_cutting_plane(spec, tol=tol, initial_support=seed)
-    return JointResult(
-        quantizer=quant,
-        capacity_result=final,
-        method="iterative",
-        trace=tuple(trace),
-    )
+    return JointResult(quantizer=quant, capacity_result=final, trace=tuple(trace))
 
 
 def unquantized_capacity(snr: float) -> float:

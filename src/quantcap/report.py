@@ -14,7 +14,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 
@@ -30,19 +30,18 @@ def _timestamp() -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Resolved invocation record embedded into every report file."""
+    """Resolved invocation record embedded into every report file; the
+    package version and the timestamp are stamped when it is written."""
 
     command: str
     parameters: dict
-    version: str = __version__
-    timestamp: str = field(default_factory=_timestamp)
 
     def to_json(self) -> str:
         payload = {
             "command": self.command,
             "parameters": self.parameters,
-            "version": self.version,
-            "timestamp": self.timestamp,
+            "version": __version__,
+            "timestamp": _timestamp(),
         }
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 

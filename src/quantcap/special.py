@@ -68,9 +68,11 @@ def convexity_witness(y):
     """Witness expression certifying convexity of hq_of_sqrt for y > 2.
 
     Computes (1 - 1/y) * (1 - Q(sqrt(y))) * ln((1 - Q(sqrt(y))) / Q(sqrt(y))).
-    The second derivative of hq_of_sqrt is positive exactly where this
+    The second derivative of hq_of_sqrt is positive wherever this
     expression exceeds 1; it is increasing in y and crosses 1 below y = 2.
-    Only defined for y > 1 (the leading factor changes sign at y = 1).
+    The condition is sufficient, not necessary: at y = 1.05 the witness is
+    0.069, yet the second derivative is +0.13.  Only defined for y > 1 (the
+    leading factor changes sign at y = 1).
     """
     arr = _as_float_array(y, "convexity_witness")
     if np.any(arr <= 1.0):

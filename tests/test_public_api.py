@@ -3,9 +3,14 @@
 named test cross-checks the solvers with.  Likewise every parameter with a
 default, of an exported function or of a `def` method of an exported class,
 is passed by some call in another module of the package, or is listed with
-the test that needs it."""
+the test that needs it.  A defaulted field of an exported dataclass counts
+like a parameter of its constructor, passed by a call in any module of the
+package, its own included, because result types are built where they are
+defined.  An argument that is a literal equal to the default passes
+nothing."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -20,13 +25,17 @@ ORACLES = {
     ),
 }
 
-# (function, parameter): the test that needs a setting no module passes.
+# (function or dataclass, parameter or field): the test that needs a
+# setting no module passes.
 TEST_ONLY_PARAMETERS = {
-    ("optimize_quantizer_2bit", "q_grid"): (
-        "test_quantopt.py",
-        "test_user_grid_with_best_on_edge_is_extended",
+    ("GridConfig", "half_width_multiplier"): (
+        "test_optimize.py",
+        "test_grid_widening_is_inert",
     ),
 }
+
+# ast.literal_eval of a node that is not a literal
+_NOT_LITERAL = object()
 
 
 def _trees():
@@ -58,27 +67,55 @@ def test_every_export_is_used_by_the_package_or_is_an_oracle():
         _assert_named_test(module, test, name)
 
 
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
 def _defaulted_parameters(fn, is_method):
-    """{name: position among the call's positional arguments, or None if the
-    parameter is keyword-only} for the parameters of `fn` that have a default."""
+    """{name: (position among the call's positional arguments, or None if the
+    parameter is keyword-only; the default's literal value)} for the
+    parameters of `fn` that have a default."""
     args = fn.args
     positional = [a.arg for a in args.posonlyargs + args.args]
     static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
     skip = 1 if is_method and not static else 0  # self or cls
+    first = len(positional) - len(args.defaults)
     out = {
-        name: i - skip
+        name: (i - skip, _literal(args.defaults[i - first]))
         for i, name in enumerate(positional)
-        if i >= len(positional) - len(args.defaults)
+        if i >= first
     }
     out.update(
-        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        (a.arg, (None, _literal(d)))
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None
     )
     return out
 
 
+def _defaulted_fields(cls):
+    """The same map for the fields of a dataclass that have a default; a
+    `field(default_factory=...)` default has no literal value."""
+    out = {}
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+    for i, node in enumerate(fields):
+        if node.value is None:
+            continue
+        default = node.value
+        if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
+            given = [kw.value for kw in default.keywords if kw.arg == "default"]
+            default = given[0] if given else None
+        out[node.target.id] = (i, _NOT_LITERAL if default is None else _literal(default))
+    return out
+
+
 def _exported_defs(trees):
-    """(module file, function name, ast def, is_method) for every exported
-    function and every `def` method of an exported class."""
+    """(module file, callee name, defaulted parameters, whether calls in the
+    module itself count) for every exported function, every `def` method of
+    an exported class, and the constructor of every exported dataclass."""
     for name in quantcap.__all__:
         obj = getattr(quantcap, name)
         if name in ORACLES or not (inspect.isfunction(obj) or inspect.isclass(obj)):
@@ -86,45 +123,65 @@ def _exported_defs(trees):
         module = Path(inspect.getsourcefile(obj)).name
         (node,) = [n for n in trees[module].body if getattr(n, "name", None) == name]
         if isinstance(node, ast.ClassDef):
+            if dataclasses.is_dataclass(obj):
+                yield module, name, _defaulted_fields(node), True
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield module, item.name, item, True
+                    yield module, item.name, _defaulted_parameters(item, True), False
         else:
-            yield module, name, node, False
+            yield module, name, _defaulted_parameters(node, False), False
 
 
-def _passed(trees, module, name):
-    """Parameter names and positions that calls to `name` pass, over every
-    package module but `module`.  A `**{...}` literal passes its keys."""
-    names, count = set(), 0
+def _callees(func):
+    """Names a call may reach: both branches of a conditional expression."""
+    if isinstance(func, ast.IfExp):
+        return _callees(func.body) | _callees(func.orelse)
+    return {getattr(func, "id", None), getattr(func, "attr", None)}
+
+
+def _passed(trees, module, name, params, own_module):
+    """The defaulted parameters that calls to `name` pass, over every package
+    module but `module` unless `own_module`.  A `**{...}` literal passes its
+    keys; an argument that is a literal equal to the default passes nothing."""
+    by_position = {pos: p for p, (pos, _) in params.items() if pos is not None}
+    passed = set()
+
+    def pass_value(param, value):
+        default = params[param][1]
+        literal = _literal(value)
+        if literal is _NOT_LITERAL or default is _NOT_LITERAL or literal != default:
+            passed.add(param)
+
     for other, tree in trees.items():
-        if other == module:
+        if other == module and not own_module:
             continue
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or name not in _callees(node.func):
                 continue
-            func = node.func
-            if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
-                continue
-            count = max(count, sum(not isinstance(a, ast.Starred) for a in node.args))
+            for pos, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                if pos in by_position:
+                    pass_value(by_position[pos], arg)
             for kw in node.keywords:
                 if kw.arg is not None:
-                    names.add(kw.arg)
+                    if kw.arg in params:
+                        pass_value(kw.arg, kw.value)
                     continue
                 for sub in ast.walk(kw.value):
                     if isinstance(sub, ast.Dict):
-                        names.update(k.value for k in sub.keys if isinstance(k, ast.Constant))
-    return names, count
+                        passed.update(
+                            k.value for k in sub.keys if isinstance(k, ast.Constant)
+                        )
+    return passed
 
 
 def test_every_defaulted_parameter_is_passed_by_the_package():
     trees = _trees()
     unpassed = set()
-    for module, name, fn, is_method in _exported_defs(trees):
-        names, count = _passed(trees, module, name)
-        for param, pos in _defaulted_parameters(fn, is_method).items():
-            if param not in names and (pos is None or pos >= count):
-                unpassed.add((name, param))
+    for module, name, params, own_module in _exported_defs(trees):
+        passed = _passed(trees, module, name, params, own_module)
+        unpassed.update((name, param) for param in params if param not in passed)
     assert sorted(unpassed - set(TEST_ONLY_PARAMETERS)) == []
     for (name, param), (module, test) in TEST_ONLY_PARAMETERS.items():
         assert (name, param) in unpassed

@@ -22,6 +22,7 @@ from quantcap import (
     benchmark_fano_lower_bound,
     benchmark_mutual_information,
     gaussian_q,
+    mutual_information,
     onebit_capacity,
     optimize_input_cutting_plane,
     optimize_quantizer_2bit,
@@ -29,6 +30,7 @@ from quantcap import (
     snr_for_spectral_efficiency,
     unquantized_capacity,
 )
+from quantcap import quantopt
 from quantcap.channel import _divergences_bits, _row_negentropy_bits, bin_probability_matrix
 from quantcap.quantopt import _SCAN_GRID, _threshold_step
 from quantcap.tables import build_table, capacity_and_gamma
@@ -89,7 +91,8 @@ class TestBenchmarkScheme:
         # move the mutual information
         snr = 10.0**log_snr
         base = benchmark_mutual_information(4, snr)
-        scaled = benchmark_mutual_information(4, snr, noise_variance=7.3)
+        scheme = BenchmarkScheme.build(4, snr, noise_variance=7.3)
+        scaled = mutual_information(scheme.input, scheme.spec)
         assert scaled == pytest.approx(base, abs=1e-10)
 
     def test_approaches_log2_bins_at_high_snr(self):
@@ -160,6 +163,40 @@ class TestBenchmarkFanoLowerBound:
         assert 0.0 <= fano <= benchmark_mutual_information(bins, snr) + 1e-9
 
 
+def _spy_scan(monkeypatch):
+    """(q, capacity) of every scan solve of optimize_quantizer_2bit, in order;
+    the golden refinement's solves are not included."""
+    scanned = []
+    real = quantopt._warm_solves
+
+    def spy(qs, *args):
+        for q, res in zip(qs, real(qs, *args)):
+            scanned.append((q, res.capacity))
+            yield res
+
+    monkeypatch.setattr(quantopt, "_warm_solves", spy)
+    return scanned
+
+
+class TestThresholdCurve:
+    def test_matches_fixed_quantizer_solves(self):
+        # each solve is within its tolerance 1e-4 of the grid capacity
+        curve = quantopt.two_bit_threshold_curve(10.0, 1.0)
+        qs = [q for q, _ in curve]
+        assert qs == pytest.approx(np.linspace(0.0, 4.0 * math.sqrt(10.0), 201)[1:])
+        for q, cap in curve[::40]:
+            spec = ChannelSpec(1.0, 10.0, Quantizer((-q, 0.0, q)))
+            cold = optimize_input_cutting_plane(spec, grid=_SCAN_GRID).capacity
+            assert cap == pytest.approx(cold, abs=1e-4)
+
+    def test_scales_with_sigma(self):
+        base = quantopt.two_bit_threshold_curve(1.0, 1.0)[::50]
+        scaled = quantopt.two_bit_threshold_curve(1.0, 4.0)[::50]
+        for (q, cap), (q4, cap4) in zip(base, scaled):
+            assert q4 == pytest.approx(2.0 * q, rel=1e-12)
+            assert cap4 == pytest.approx(cap, abs=1e-9)
+
+
 class TestOptimizeQuantizer2bit:
     def test_published_capacity_0db(self, two_bit_0db):
         assert two_bit_0db.capacity_result.capacity == pytest.approx(0.4552, abs=5e-3)
@@ -170,24 +207,29 @@ class TestOptimizeQuantizer2bit:
 
     def test_result_structure(self, two_bit_0db):
         res = two_bit_0db
-        assert res.method == "brute_force"
         assert res.capacity_result.converged
-        assert len(res.curve) == 24  # the default scan; no extension at 0 dB
+        assert res.trace == (res.capacity_result.capacity,)
         thr = np.asarray(res.quantizer.thresholds)
         assert thr.size == 3 and thr[1] == 0.0 and thr[2] == -thr[0] > 0.0
 
-    def test_refined_winner_dominates_scan(self, two_bit_0db):
-        scan_best = max(cap for _, cap in two_bit_0db.curve)
-        assert two_bit_0db.capacity_result.capacity >= scan_best - 1e-6
+    def test_refined_winner_dominates_scan(self, monkeypatch):
+        scanned = _spy_scan(monkeypatch)
+        res = optimize_quantizer_2bit(1.0)
+        assert len(scanned) == 24  # the default scan; no extension at 0 dB
+        scan_best = max(cap for _, cap in scanned)
+        assert res.capacity_result.capacity >= scan_best - 1e-6
 
-    def test_custom_coarse_grid_recovers_optimum(self):
+    def test_custom_coarse_grid_recovers_optimum(self, monkeypatch):
         # golden refinement around the coarse winner closes the grid gap
-        res = optimize_quantizer_2bit(1.0, q_grid=np.linspace(0.1, 2.5, 25))
+        monkeypatch.setattr(quantopt, "_SCAN_POINTS", 6)
+        scanned = _spy_scan(monkeypatch)
+        res = optimize_quantizer_2bit(1.0)
+        assert len(scanned) == 6
         assert res.capacity_result.capacity == pytest.approx(0.4552, abs=5e-3)
 
-    def test_scale_invariance(self):
-        base = optimize_quantizer_2bit(1.0, scan_points=40)
-        scaled = optimize_quantizer_2bit(1.0, noise_variance=4.0, scan_points=40)
+    def test_scale_invariance(self, two_bit_0db):
+        base = two_bit_0db
+        scaled = optimize_quantizer_2bit(1.0, noise_variance=4.0)
         assert scaled.capacity_result.capacity == pytest.approx(
             base.capacity_result.capacity, abs=1e-9
         )
@@ -206,24 +248,25 @@ class TestOptimizeQuantizer2bit:
         # 0.4 sigma here and returns its edge point
         q = two_bit_minus20db.quantizer.thresholds[2]
         assert 0.5 < q < 2.0
-        scanned = [q for q, _ in two_bit_minus20db.curve]
-        assert scanned[0] < q < scanned[-1]
 
     def test_low_snr_capacity_matches_published(self, two_bit_minus20db):
         assert two_bit_minus20db.capacity_result.capacity == pytest.approx(
             0.0063, rel=0.02
         )
 
-    def test_user_grid_with_best_on_edge_is_extended(self):
-        grid = np.linspace(0.05, 0.3, 6)
-        res = optimize_quantizer_2bit(0.01, q_grid=grid)
-        qs = [q for q, _ in res.curve]
-        caps = [cap for _, cap in res.curve]
-        assert qs[: grid.size] == pytest.approx(grid.tolist(), abs=1e-15)
-        assert len(qs) > grid.size
-        np.testing.assert_allclose(np.diff(qs), 0.05, atol=1e-12)
+    def test_scan_with_best_on_edge_is_extended(self, monkeypatch):
+        # a span of 0.3 sigma at -20 dB ends below the optimum near 1 sigma
+        monkeypatch.setattr(quantopt, "_SCAN_SPAN", 0.3)
+        scanned = _spy_scan(monkeypatch)
+        res = optimize_quantizer_2bit(0.01)
+        qs = [q for q, _ in scanned]
+        caps = [cap for _, cap in scanned]
+        assert qs[:24] == pytest.approx(np.linspace(0.0, 0.3, 25)[1:].tolist(), abs=1e-15)
+        assert len(qs) > 24
+        np.testing.assert_allclose(np.diff(qs), 0.0125, atol=1e-12)
         assert int(np.argmax(caps)) < len(caps) - 1
-        assert 0.5 < res.quantizer.thresholds[2] < 2.0
+        q = res.quantizer.thresholds[2]
+        assert 0.5 < q < 2.0 and q < qs[-1]
 
     def test_lands_on_upper_branch_at_8db(self):
         # between 7 and 8 dB the optimal threshold jumps from about 1.79 to
@@ -241,12 +284,6 @@ class TestOptimizeQuantizer2bit:
         assert res.quantizer.thresholds[2] == pytest.approx(0.80, abs=0.05)
         assert res.capacity_result.capacity >= 0.69264 - 1e-4
 
-    def test_rejects_bad_q_grid(self):
-        with pytest.raises(ValueError):
-            optimize_quantizer_2bit(1.0, q_grid=[0.5, 0.4])
-        with pytest.raises(ValueError):
-            optimize_quantizer_2bit(1.0, q_grid=[-0.5, 0.5])
-
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
             optimize_quantizer_2bit(-1.0)
@@ -262,7 +299,6 @@ class TestOptimizeQuantizer3bitIterative:
 
     def test_result_structure(self, three_bit_0db):
         res = three_bit_0db
-        assert res.method == "iterative"
         assert res.capacity_result.converged
         thr = np.asarray(res.quantizer.thresholds)
         assert thr.size == 7 and np.all(np.diff(thr) > 0.0) and thr[3] == 0.0
@@ -277,8 +313,6 @@ class TestOptimizeQuantizer3bitIterative:
         # Each inner solve is certified only to its tolerance, so a round can
         # come out below the one before it.  Whatever the solver returns,
         # the alternation must keep the earlier round and stop.
-        from quantcap import quantopt
-
         real = quantopt.optimize_input_cutting_plane
         quantizers, capacities = [], []
 
@@ -345,24 +379,16 @@ class TestJointResultValidation:
     def _capacity_result(self):
         return optimize_input_cutting_plane(ChannelSpec(1.0, 1.0, Quantizer((0.0,))))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            JointResult(Quantizer((0.0,)), self._capacity_result(), "simulated_annealing")
-
     def test_rejects_decreasing_trace(self):
         with pytest.raises(ValueError):
-            JointResult(
-                Quantizer((0.0,)),
-                self._capacity_result(),
-                "iterative",
-                trace=(0.4, 0.39),
-            )
+            JointResult(Quantizer((0.0,)), self._capacity_result(), trace=(0.4, 0.39))
 
-    def test_to_text_lists_thresholds_and_method(self, two_bit_0db):
+    def test_to_text_lists_thresholds_then_capacity(self, two_bit_0db):
         text = two_bit_0db.to_text()
+        lines = text.splitlines()
+        assert [line.split()[0] for line in lines[:3]] == ["threshold"] * 3
         assert text.count("threshold ") == 3
-        assert "method brute_force" in text
-        assert "capacity " in text
+        assert lines[3:] == two_bit_0db.capacity_result.to_text().splitlines()
 
 
 class TestUnquantizedCapacity:

@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from quantcap import cli
+from quantcap import __version__, cli
 from quantcap.cli import UsageError, _merge_negative_values, _snr_values, main
 from quantcap.optimize import onebit_capacity
-from quantcap.quantopt import benchmark_mutual_information
+from quantcap.quantopt import benchmark_mutual_information, two_bit_threshold_curve
 from quantcap.reference import REFERENCE_TABLES
 from quantcap.report import (
     INFEASIBLE,
@@ -41,13 +41,14 @@ def parse_csv(text):
 
 
 class TestRunManifest:
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         m = RunManifest("sweep", {"snr_db": [0.0, 5.0], "bits": 2})
         assert json.loads(m.to_json()) == {
             "command": "sweep",
             "parameters": {"snr_db": [0.0, 5.0], "bits": 2},
-            "version": m.version,
-            "timestamp": m.timestamp,
+            "version": __version__,
+            "timestamp": "2023-11-14T22:13:20Z",
         }
 
     def test_serialization_is_stable(self):
@@ -58,13 +59,14 @@ class TestRunManifest:
     def test_timestamp_honors_source_date_epoch(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         m = RunManifest("verify", {})
-        assert m.timestamp == "1970-01-01T00:00:00Z"
+        assert json.loads(m.to_json())["timestamp"] == "1970-01-01T00:00:00Z"
 
 
 class TestWriters:
-    MANIFEST = RunManifest("test", {"x": 1}, timestamp="1970-01-01T00:00:00Z")
+    MANIFEST = RunManifest("test", {"x": 1})
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         buf = io.StringIO()
         write_csv(buf, ["a", "b"], [[1.5, None], ["x,y", 2]], self.MANIFEST)
         lines = buf.getvalue().splitlines()
@@ -194,16 +196,6 @@ class TestCapacityCommand:
         cap = float(out.split("capacity ")[1].split()[0])
         assert cap == pytest.approx(onebit_capacity(1.0), abs=1e-6)
 
-    def test_bound_flag_appends_dominating_bound(self, capsys):
-        code, out, _ = run_cli(
-            ["capacity", "--snr-db", "0", "--thresholds", "-2,0,2", "--bound"],
-            capsys,
-        )
-        assert code == 0
-        cap = float(out.split("capacity ")[1].split()[0])
-        bound = float(out.split("symmetric_upper_bound ")[1].split()[0])
-        assert bound >= cap - 1e-9
-
     def test_support_column_matches_reference_points(self, capsys):
         code, out, _ = run_cli(
             ["capacity", "--snr-db", "5", "--thresholds", "-2,0,2", "--out", "-"],
@@ -329,20 +321,16 @@ class TestBenchmarkAndBoundCommands:
         assert val == pytest.approx(0.4046, abs=2e-3)
 
     @pytest.mark.parametrize(
-        "command", [["bound"], ["capacity", "--bound"]], ids=["bound", "capacity"]
-    )
-    @pytest.mark.parametrize(
         "thresholds", ["-1,0.5", "-3,-2,-1,-0.5,0,0.5,1,2,3"], ids=["asymmetric", "K10"]
     )
     def test_unsupported_bound_quantizer_is_usage_error(
-        self, capsys, monkeypatch, command, thresholds
+        self, capsys, monkeypatch, thresholds
     ):
         def unreached(*args, **kwargs):
             raise AssertionError("a bad quantizer must fail before any solve")
 
-        monkeypatch.setattr(cli, "optimize_input_cutting_plane", unreached)
         monkeypatch.setattr(cli, "best_symmetric_bound", unreached)
-        argv = command + ["--snr-db", "0..1", "--thresholds", thresholds]
+        argv = ["bound", "--snr-db", "0..1", "--thresholds", thresholds]
         code, _, err = run_cli(argv, capsys)
         assert code == 1
         assert "usage error" in err and "symmetric duality bound" in err
@@ -396,6 +384,17 @@ class TestSweepCommand:
         assert all(a > b for a, b in zip(tail, tail[1:]))
         assert caps[-1] < max(caps) - 0.3
 
+    def test_threshold_curve_summary_is_its_best_row(self, capsys, monkeypatch):
+        # the summary solves nothing beyond the curve
+        monkeypatch.setattr(cli, "optimize_input_cutting_plane", None)
+        monkeypatch.setattr(cli, "optimize_quantizer_2bit", None)
+        code, out, _ = run_cli(["sweep", "--curve", "q", "--snr-db", "-5"], capsys)
+        assert code == 0
+        best_q, cap = max(two_bit_threshold_curve(10.0**-0.5, 1.0), key=lambda p: p[1])
+        assert out == (
+            f"snr_db -5: 200 curve points, best q {best_q:.4f} with capacity {cap:.4f}\n"
+        )
+
     @pytest.mark.parametrize("mode", [["--bits", "2"], ["--curve", "q"]], ids=["bits", "q"])
     @pytest.mark.parametrize("flags", [["--tol", "0.5"], ["--grid-points", "101"]])
     def test_solver_flags_without_dump_dist_are_usage_errors(self, capsys, mode, flags):
@@ -429,12 +428,28 @@ class TestSweepCommand:
         def unreached(*args, **kwargs):
             raise AssertionError("a bad flag must fail before any solve")
 
-        monkeypatch.setattr(cli, "optimize_quantizer_2bit", unreached)
+        monkeypatch.setattr(cli, "two_bit_threshold_curve", unreached)
         argv = ["sweep", "--snr-db", "0", "--curve", "q", "--bits", bits, "--out", "-"]
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert "usage error" in err and "--bits" in err
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "convexity"],
+        ["reproduce", "--table", "I"],
+        ["benchmark", "--snr-db", "0", "--bits", "1"],
+    ],
+    ids=["verify", "reproduce", "benchmark"],
+)
+def test_manifest_has_no_sigma2_without_the_flag(capsys, argv):
+    code, out, _ = run_cli(argv + ["--out", "-"], capsys)
+    assert code == 0
+    manifest, _, _ = parse_csv(out)
+    assert "sigma2" not in manifest["parameters"]
 
 
 class TestVerifyCommand:
@@ -499,16 +514,32 @@ class TestReproduceCommand:
         ["sweep", "--snr-db", "0", "--onebit"],
         ["sweep", "--snr-db", "0", "--thresholds", "-1,0,1"],
         ["sweep", "--snr-db", "0", "--dump-dist", "--bits", "2"],
+        ["capacity", "--snr-db", "0", "--bits", "2", "--bound"],
+        ["benchmark", "--snr-db", "0", "--bits", "2", "--sigma2", "4"],
     ],
-    ids=["capacity-onebit", "bound-onebit", "sweep-onebit", "sweep-thresholds", "sweep-dump-dist"],
+    ids=[
+        "capacity-onebit",
+        "bound-onebit",
+        "sweep-onebit",
+        "sweep-thresholds",
+        "sweep-dump-dist",
+        "capacity-bound",
+        "benchmark-sigma2",
+    ],
 )
 def test_removed_flags_are_usage_errors(capsys, monkeypatch, argv):
-    # the sign quantizer is --bits 1, and capacity reports the optimal
-    # input's support and masses per SNR
+    # the sign quantizer is --bits 1, capacity reports the optimal input's
+    # support and masses per SNR, the bound command runs the bound search,
+    # and the benchmark rates depend on the SNR alone
     def unreached(*args, **kwargs):
         raise AssertionError("a removed flag must fail before any solve")
 
-    for name in ("optimize_input_cutting_plane", "best_symmetric_bound", "run_sweep"):
+    for name in (
+        "optimize_input_cutting_plane",
+        "best_symmetric_bound",
+        "run_sweep",
+        "benchmark_mutual_information",
+    ):
         monkeypatch.setattr(cli, name, unreached)
     code, out, err = run_cli(argv + ["--out", "-"], capsys)
     assert code == 1

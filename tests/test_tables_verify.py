@@ -151,6 +151,22 @@ class TestVerifySuites:
             assert check.passed
             assert check.margin > 0.0
 
+    def test_witness_below_one_fails(self, monkeypatch):
+        # the witness certifies convexity only where it exceeds 1
+        from quantcap import verify
+
+        real = verify.convexity_witness
+        monkeypatch.setattr(
+            verify,
+            "convexity_witness",
+            lambda y: np.full(np.shape(y), 0.5) if np.ndim(y) else real(y),
+        )
+        checks = {c.name: c for c in run_suite("convexity")}
+        tail = checks["witness above 1 on [2, 60]"]
+        assert not tail.passed
+        assert tail.margin == pytest.approx(-0.5, abs=1e-15)
+        assert all(c.passed for name, c in checks.items() if name != tail.name)
+
     def test_single_suite_selection(self, cell_cache):
         names = {c.name for c in run_suite("cardinality", cell_cache)}
         assert len(names) == 12
