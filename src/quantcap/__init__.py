@@ -10,10 +10,11 @@ from .channel import (
     Quantizer,
     mutual_information,
 )
-from .bounds import best_symmetric_bound, divergence_to_output, minimize_max_affine
+from .bounds import divergence_to_output, minimize_max_affine
 from .optimize import (
     CapacityResult,
     GridConfig,
+    duality_upper_bound,
     onebit_capacity,
     optimize_input_blahut_arimoto,
     optimize_input_cutting_plane,
@@ -58,7 +59,7 @@ __all__ = [
     "optimize_input_blahut_arimoto",
     "minimize_max_affine",
     "divergence_to_output",
-    "best_symmetric_bound",
+    "duality_upper_bound",
     "BenchmarkScheme",
     "JointResult",
     "benchmark_mutual_information",

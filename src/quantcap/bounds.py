@@ -11,13 +11,10 @@ and the minimum is found exactly by locating the breakpoint where the
 active slope changes sign (`minimize_max_affine`; the cutting plane
 certifies its gap with it too).  `divergence_to_output` is D(W(.|x) || R).
 
-The resulting bound is a convex function of R (the divergence is convex in
-R, the objective is jointly convex in (R, gamma), and a partial minimum of a
-jointly convex function is convex), so the best symmetric R is found by a
-local search: a bounded Brent search over the one free mass for K=4 and
-Nelder-Mead from the uniform output for K=8.  The value returned for the
-chosen R is re-certified over continuous x.  `check_bound_quantizer`
-states which quantizers the search takes.
+The tightest R is the optimal input's output law, so the one bound path,
+`optimize.duality_upper_bound`, polishes the capacity solve's own support
+over continuous x; `_certified_bound` here certifies that input's output
+law, for any quantizer and any R.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .channel import (
     ChannelSpec,
@@ -34,6 +31,7 @@ from .channel import (
     _divergences_bits,
     _row_negentropy_bits,
 )
+from .special import gaussian_q
 
 _ACTIVE_RTOL = 1e-12
 _FLAT_SLOPE = np.finfo(float).eps ** 2
@@ -159,133 +157,45 @@ def divergence_to_output(x, output: OutputPmf, spec: ChannelSpec):
     return rows
 
 
-def _symmetric_half_grid(spec: ChannelSpec, point_count: int):
-    hi = spec.quantizer.thresholds[-1] + 5.0 * spec.sigma
-    return np.linspace(0.0, hi, point_count)
+#: points of the grid that `_certified_bound` scans, and its padding in
+#: sigmas past the outer thresholds and past 0
+_CERT_POINTS = 8001
+_CERT_PAD = 10.0
 
 
-def _certified_symmetric_bound(spec: ChannelSpec, out: OutputPmf) -> float:
-    """Continuum-valid duality value for a fixed symmetric output pmf.
+def _certified_bound(spec: ChannelSpec, out: OutputPmf) -> float:
+    """Duality value for a fixed output pmf, valid over continuous x.
 
-    Any gamma >= 0 certifies a bound as long as the inner sup over x is
-    airtight, so the envelope minimum only picks gamma; the sup is then
-    re-taken over continuous x by polishing every near-maximal grid peak.
-    At gamma = 0 the inner sup includes the saturation limit -log2(R_edge)
-    approached as |x| grows, which no finite grid reaches.
+    Any gamma >= 0 certifies a bound if the inner sup over x is airtight, so
+    the envelope minimum on a grid only picks gamma; the sup is re-taken
+    over continuous x by polishing every grid peak.  Past the grid ends a
+    row leaves at most eps = Q(_CERT_PAD) of its mass outside the edge bin
+    e, so D(W(.|x) || R) <= -log2 R_e - eps log2 min R there, while gamma (P
+    - x^2) only falls; at gamma = 0 these tails are the saturation limits
+    -log2 R_0 and -log2 R_{K-1}, which no finite grid reaches.
     """
-    xs = _symmetric_half_grid(spec, 4001)
+    thr, sigma, power = spec.quantizer.thresholds, spec.sigma, spec.power_constraint
+    lo = min(thr[0], 0.0) - _CERT_PAD * sigma
+    hi = max(thr[-1], 0.0) + _CERT_PAD * sigma
+    xs = np.linspace(lo, hi, _CERT_POINTS)
     d = divergence_to_output(xs, out, spec)
-    power = spec.power_constraint
-    env = minimize_max_affine(d, power - xs**2)
-    gamma = env.gamma
-
+    gamma = minimize_max_affine(d, power - xs**2).gamma
     prof = d + gamma * (power - xs**2)
     best = float(np.max(prof))
-    last = xs.size - 1
-
-    def negated(x):
-        return -(
-            divergence_to_output(float(x), out, spec) + gamma * (power - x * x)
-        )
-
-    for i in range(xs.size):
-        if prof[i] < best - 1e-6:
-            continue
-        if (i > 0 and prof[i] < prof[i - 1]) or (i < last and prof[i] < prof[i + 1]):
-            continue
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, last)]
+    # a peak rises above a neighbour by more than rounding: past the outer
+    # thresholds the profile saturates to a plateau of rounding noise
+    padded = np.concatenate(([-np.inf], prof, [-np.inf]))
+    low, high = np.minimum(padded[:-2], padded[2:]), np.maximum(padded[:-2], padded[2:])
+    for i in np.flatnonzero((prof >= high) & (prof > low + 1e-15 * max(1.0, abs(best)))):
         res = minimize_scalar(
-            negated, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-        )
-        best = max(best, float(-res.fun))
-
-    if gamma == 0.0:
-        tail = float(-np.log2(min(out.probs[0], out.probs[-1])))
-        best = max(best, tail)
-    return best
-
-
-_BOUND_BINS = (2, 4, 8)
-
-
-def check_bound_quantizer(quantizer) -> None:
-    """Raise ValueError unless `best_symmetric_bound` accepts the quantizer:
-    symmetric thresholds and a bin count K in _BOUND_BINS."""
-    if not quantizer.is_symmetric():
-        raise ValueError("the symmetric duality bound requires a symmetric quantizer")
-    if quantizer.bins not in _BOUND_BINS:
-        raise ValueError(
-            f"the symmetric duality bound supports K in {_BOUND_BINS}, "
-            f"got K={quantizer.bins}"
-        )
-
-
-def best_symmetric_bound(spec: ChannelSpec):
-    """Best duality bound over symmetric output pmfs for a symmetric quantizer.
-
-    Returns (bound, output pmf).  The objective
-
-        F(R) = min_{gamma >= 0} max_x [ D(W(.|x) || R) + gamma (P - x^2) ]
-
-    is convex in R: D(W(.|x) || R) is convex in R, adding gamma (P - x^2)
-    keeps it jointly convex in (R, gamma), a pointwise max over x preserves
-    that, and minimizing a jointly convex function over gamma leaves a
-    convex function of R.  Restricted to the affine family of symmetric
-    pmfs it stays convex, so every local minimum there is the global one.
-
-    K=2 has a single symmetric output.  K=4 has one free parameter, the
-    inner-bin mass alpha in R = (1/2 - alpha, alpha, alpha, 1/2 - alpha);
-    a bounded Brent search runs over the open interval (0, 1/2), at whose
-    ends some bin mass vanishes and F grows without bound, so the minimum
-    is interior.  K=8 has three free masses, found by Nelder-Mead from the
-    uniform output; other K raise ValueError.  For symmetric outputs the
-    divergence profile is even in x, so the search grids only cover [0, max
-    threshold + 5 sigma].  The returned value re-takes the inner sup over
-    continuous x for the chosen pmf, so it stays a true bound whatever the
-    search returns.
-    """
-    quant = spec.quantizer
-    check_bound_quantizer(quant)
-    k = quant.bins
-    power = spec.power_constraint
-
-    if k == 2:
-        out = OutputPmf(np.array([0.5, 0.5]))
-        return _certified_symmetric_bound(spec, out), out
-
-    xs = _symmetric_half_grid(spec, 4001 if k == 4 else 2001)
-    w = bin_probability_matrix(xs, quant.thresholds, spec.sigma)
-    negent = _row_negentropy_bits(w)
-    slopes = power - xs**2
-
-    def bound_for_half(h):
-        # h: probabilities of bins 1..K/2 (outermost first), summing to 1/2
-        d = _divergences_bits(w, negent, np.concatenate([h, h[::-1]]))
-        return minimize_max_affine(d, slopes).value
-
-    if k == 4:
-        res = minimize_scalar(
-            lambda a: bound_for_half(np.array([0.5 - a, a])),
-            bounds=(0.0, 0.5),
+            lambda x: -divergence_to_output(x, out, spec) - gamma * (power - x * x),
+            bounds=(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]),
             method="bounded",
             options={"xatol": 1e-10},
         )
-        alpha = float(res.x)
-        out = OutputPmf(np.array([0.5 - alpha, alpha, alpha, 0.5 - alpha]))
-        return _certified_symmetric_bound(spec, out), out
-
-    def objective(v):
-        h = np.append(v, 0.5 - v.sum())
-        if h.min() <= 1e-9:
-            return 1e6
-        return bound_for_half(h)
-
-    res = minimize(
-        objective,
-        np.full(3, 0.125),
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 600},
-    )
-    h = np.append(res.x, 0.5 - res.x.sum())
-    out = OutputPmf(np.concatenate([h, h[::-1]]))
-    return _certified_symmetric_bound(spec, out), out
+        best = max(best, float(-res.fun))
+    log_r = -np.log2(out.probs)
+    spill = gaussian_q(_CERT_PAD) * float(np.max(log_r))
+    for edge, x in ((0, lo), (-1, hi)):
+        best = max(best, float(log_r[edge]) + spill + gamma * (power - x * x))
+    return best

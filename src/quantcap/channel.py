@@ -4,9 +4,10 @@ The channel is Y = quantize(X + N) with N ~ Normal(0, noise_variance) and a
 quantizer described by its K-1 ascending thresholds.  Everything downstream
 (optimizers, bounds, reports) works through the types and kernels here: the
 transition rows bin_probability_matrix, the mutual information, the one
-divergence kernel _divergences_bits, which every other module uses, and the
-threshold gradient _threshold_gradient_bits; callers form the output pmf
-p W themselves, from the rows they already hold.
+divergence kernel _divergences_bits, which every other module uses, its
+input slope _divergence_slope_bits, and the threshold gradient
+_threshold_gradient_bits; callers form the output pmf p W themselves, from
+the rows they already hold.
 
 All information quantities are in bits.
 """
@@ -232,6 +233,18 @@ def _threshold_gradient_bits(x, p, thresholds, sigma, w, r):
     return (flow * (log_w[:, :-1] - log_w[:, 1:])).sum(axis=0) - flow.sum(axis=0) * (
         log_r[:-1] - log_r[1:]
     )
+
+
+def _divergence_slope_bits(x, thresholds, sigma, w, r):
+    """d'(x) = dD(W(.|x) || r)/dx in bits per unit x for each input x, given
+    its rows w: raising x by dx moves mass phi((q_k - x)/sigma)/sigma dx
+    from bin k to bin k+1 across each threshold q_k.  Zero entries of w and
+    r are floored at _R_FLOOR."""
+    x = np.asarray(x, dtype=float)
+    z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
+    flow = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
+    ratio = np.log2(np.maximum(w, _R_FLOOR)) - np.log2(np.maximum(r, _R_FLOOR))
+    return (flow * (ratio[:, 1:] - ratio[:, :-1])).sum(axis=1)
 
 
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:

@@ -20,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd
+from scipy.optimize import brentq, minimize
 from scipy.special import xlogy
 
-from .bounds import minimize_max_affine
+from .bounds import _certified_bound, minimize_max_affine
 from .channel import (
     ChannelSpec,
     InputDistribution,
+    OutputPmf,
     PRUNE_TOL,
     _R_FLOOR,
+    _divergence_slope_bits,
     _divergences_bits,
     _row_negentropy_bits,
     bin_probability_matrix,
@@ -141,8 +144,10 @@ def _feasible_start(p, xsq, power):
 # reduced gradient exceeds _ADD_TOL; a face is optimal when the KKT residual
 # on its free set is at most _FACE_TOL; the line search treats objective
 # values within _F_NOISE (relative) as equal, since a step whose gain is below
-# rounding cannot be checked.  Singular values, and the spread of x^2 over
-# the free set, below _RANK_RTOL of their scale count as zero.
+# rounding cannot be checked.  Singular values below _RANK_RTOL, and a
+# spread of x^2 over the free set below _RANK_RTOL of its scale, count as
+# zero, and a reduced Hessian whose singular values spread past
+# 1/_RANK_RTOL is singular to working precision.
 _ADD_TOL = 1e-13
 _FACE_TOL = 1e-12
 _F_NOISE = 1e-15
@@ -185,7 +190,31 @@ def _face_basis(xsq, power_row):
     return z, None
 
 
-def _optimal_masses_rows(w, negent, xsq, power, start=None):
+def _join_step(pf, wf, negf, xf, power, j, f):
+    """Masses moved from pf, whose objective is f, toward the vertex that
+    mixes point j at exactly the power level with the face point of most
+    different x^2 on the other side of it, to the exact maximum of I on that
+    segment; None if there is no such point or the gain is below rounding."""
+    beyond = (xf - power) * (xf[j] - power) < -_RANK_RTOL * power**2
+    if not np.any(beyond):
+        return None
+    k = int(np.argmax(np.where(beyond, np.abs(xf - xf[j]), -1.0)))
+    vertex = np.zeros_like(pf)
+    vertex[j] = (power - xf[k]) / (xf[j] - xf[k])
+    vertex[k] = 1.0 - vertex[j]
+    v = vertex - pf
+
+    def slope(t):
+        return float(_divergences_bits(wf, negf, (pf + t * v) @ wf) @ v)
+
+    t = 1.0
+    if slope(1.0) < 0.0:
+        t = brentq(slope, 0.0, 1.0, xtol=1e-300) if slope(0.0) > 0.0 else 0.0
+    q = np.maximum(pf + t * v, 0.0)
+    return q if _mass_objective(q, wf, negf) > f + _F_NOISE * max(1.0, abs(f)) else None
+
+
+def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     """Maximize mutual information over masses on a fixed support.
 
     Active-set Newton method for the concave program max_p sum_j p_j d_j(p)
@@ -202,10 +231,15 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
     released if gamma < 0 beyond rounding, else the point with the largest
     reduced gradient joins F, and the solve ends when none exceeds _ADD_TOL.
 
+    A point that joins F and alone reaches some bin sees R near 0 there, and
+    its 1/R curvature can shrink every Newton step below rounding.  A solve
+    that stalls so reruns `careful`: such a join (a reduced Hessian singular
+    to working precision) takes a _join_step, or is left out if that gains
+    nothing; RuntimeError if this stalls too.
+
     Starts from `start` when given, else from uniform masses, made feasible
     by _feasible_start.  The program is concave, so any KKT point is a
-    global optimum.  Returns (masses, mutual_information_bits); raises
-    RuntimeError if _NEWTON_MAX_ITER iterations do not reach one.
+    global optimum.  Returns (masses, mutual_information_bits).
     """
     m = negent.size
     if m == 1:
@@ -221,6 +255,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
     free = p > 0.0
     on_power = float(p @ xsq) >= power
     added = -1
+    left_out = np.zeros(m, dtype=bool)
     steps = 0
     while True:
         idx = np.flatnonzero(free)
@@ -232,6 +267,8 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
         while True:
             steps += 1
             if steps > _NEWTON_MAX_ITER:
+                if not careful:
+                    return _optimal_masses_rows(w, negent, xsq, power, start, True)
                 raise RuntimeError(
                     f"mass optimization did not converge in {_NEWTON_MAX_ITER} Newton iterations"
                 )
@@ -251,7 +288,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
             _, sv, vt, info = dgesdd(scaled.T @ z)
             if info:
                 raise np.linalg.LinAlgError("SVD of the reduced Hessian did not converge")
-            pivot = np.count_nonzero(sv > _RANK_RTOL * sv[0]) < zg.size
+            pivot = sv.size < zg.size or sv[-1] <= _RANK_RTOL
             if pivot:
                 # R is constant along this null direction, so the objective
                 # is linear there with slope g @ v (= negent @ v).
@@ -262,6 +299,17 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
                 break
             else:
                 v = z @ (((vt @ zg) / sv**2) @ vt)
+                if careful and added >= 0 and sv[-1] < _RANK_RTOL * sv[0]:
+                    j = np.searchsorted(idx, added)
+                    q = _join_step(pf, wf, negf, xf, power, j, f)
+                    if q is not None:
+                        pf, r, added = q, q @ wf, -1
+                        f = _mass_objective(pf, wf, negf)
+                        continue
+                    # leave the point out: a boundary step that drops it
+                    v, hit = -np.eye(idx.size)[j], added
+                    left_out[added] = True
+                    break
             if added >= 0 and v[np.searchsorted(idx, added)] < 0.0:
                 # The step would drop the point that just joined: its reduced
                 # gradient was within rounding of the face's own residual.
@@ -318,6 +366,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None):
             nu = float(g[a]) - gamma * float(xf[a])
         reduced = _divergences_bits(w, negent, r) - nu - gamma * xsq
         reduced[idx] = -np.inf
+        reduced[left_out] = -np.inf
         j = int(np.argmax(reduced))
         if reduced[j] <= _ADD_TOL:
             return p, float(pf @ g)
@@ -409,7 +458,6 @@ def optimize_input_cutting_plane(
     idx = np.asarray(support, dtype=int)
     p_cur = np.full(idx.size, 1.0 / idx.size)
     converged = False
-    restarted = False
     iterations = 0
     for iterations in range(1, _CUT_MAX_ITER + 1):
         idx = np.asarray(support, dtype=int)
@@ -433,14 +481,8 @@ def optimize_input_cutting_plane(
         g_outside[idx] = -np.inf
         best = float(np.max(g_outside))
         if best - mi <= tol:
-            # The certified gap sits on the current support, so adding points
-            # cannot close it; give the inner solver one cold restart before
-            # accepting the result as-is.
-            if restarted:
-                break
-            restarted = True
-            warm = {}
-            continue
+            # The certified gap sits on the support: new points cannot close it.
+            break
         # At the minimax gamma the binding violations come in pairs with
         # opposite power slopes (one point inside the power budget, one
         # outside); mass can only flow to the outer one together with the
@@ -466,6 +508,43 @@ def optimize_input_cutting_plane(
         iterations=iterations,
         converged=converged,
     )
+
+
+def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None):
+    """Duality upper bound on capacity over continuous x, for any quantizer:
+    (bound, output pmf R).  The tightest R is the optimal input's output law.
+
+    L-BFGS-B moves the nonzero support points of the cutting-plane optimum
+    `result` (solved here when None), re-solving the masses warm each step;
+    by the envelope theorem the gradient in x_i is p_i (d'(x_i) - 2 gamma
+    x_i), gamma being that solve's power multiplier.  A point fixed at 0 is
+    in every solve, as a feasibility anchor.  `bounds._certified_bound`
+    certifies the polished input's output law.
+    """
+    if result is None:
+        result = optimize_input_cutting_plane(spec)
+    thr, sigma, power = spec.quantizer.thresholds, spec.sigma, spec.power_constraint
+    locs, masses = result.dist.locations, result.dist.masses
+    moving = locs != 0.0
+    p, r = np.append(masses[moving], masses[~moving].sum()), None
+
+    def negated(x):
+        nonlocal p, r
+        pts = np.append(x, 0.0)
+        w = bin_probability_matrix(pts, thr, sigma)
+        negent = _row_negentropy_bits(w)
+        p, mi = _optimal_masses_rows(w, negent, pts**2, power, start=p)
+        r = p @ w
+        gamma = minimize_max_affine(_divergences_bits(w, negent, r), power - pts**2).gamma
+        slope = _divergence_slope_bits(x, thr, sigma, w[:-1], r)
+        return -mi, -p[:-1] * (slope - 2.0 * gamma * x)
+
+    # stop at a gain below rounding or a location gradient below 1e-10 bits
+    options = {"ftol": _F_NOISE, "gtol": 1e-10, "maxiter": 100}
+    negated(minimize(negated, locs[moving], jac=True, method="L-BFGS-B", options=options).x)
+    r = np.maximum(r, _R_FLOOR)
+    out = OutputPmf(r / r.sum())
+    return _certified_bound(spec, out), out
 
 
 _MASS_FLOOR = 1e-300

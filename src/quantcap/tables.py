@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .bounds import best_symmetric_bound
 from .channel import ChannelSpec, Quantizer
-from .optimize import onebit_capacity, optimize_input_cutting_plane
+from .optimize import duality_upper_bound, onebit_capacity, optimize_input_cutting_plane
 from .quantopt import (
     benchmark_mutual_information,
     optimize_quantizer_2bit,
@@ -91,8 +90,7 @@ def table_i_mutual_information(snr_db: float, cache=None):
 def table_i_upper_bound(snr_db: float, cache=None):
     def compute():
         spec = ChannelSpec.from_snr_db(snr_db, TABLE_I_QUANTIZER)
-        bound, _ = best_symmetric_bound(spec)
-        return bound
+        return duality_upper_bound(spec, table_i_mutual_information(snr_db, cache))[0]
 
     return _cached(cache, ("t1ub", round(snr_db, 6)), compute)
 

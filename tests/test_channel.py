@@ -24,6 +24,7 @@ from quantcap import (
     mutual_information,
 )
 from quantcap.channel import (
+    _divergence_slope_bits,
     _divergences_bits,
     _row_negentropy_bits,
     _threshold_gradient_bits,
@@ -366,6 +367,29 @@ class TestThresholdGradient:
                     2.0 * step
                 )
                 assert abs(got[k] - diff) <= 1e-8
+
+
+class TestDivergenceSlope:
+    @pytest.mark.parametrize("bins", [2, 4, 5, 8])
+    def test_matches_central_differences(self, bins):
+        # d'(x) of D(W(.|x) || r) against a fixed random r, asymmetric
+        # thresholds, sigma != 1
+        rng = _rng()
+        step = 1e-6
+        for _ in range(20):
+            sigma = rng.uniform(0.3, 3.0)
+            thr = np.sort(rng.normal(0.0, 2.0 * sigma, size=bins - 1))
+            r = rng.dirichlet(np.ones(bins))
+            x = rng.normal(0.0, 3.0 * sigma, size=8)
+
+            def d(at):
+                w = bin_probability_matrix(at, thr, sigma)
+                return _divergences_bits(w, _row_negentropy_bits(w), r)
+
+            w = bin_probability_matrix(x, thr, sigma)
+            got = _divergence_slope_bits(x, thr, sigma, w, r)
+            diff = (d(x + step) - d(x - step)) / (2.0 * step)
+            np.testing.assert_allclose(got, diff, atol=1e-7)
 
 
 class TestDivergence:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
@@ -22,6 +22,7 @@ from quantcap import (
     GridConfig,
     CapacityResult,
     Quantizer,
+    duality_upper_bound,
     minimize_max_affine,
     mutual_information,
     onebit_capacity,
@@ -201,6 +202,59 @@ class TestOptimalMasses:
         w = bin_probability_matrix(xs, (0.0,), 1.0)
         with pytest.raises(RuntimeError, match="did not converge"):
             _optimal_masses_rows(w, _row_negentropy_bits(w), xs**2, 1.0)
+
+
+def _fuzz_thresholds(bins, symmetric, half, signed):
+    """Symmetric: 0 and +/- the first (K - 2)/2 of `half`; else the first
+    K - 1 of `signed`, sorted."""
+    if symmetric:
+        pos = sorted(half[: (bins - 2) // 2])
+        return tuple([-t for t in reversed(pos)] + [0.0] + pos)
+    return tuple(sorted(signed[: bins - 1]))
+
+
+class TestFarThresholds:
+    """Quantizers with thresholds up to 20 sigma: a bin that only a far,
+    near-empty point reaches has R near 0, the case the mass solve's careful
+    mode is for."""
+
+    @given(
+        bins=st.sampled_from([2, 4, 8]),
+        symmetric=st.booleans(),
+        snr_db=st.floats(min_value=-5.0, max_value=20.0),
+        half=st.lists(st.floats(min_value=0.2, max_value=20.0), min_size=3, max_size=3),
+        signed=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=7, max_size=7),
+        drop=st.integers(min_value=0, max_value=6),
+    )
+    # draw 7 of 300 on default_rng(0): SNR uniform on -5..20 dB and
+    # half-thresholds uniform on (0.2, 20)
+    @example(
+        bins=8,
+        symmetric=True,
+        snr_db=4.723035599477594,
+        half=[13.079093670102763, 13.773731292717756, 13.831245265304613],
+        signed=[0.0] * 7,
+        drop=0,
+    )
+    @example(
+        bins=8, symmetric=True, snr_db=12.0, half=[7.07, 7.96, 20.0], signed=[0.0] * 7, drop=3
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_solves_bound_and_merge_consistently(
+        self, bins, symmetric, snr_db, half, signed, drop
+    ):
+        thr = _fuzz_thresholds(bins, symmetric, half, signed)
+        assume(np.all(np.diff(thr) > 1e-3))
+        spec = spec_db(snr_db, Quantizer(thr))
+        full = optimize_input_cutting_plane(spec, grid=FAST)
+        assert 0.0 <= full.capacity <= full.upper_bound + 1e-12
+        bound, _ = duality_upper_bound(spec, full)
+        assert bound >= full.capacity - 1e-9
+        if bins > 2:
+            # data processing: merging two bins cannot raise the capacity
+            merged_thr = thr[: drop % len(thr)] + thr[drop % len(thr) + 1 :]
+            merged = optimize_input_cutting_plane(spec_db(snr_db, Quantizer(merged_thr)), grid=FAST)
+            assert merged.capacity <= bound + 1e-9
 
 
 class TestCapacityResultValidation:

@@ -209,6 +209,17 @@ class TestCapacityCommand:
         assert locs == pytest.approx([-2.86, -0.52, 0.52, 2.86], abs=0.05)
         assert sum(masses) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("db", ["8", "10", "12"])
+    def test_far_outer_thresholds_solve(self, capsys, db):
+        # the 8-PAM input reaches the outer bins at 20 sigma with probability
+        # near 1e-45, so the mass solve sees R near 0 there
+        argv = ["capacity", "--snr-db", db, "--thresholds=-20,-7.96,-7.07,0,7.07,7.96,20"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        cap = float(out.split("capacity ")[1].split()[0])
+        bound = float(out.split("upper_bound ")[1].split()[0])
+        assert 0.0 < cap <= bound
+
     def test_unordered_thresholds_usage_error(self, capsys):
         code, _, err = run_cli(
             ["capacity", "--snr-db", "0", "--thresholds", "1,0"], capsys
@@ -312,6 +323,19 @@ class TestBenchmarkAndBoundCommands:
         assert "usage error" in err and "--bits" in err
         assert out == ""
 
+    def test_two_bit_search_at_high_snr(self, capsys):
+        # the coarse scan reaches q near 2 sqrt(P), where the 501-point mass
+        # solve meets near-empty outer bins at every integer SNR here
+        code, out, _ = run_cli(
+            ["optimize-quantizer", "--bits", "2", "--snr-db", "25..33", "--out", "-"],
+            capsys,
+        )
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        caps = [float(row[header.index("capacity")]) for row in rows]
+        assert len(caps) == 9
+        assert all(1.9 < c <= 2.0 for c in caps)
+
     def test_bound_command(self, capsys):
         code, out, _ = run_cli(
             ["bound", "--snr-db", "0", "--thresholds", "-2,0,2"], capsys
@@ -320,20 +344,23 @@ class TestBenchmarkAndBoundCommands:
         val = float(out.split("bound ")[1].split()[0])
         assert val == pytest.approx(0.4046, abs=2e-3)
 
-    @pytest.mark.parametrize(
-        "thresholds", ["-1,0.5", "-3,-2,-1,-0.5,0,0.5,1,2,3"], ids=["asymmetric", "K10"]
-    )
-    def test_unsupported_bound_quantizer_is_usage_error(
-        self, capsys, monkeypatch, thresholds
-    ):
-        def unreached(*args, **kwargs):
-            raise AssertionError("a bad quantizer must fail before any solve")
-
-        monkeypatch.setattr(cli, "best_symmetric_bound", unreached)
-        argv = ["bound", "--snr-db", "0..1", "--thresholds", thresholds]
-        code, _, err = run_cli(argv, capsys)
-        assert code == 1
-        assert "usage error" in err and "symmetric duality bound" in err
+    def test_any_capacity_quantizer_is_bounded(self, capsys):
+        # bound takes every quantizer that capacity takes, asymmetric or of
+        # any bin count, and bounds its capacity from above
+        for thresholds in ("-1,0.5", "-3,-2,-1,-0.5,0,0.5,1,2,3"):
+            argv = ["--snr-db", "0..1", "--thresholds", thresholds, "--out", "-"]
+            code, out, _ = run_cli(["capacity"] + argv, capsys)
+            assert code == 0
+            _, cap_header, caps = parse_csv(out)
+            code, out, _ = run_cli(["bound"] + argv, capsys)
+            assert code == 0
+            _, header, bounds = parse_csv(out)
+            assert len(bounds) == len(caps) == 2
+            for cap, row in zip(caps, bounds):
+                pmf = row[header.index("output_pmf")].split()
+                assert len(pmf) == thresholds.count(",") + 2
+                bound = float(row[header.index("bound")])
+                assert bound >= float(cap[cap_header.index("capacity")]) - 1e-9
 
 
 class TestSweepCommand:
@@ -536,7 +563,7 @@ def test_removed_flags_are_usage_errors(capsys, monkeypatch, argv):
 
     for name in (
         "optimize_input_cutting_plane",
-        "best_symmetric_bound",
+        "duality_upper_bound",
         "run_sweep",
         "benchmark_mutual_information",
     ):
