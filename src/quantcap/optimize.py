@@ -391,20 +391,26 @@ def _canonical_dist(locations, masses, spec, merge_tol):
     )
 
 
-def _certify(dist, spec, w_grid, negent_grid, slopes):
+def _certify(dist, spec, w_grid, negent_grid, slopes, r=None):
     """Self-consistent numbers for a finished distribution.
 
     Returns (mi, gamma, bound): mi is the exact mutual information of `dist`,
     and bound = min over gamma of the max of d(x) + gamma (P - x^2) over the
-    grid plus dist's own (possibly off-grid) support, under dist's output
-    law.  Including the support keeps bound >= mi by weak duality even after
-    cluster merging moves points off the grid; bound - mi is then the worst
-    KKT violation at the minimax gamma.
+    grid plus dist's own (possibly off-grid) support, under the output law
+    `r`, by default dist's own.  Including the support keeps bound >= mi by
+    weak duality, for any r, even after cluster merging moves points off the
+    grid; under dist's own law bound - mi is the worst KKT violation at the
+    minimax gamma.
     """
     w_sup = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
-    r = dist.masses @ w_sup
-    d_sup = _divergences_bits(w_sup, _row_negentropy_bits(w_sup), r)
+    negent_sup = _row_negentropy_bits(w_sup)
+    own = dist.masses @ w_sup
+    d_sup = _divergences_bits(w_sup, negent_sup, own)
     mi = float(dist.masses @ d_sup)
+    if r is None:
+        r = own
+    else:
+        d_sup = _divergences_bits(w_sup, negent_sup, r)
     d_grid = _divergences_bits(w_grid, negent_grid, r)
     env = minimize_max_affine(
         np.concatenate([d_grid, d_sup]),
@@ -500,6 +506,15 @@ def optimize_input_cutting_plane(
 
     dist = _canonical_dist(xs[idx], p_cur, spec, 2.5 * spacing)
     mi, gamma, bound = _certify(dist, spec, w, negent, slopes)
+    if bound - mi > tol:
+        # Pruning and fusion can leave dist's output law far from the loop's;
+        # weak duality holds for any output law, so also certify the loop's
+        # own over the grid and dist's support, and keep the smaller bound.
+        _, loop_gamma, loop_bound = _certify(
+            dist, spec, w, negent, slopes, r=p_cur @ w[idx]
+        )
+        if loop_bound < bound:
+            gamma, bound = loop_gamma, loop_bound
     return CapacityResult(
         capacity=mi,
         dist=dist,

@@ -5,8 +5,9 @@ Three layers:
 * the benchmark scheme (equiprobable equispaced PAM with mid-point
   thresholds), whose mutual information, symbol error rate, and Fano floor
   have closed or near-closed forms;
-* brute-force search over the single free threshold q of a symmetric 2-bit
-  quantizer, the capacity curve C(q) it scans, and for 3-bit an
+* a 12-point scan over (0, 2 max(sqrt(P), sigma)] of the single free
+  threshold q of a symmetric 2-bit quantizer, refined at its near-best
+  peaks, the capacity curve C(q) over twice that span, and for 3-bit an
   alternation of input solves with a quasi-Newton threshold step on the
   exact gradient at the fixed input;
 * the unquantized baseline, and the SNR at which a capacity reaches a
@@ -41,11 +42,14 @@ from .special import binary_entropy, gaussian_q
 # The grid of every inner solve of the joint searches and of the C(q) curve.
 _SCAN_GRID = GridConfig(point_count=501)
 
-# The 2-bit scan's points, and its span in units of max(sqrt(P), sigma);
-# the C(q) curve samples the same span at _CURVE_POINTS points.
-_SCAN_POINTS = 24
-_SCAN_SPAN = 4.0
+# The 2-bit scan's points, and its span in units of max(sqrt(P), sigma).
+# From -30 to 40 dB in 0.25-dB steps, every scan peak within _PEAK_WINDOW
+# of the best lies at q <= 1.33 max(sqrt(P), sigma), so a span of 2 loses
+# no refined peak.  The C(q) curve samples _CURVE_SPAN at _CURVE_POINTS.
+_SCAN_POINTS = 12
+_SCAN_SPAN = 2.0
 _CURVE_POINTS = 200
+_CURVE_SPAN = 4.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -213,15 +217,15 @@ def optimize_quantizer_2bit(
 ) -> JointResult:
     """Best symmetric 2-bit quantizer {-q, 0, q} by threshold scan.
 
-    Scans 24 equispaced q over (0, 4 max(sqrt(P), sigma)], solving the inner
+    Scans 12 equispaced q over (0, 2 max(sqrt(P), sigma)], solving the inner
     input problem at each point with the previous support as seed.  While
     the best scanned value is the last point, the scan extends past it at
-    the same step, so the winner is never on the scan edge.  The capacity is multimodal in q, and the optimum jumps
-    between branches as the SNR moves, so every local maximum of the scan
-    within 2e-3 bits of the best is refined by golden section on its
-    bracket of scan neighbours to 1e-3 max(sqrt(P), sigma), seeded with that
-    point's support; the best refined peak wins, ties toward the smaller
-    threshold.
+    the same step, so the winner is never on the scan edge.  The capacity is
+    multimodal in q, and the optimum jumps between branches as the SNR
+    moves, so every local maximum of the scan within 2e-3 bits of the best
+    is refined by golden section on its bracket of scan neighbours to 1e-3
+    max(sqrt(P), sigma), seeded with that point's support; the best refined
+    peak wins, ties toward the smaller threshold.
     """
     _check_snr(snr)
     power = snr * noise_variance
@@ -267,15 +271,14 @@ def optimize_quantizer_2bit(
 def two_bit_threshold_curve(snr: float, noise_variance: float) -> list:
     """(q, capacity) pairs of the symmetric 2-bit quantizer {-q, 0, q}.
 
-    200 equispaced q over the scan's span (0, 4 max(sqrt(P), sigma)], with
-    no extension and no refinement; each input solve runs on the scan grid
-    at the optimizers' default tolerance 1e-4, seeded with the previous
-    support.
+    200 equispaced q over (0, 4 max(sqrt(P), sigma)], with no extension
+    and no refinement; each input solve runs on the scan grid at the
+    optimizers' default tolerance 1e-4, seeded with the previous support.
     """
     _check_snr(snr)
     power = snr * noise_variance
     scale = max(math.sqrt(power), math.sqrt(noise_variance))
-    qs = np.linspace(0.0, _SCAN_SPAN * scale, _CURVE_POINTS + 1)[1:].tolist()
+    qs = np.linspace(0.0, _CURVE_SPAN * scale, _CURVE_POINTS + 1)[1:].tolist()
     solves = _warm_solves(qs, power, noise_variance, 1e-4)
     return [(q, res.capacity) for q, res in zip(qs, solves)]
 

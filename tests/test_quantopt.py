@@ -215,7 +215,8 @@ class TestOptimizeQuantizer2bit:
     def test_refined_winner_dominates_scan(self, monkeypatch):
         scanned = _spy_scan(monkeypatch)
         res = optimize_quantizer_2bit(1.0)
-        assert len(scanned) == 24  # the default scan; no extension at 0 dB
+        # the default scan; no extension at 0 dB
+        assert len(scanned) == quantopt._SCAN_POINTS
         scan_best = max(cap for _, cap in scanned)
         assert res.capacity_result.capacity >= scan_best - 1e-6
 
@@ -244,8 +245,8 @@ class TestOptimizeQuantizer2bit:
         assert cap == pytest.approx(onebit_capacity(1.0), abs=2e-3)
 
     def test_low_snr_optimum_is_interior(self, two_bit_minus20db):
-        # the scan spans 4 max(sqrt(P), sigma); a sqrt(P)-scaled scan ends at
-        # 0.4 sigma here and returns its edge point
+        # the scan spans 2 max(sqrt(P), sigma); a sqrt(P)-scaled scan ends at
+        # 0.2 sigma here and returns its edge point
         q = two_bit_minus20db.quantizer.thresholds[2]
         assert 0.5 < q < 2.0
 
@@ -261,12 +262,28 @@ class TestOptimizeQuantizer2bit:
         res = optimize_quantizer_2bit(0.01)
         qs = [q for q, _ in scanned]
         caps = [cap for _, cap in scanned]
-        assert qs[:24] == pytest.approx(np.linspace(0.0, 0.3, 25)[1:].tolist(), abs=1e-15)
-        assert len(qs) > 24
-        np.testing.assert_allclose(np.diff(qs), 0.0125, atol=1e-12)
+        n = quantopt._SCAN_POINTS
+        assert qs[:n] == pytest.approx(np.linspace(0.0, 0.3, n + 1)[1:].tolist(), abs=1e-15)
+        assert len(qs) > n
+        np.testing.assert_allclose(np.diff(qs), 0.3 / n, atol=1e-12)
         assert int(np.argmax(caps)) < len(caps) - 1
         q = res.quantizer.thresholds[2]
         assert 0.5 < q < 2.0 and q < qs[-1]
+
+    @pytest.mark.parametrize("db", [-30.0, 3.0, 7.5, 40.0])
+    def test_short_scan_matches_the_long_one(self, monkeypatch, db):
+        # every near-best peak lies at q <= 1.33 max(sqrt(P), sigma), and the
+        # scan is warm-started forward, so the former 24-point scan over
+        # 4 max(sqrt(P), sigma) gives the same result: 3 dB has two near-best
+        # peaks, 7.5 dB the furthest one, and -30 dB a flat C(q) that lies
+        # wholly inside the refinement window
+        snr = 10.0 ** (db / 10.0)
+        short = optimize_quantizer_2bit(snr)
+        monkeypatch.setattr(quantopt, "_SCAN_POINTS", 24)
+        monkeypatch.setattr(quantopt, "_SCAN_SPAN", 4.0)
+        long = optimize_quantizer_2bit(snr)
+        assert short.quantizer.thresholds == long.quantizer.thresholds
+        assert short.capacity_result.capacity == long.capacity_result.capacity
 
     def test_lands_on_upper_branch_at_8db(self):
         # between 7 and 8 dB the optimal threshold jumps from about 1.79 to

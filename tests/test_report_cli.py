@@ -220,6 +220,15 @@ class TestCapacityCommand:
         bound = float(out.split("upper_bound ")[1].split()[0])
         assert 0.0 < cap <= bound
 
+    def test_pruned_support_keeps_a_tight_certificate(self, capsys):
+        # the 8 dB solve converges, but pruning a 1e-10 mass moves its output
+        # law; certified under the loop's own law, the gap stays within tol
+        argv = ["capacity", "--snr-db", "8", "--thresholds=-20,-7.96,-7.07,0,7.07,7.96,20"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "converged true" in out
+        assert float(out.split("kkt_max_violation ")[1].split()[0]) <= 1e-4
+
     def test_unordered_thresholds_usage_error(self, capsys):
         code, _, err = run_cli(
             ["capacity", "--snr-db", "0", "--thresholds", "1,0"], capsys
