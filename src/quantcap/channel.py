@@ -147,6 +147,12 @@ class InputDistribution:
             pm = np.bincount(group, weights=p, minlength=n_groups)
             xm = np.bincount(group, weights=p * x, minlength=n_groups) / pm
             x, p = xm, pm
+            while x.size > 1 and np.any(np.diff(x) <= 0.0):
+                # p * x can underflow (subnormal x), so distinct groups may
+                # land on one centroid: merge those too
+                group = np.concatenate(([0], np.cumsum(np.diff(x) > 0.0)))
+                pm = np.bincount(group, weights=p)
+                x, p = np.bincount(group, weights=p * x) / pm, pm
         if prune_tol > 0.0:
             keep = p >= prune_tol
             if not np.any(keep):

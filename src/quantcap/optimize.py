@@ -209,7 +209,9 @@ def _join_step(pf, wf, negf, xf, power, j, f):
 
     t = 1.0
     if slope(1.0) < 0.0:
-        t = brentq(slope, 0.0, 1.0, xtol=1e-300) if slope(0.0) > 0.0 else 0.0
+        # a root near 0 can need more than brentq's 100 iterations to
+        # reach xtol; its last iterate is still a point of the segment
+        t = brentq(slope, 0.0, 1.0, xtol=1e-300, disp=False) if slope(0.0) > 0.0 else 0.0
     q = np.maximum(pf + t * v, 0.0)
     return q if _mass_objective(q, wf, negf) > f + _F_NOISE * max(1.0, abs(f)) else None
 
@@ -235,7 +237,9 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     its 1/R curvature can shrink every Newton step below rounding.  A solve
     that stalls so reruns `careful`: such a join (a reduced Hessian singular
     to working precision) takes a _join_step, or is left out if that gains
-    nothing; RuntimeError if this stalls too.
+    nothing; RuntimeError if this stalls too.  In either mode, a join whose
+    Newton step would drop the point again takes the same way out, unless
+    its reduced gradient was within rounding: then the face is optimal.
 
     Starts from `start` when given, else from uniform masses, made feasible
     by _feasible_start.  The program is concave, so any KKT point is a
@@ -299,8 +303,15 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
                 break
             else:
                 v = z @ (((vt @ zg) / sv**2) @ vt)
-                if careful and added >= 0 and sv[-1] < _RANK_RTOL * sv[0]:
-                    j = np.searchsorted(idx, added)
+            if added >= 0:
+                j = np.searchsorted(idx, added)
+                singular = careful and not pivot and sv[-1] < _RANK_RTOL * sv[0]
+                if not singular and v[j] < 0.0 and join_gain <= 10.0 * _ADD_TOL:
+                    # The step would drop the point that just joined, whose
+                    # reduced gradient was within rounding of the face's own
+                    # residual.
+                    return p, float(pf @ g)
+                if singular or v[j] < 0.0:
                     q = _join_step(pf, wf, negf, xf, power, j, f)
                     if q is not None:
                         pf, r, added = q, q @ wf, -1
@@ -310,10 +321,6 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
                     v, hit = -np.eye(idx.size)[j], added
                     left_out[added] = True
                     break
-            if added >= 0 and v[np.searchsorted(idx, added)] < 0.0:
-                # The step would drop the point that just joined: its reduced
-                # gradient was within rounding of the face's own residual.
-                return p, float(pf @ g)
             added = -1
             t_max, hit = np.inf, None
             neg = (v < 0.0).nonzero()[0]
@@ -371,7 +378,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
         if reduced[j] <= _ADD_TOL:
             return p, float(pf @ g)
         free[j] = True
-        added = j
+        added, join_gain = j, float(reduced[j])
 
 
 def _canonical_dist(locations, masses, spec, merge_tol):

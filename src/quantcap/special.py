@@ -87,13 +87,12 @@ def second_derivative_scan(f, grid):
     """Central second differences (f(y-s) - 2 f(y) + f(y+s)) / s^2 over a grid,
     with s = 1e-4.
 
-    The caller is responsible for keeping every grid point at least 2e-4
-    away from the boundary of f's domain; domain errors from f propagate.
+    f is called three times, each on the whole array of shifted points, so
+    it must accept numpy arrays elementwise (every function of this module
+    does).  The caller is responsible for keeping every grid point at least
+    2e-4 away from the boundary of f's domain; domain errors from f
+    propagate.
     """
     step = 1e-4
-    pts = _as_float_array(grid, "second_derivative_scan")
-    pts = np.atleast_1d(pts)
-    vals = np.empty(pts.shape)
-    for i, y in enumerate(pts):
-        vals[i] = (f(y - step) - 2.0 * f(y) + f(y + step)) / (step * step)
-    return vals
+    pts = np.atleast_1d(_as_float_array(grid, "second_derivative_scan"))
+    return (f(pts - step) - 2.0 * f(pts) + f(pts + step)) / (step * step)

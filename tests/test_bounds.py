@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from quantcap import (
     BenchmarkScheme,
@@ -30,8 +31,9 @@ from quantcap import (
     onebit_capacity,
     optimize_input_cutting_plane,
 )
-from quantcap.bounds import _CERT_PAD, _certified_bound
+from quantcap.bounds import _CERT_PAD, _CERT_POINTS, _certified_bound, _polish_peaks
 from quantcap.channel import bin_probability_matrix
+from quantcap.special import gaussian_q
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 
@@ -235,6 +237,101 @@ class TestUpperBoundForOutput:
             reach += 3.0 * _CERT_PAD * spec.sigma + math.sqrt(spec.power_constraint)
             wide = grid_bound(spec, out, np.linspace(-reach, reach, 40001)).value
             assert wide <= _certified_bound(spec, out) + 1e-12
+
+
+def brent_certified_bound(spec, out):
+    """Oracle for `_certified_bound`: the same grid, multiplier and peaks,
+    each peak polished on its own by bounded Brent on the profile itself.
+    Returns (bound, best grid value, gamma)."""
+    thr, sigma, power = spec.quantizer.thresholds, spec.sigma, spec.power_constraint
+    lo = min(thr[0], 0.0) - _CERT_PAD * sigma
+    hi = max(thr[-1], 0.0) + _CERT_PAD * sigma
+    xs = np.linspace(lo, hi, _CERT_POINTS)
+    d = divergence_to_output(xs, out, spec)
+    gamma = minimize_max_affine(d, power - xs**2).gamma
+    prof = d + gamma * (power - xs**2)
+    best = grid_best = float(np.max(prof))
+    n = xs.size
+    for i in range(n):
+        left = prof[i - 1] if i > 0 else -np.inf
+        right = prof[i + 1] if i < n - 1 else -np.inf
+        if prof[i] < max(left, right) or prof[i] <= min(left, right) + 1e-15 * max(
+            1.0, abs(grid_best)
+        ):
+            continue
+        res = minimize_scalar(
+            lambda x: -divergence_to_output(x, out, spec) - gamma * (power - x * x),
+            bounds=(xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        best = max(best, float(-res.fun))
+    log_r = -np.log2(out.probs)
+    spill = gaussian_q(_CERT_PAD) * float(np.max(log_r))
+    for edge, x in ((0, lo), (-1, hi)):
+        best = max(best, float(log_r[edge]) + spill + gamma * (power - x * x))
+    return best, grid_best, gamma
+
+
+def _solved_output(spec):
+    return duality_upper_bound(spec)[1]
+
+
+PAM8_10DB = BenchmarkScheme.build(8, 10.0).quantizer
+WIDE8 = Quantizer(tuple(np.linspace(-12.0, 12.0, 7)))
+
+
+class TestPeakPolish:
+    """The certificate's peaks are polished all at once by a safeguarded
+    secant on the profile's slope; a per-peak bounded Brent search on the
+    profile itself is the oracle."""
+
+    @pytest.mark.parametrize(
+        "snr_db, quant, out",
+        [
+            (5.0, Quantizer((0.0,)), None),
+            (5.0, TWOBIT, None),
+            (5.0, TWOBIT, OutputPmf([0.1, 0.2, 0.3, 0.4])),
+            (-5.0, jittered(4, -5.0), None),
+            (10.0, PAM8_10DB, None),
+            (5.0, jittered(8, 5.0), None),
+            (20.0, jittered(8, 20.0, seed=3), None),
+        ],
+        ids=["K2", "K4", "K4-asym-R", "K4-asym", "K8", "K8-asym", "K8-asym-20dB"],
+    )
+    def test_matches_brent_oracle(self, snr_db, quant, out):
+        spec = spec_db(snr_db, quant)
+        out = out or _solved_output(spec)
+        got = _certified_bound(spec, out)
+        want, grid_best, _ = brent_certified_bound(spec, out)
+        assert abs(got - want) <= 1e-12
+        assert got >= grid_best
+
+    @pytest.mark.parametrize(
+        "quant, probs",
+        [(TWOBIT, [0.3, 0.05, 0.35, 0.3]), (WIDE8, [3, 3, 3, 1, 3, 3, 3, 3])],
+        ids=["K4", "K8"],
+    )
+    def test_saturated_gamma_zero(self, quant, probs):
+        # at 30 dB the whole certificate grid lies inside the power budget,
+        # so the multiplier is 0 and the profile is the divergence itself;
+        # a rare interior bin puts its maximum at an interior peak
+        spec = spec_db(30.0, quant)
+        out = OutputPmf(np.asarray(probs, dtype=float) / np.sum(probs))
+        want, grid_best, gamma = brent_certified_bound(spec, out)
+        assert gamma == 0.0
+        got = _certified_bound(spec, out)
+        assert abs(got - want) <= 1e-12
+        assert got > grid_best
+
+    def test_never_below_bracket_ends(self):
+        # brackets whose slope does not turn from rising to falling are
+        # left at their ends, which count
+        spec = spec_db(5.0)
+        out = OutputPmf([0.1, 0.2, 0.3, 0.4])
+        a, b = np.array([-9.0, 0.5, 3.0]), np.array([-8.0, 0.6, 3.1])
+        ends = divergence_to_output(np.concatenate((a, b)), out, spec)
+        assert _polish_peaks(spec, out, 0.0, a, b) >= float(np.max(ends))
 
 
 class TestBestSymmetricBound:

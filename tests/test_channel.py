@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import xlogy
 
@@ -142,6 +142,15 @@ class TestInputDistribution:
         assert d.locations.size == 2
         assert d.locations[1] == pytest.approx(1.0, abs=1e-9)
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_subnormal_centroids_that_coincide_merge(self):
+        # 0.5 * 5e-324 underflows to 0, so both groups' centroids are 0
+        d = InputDistribution.from_points([-5e-324, 5e-324], [0.5, 0.5])
+        assert d.locations.tolist() == [0.0]
+        assert d.masses.tolist() == [1.0]
+        d = InputDistribution.from_points([-5e-324, 5e-324, 1.0], [0.25, 0.25, 0.5])
+        assert d.locations.tolist() == [0.0, 1.0]
+        assert d.masses.tolist() == [0.5, 0.5]
 
     def test_symmetrized(self):
         d = _dist((-1.0, 0.25), (2.0, 0.75))
@@ -484,6 +493,8 @@ def small_distributions(draw):
 
 
 @given(small_distributions())
+# a subnormal point: its mirror image's centroid underflowed onto its own
+@example(dist=InputDistribution(np.array([5e-324]), np.array([1.0])))
 @settings(max_examples=60, deadline=None)
 def test_mixture_improvement_property(dist):
     spec = ChannelSpec(1.0, 9.0, Quantizer((-1.0, 0.0, 1.0)))

@@ -229,6 +229,19 @@ class TestCapacityCommand:
         assert "converged true" in out
         assert float(out.split("kkt_max_violation ")[1].split()[0]) <= 1e-4
 
+    def test_far_join_takes_its_ascent_step(self, capsys):
+        # at 10 dB the Newton step after a far point joins would drop it
+        # although its reduced gradient is bits, not rounding; the mass
+        # solve takes the join step instead of stopping, so the loop closes
+        argv = ["capacity", "--snr-db", "10", "--thresholds=-20,-7.96,-7.07,0,7.07,7.96,20"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "converged true" in out
+        assert float(out.split("kkt_max_violation ")[1].split()[0]) <= 1e-4
+        # capacity rises with power: between the same quantizer's 8 and 12 dB
+        cap = float(out.split("capacity ")[1].split()[0])
+        assert 1.0374023 < cap < 1.4766019
+
     def test_unordered_thresholds_usage_error(self, capsys):
         code, _, err = run_cli(
             ["capacity", "--snr-db", "0", "--thresholds", "1,0"], capsys

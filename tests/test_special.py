@@ -148,7 +148,27 @@ class TestConvexityWitness:
             convexity_witness(0.5)
 
 
+def scalar_scan(f, grid):
+    """Oracle: the central second difference one float at a time."""
+    step = 1e-4
+    return np.array(
+        [(f(y - step) - 2.0 * f(y) + f(y + step)) / (step * step) for y in np.asarray(grid)]
+    )
+
+
 class TestSecondDerivativeScan:
+    @pytest.mark.parametrize(
+        "f, grid",
+        [
+            (hq_of_sqrt, np.linspace(0.002, 2.0, 500)),  # verify's convexity grid
+            # y * y * y: numpy rounds y**3 differently on arrays and scalars
+            (lambda y: y * y * y, np.array([0.5, 1.0, 2.0])),
+        ],
+        ids=["hq-verify-grid", "cubic"],
+    )
+    def test_matches_scalar_loop(self, f, grid):
+        assert np.array_equal(second_derivative_scan(f, grid), scalar_scan(f, grid))
+
     def test_exact_on_cubic(self):
         grid = np.array([0.5, 1.0, 2.0])
         vals = second_derivative_scan(lambda y: y**3, grid)
