@@ -2,12 +2,12 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \
         --workload verify=10 --workload tables=5 --workload capacity_sweep=5 \
-        --first-seed 151 [--seconds 15] [--claim verify:pass_s] \
-        [--note "what the change does"] [--fingerprints] [--traced]
+        --first-seed 151 [--claim verify:pass_s] [--note "what the change does"]
 
 PARENT and CHANGE are checkout roots, each with its own ``perfbench/`` and
 ``src/``.  Every pair runs ``perfbench/run.py --trace 0`` once in each tree
-with the same seed, one run at a time, alternating which tree goes first;
+with the same seed, for the ``run_seconds`` of the change's
+``BENCHMARK.json``, one run at a time, alternating which tree goes first;
 seeds are consecutive from ``--first-seed`` over the workloads in the order
 given.  Per workload and end-to-end metric of ``BENCHMARK.json`` the file
 records both sides' runs, medians and quartiles
@@ -15,12 +15,13 @@ records both sides' runs, medians and quartiles
 (change median / parent median - 1), ``parent_iqr``, the pairs the change
 wins in the metric's direction and the ties; per workload also
 ``correct_runs``, ``fail_share_max`` and the worst certified gap.
-``--fingerprints`` runs each tree's workload pass functions once (tables
-seed 1, verify seed 1, capacity_sweep seeds 11 and 21) and compares every
-fingerprint value (table cells, verify margins, sweep capacities) bit for
-bit, next to each pass's diagnostics (the tables' largest deviations from
-the published values).  ``--traced`` adds one ``--trace 1`` run per tree
-and workload (seed 1, capacity_sweep 11) with its per-layer metrics.
+
+Then each tree's workload pass functions run once (tables seed 1, verify
+seed 1, capacity_sweep seeds 11 and 21), and every fingerprint value (table
+cells, verify margins, sweep capacities) is compared bit for bit, next to
+each pass's diagnostics (the tables' largest deviations from the published
+values).  Last, one ``--trace 1`` run per tree and workload (seed 1,
+capacity_sweep 11) records its per-layer metrics.
 """
 
 from __future__ import annotations
@@ -190,11 +191,8 @@ def parse_args(argv):
         help="a workload and its number of pairs; repeat for more workloads",
     )
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     parser.add_argument("--note", default="")
-    parser.add_argument("--fingerprints", action="store_true")
-    parser.add_argument("--traced", action="store_true")
     args = parser.parse_args(argv)
     plan = []
     for item in args.workload:
@@ -220,7 +218,7 @@ def main(argv=None) -> int:
         }
     record["method"] = {
         "command": "python3 perfbench/run.py --workload W --seed N "
-        f"--seconds {args.seconds:g} --trace 0",
+        f"--seconds {spec['run_seconds']:g} --trace 0",
         "pairing": "one pair per seed, alternating which side runs first; runs sequential",
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of one side",
         "change_vs_parent": "change median / parent median - 1",
@@ -232,7 +230,7 @@ def main(argv=None) -> int:
     for name, pairs in args.plan:
         seeds = list(range(seed, seed + pairs))
         seed += pairs
-        results[name] = paired(trees, name, seeds, args.seconds, spec["end_to_end"])
+        results[name] = paired(trees, name, seeds, spec["run_seconds"], spec["end_to_end"])
     first = next(iter(results.values()))
     record["environment"] = {k: first["_env"]["change"][k] for k in ENV_KEYS}
     for side in trees:
@@ -241,13 +239,11 @@ def main(argv=None) -> int:
     for res in results.values():
         del res["_env"]
     record["workloads"] = results
-    if args.fingerprints:
-        seeds = {name: FINGERPRINT_SEEDS[name] for name, _ in args.plan}
-        record["fingerprints"] = compare_fingerprints(
-            fingerprints(trees["parent"], seeds), fingerprints(trees["change"], seeds)
-        )
-    if args.traced:
-        record["traced"] = traced(trees, [name for name, _ in args.plan])
+    seeds = {name: FINGERPRINT_SEEDS[name] for name, _ in args.plan}
+    record["fingerprints"] = compare_fingerprints(
+        fingerprints(trees["parent"], seeds), fingerprints(trees["change"], seeds)
+    )
+    record["traced"] = traced(trees, [name for name, _ in args.plan])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

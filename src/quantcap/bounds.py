@@ -15,9 +15,8 @@ The tightest R is the optimal input's output law, so the one bound path,
 `optimize.duality_upper_bound`, polishes the capacity solve's own support
 over continuous x; `_certified_bound` here certifies that input's output
 law, for any quantizer and any R.  It picks gamma on a grid, then re-takes
-the sup over continuous x at every grid peak at once (`_polish_peaks`): a
-secant iteration on the slope d'(x) - 2 gamma x of all peaks together, each
-kept inside its own grid bracket by bisection.
+the sup over continuous x at every grid peak at once (`_polish_peaks`): the
+grid is re-laid, finer each round, over the two steps around every peak.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .channel import (
     ChannelSpec,
     OutputPmf,
     bin_probability_matrix,
-    _divergence_slope_bits,
     _divergences_bits,
     _row_negentropy_bits,
 )
@@ -172,10 +170,9 @@ def _certified_bound(spec: ChannelSpec, out: OutputPmf) -> float:
     Any gamma >= 0 certifies a bound if the inner sup over x is airtight, so
     the envelope minimum on a grid only picks gamma; the sup is re-taken
     over continuous x by polishing every grid peak between its two grid
-    neighbours, all peaks in one array pass (`_polish_peaks`), down to a
-    step of _POLISH_XTOL; the best value it evaluates counts, so a polished
-    peak never falls below its grid value.  Past the grid ends a
-    row leaves at most eps = Q(_CERT_PAD) of its mass outside the edge bin
+    neighbours, all peaks together in rounds of finer grids (`_polish_peaks`)
+    down to a step of _POLISH_XTOL; the best value it evaluates counts, so a polished peak never falls below its grid value.
+    Past the grid ends a row leaves at most eps = Q(_CERT_PAD) of its mass outside the edge bin
     e, so D(W(.|x) || R) <= -log2 R_e - eps log2 min R there, while gamma (P
     - x^2) only falls; at gamma = 0 these tails are the saturation limits
     -log2 R_0 and -log2 R_{K-1}, which no finite grid reaches.
@@ -203,54 +200,37 @@ def _certified_bound(spec: ChannelSpec, out: OutputPmf) -> float:
     return best
 
 
-#: the polish stops once its last step moved x by at most _POLISH_XTOL, or
-#: after _POLISH_MAX_STEPS steps
+#: the polish lays _POLISH_POINTS points over each bracket per round, until
+#: their step is at most _POLISH_XTOL
+_POLISH_POINTS = 33
 _POLISH_XTOL = 1e-10
-_POLISH_MAX_STEPS = 200
 
 
 def _polish_peaks(spec: ChannelSpec, out: OutputPmf, gamma, a, b) -> float:
     """Highest tilted profile D(W(.|x) || R) + gamma (P - x^2) found in the
     brackets [a[j], b[j]], all polished at once.
 
-    Each bracket's root of the profile's slope d'(x) - 2 gamma x (d' from
-    `_divergence_slope_bits`) is found by a secant iteration that narrows
-    the bracket on the slope's sign.  A step that would leave the bracket,
-    or that is not under half the step before last, is a bisection instead.
-    A bracket whose slope does not fall from positive to negative holds its
-    maximum at an end.  Every value evaluated counts, so the result is never
-    below the brackets' ends.
+    Each round lays _POLISH_POINTS evenly spaced points over every bracket,
+    its ends included, and narrows the bracket to the two steps around its
+    highest point, as the certificate grid found the peaks; a bracket
+    shrinks (_POLISH_POINTS - 1) / 2-fold per round.  Every value evaluated
+    counts, so the result is never below the brackets' ends.
     """
     thr, sigma, power, r = spec.quantizer.thresholds, spec.sigma, spec.power_constraint, out.probs
-
-    def profile(x):
-        w = bin_probability_matrix(x, thr, sigma)
-        value = _divergences_bits(w, _row_negentropy_bits(w), r) + gamma * (power - x * x)
-        return value, _divergence_slope_bits(x, thr, sigma, w, r) - 2.0 * gamma * x
-
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    values, slopes = profile(np.concatenate((a, b)))
-    best = float(np.max(values))
-    ga, gb = np.split(slopes, 2)
-    live = (ga > 0.0) & (gb < 0.0)
-    a, b, ga, gb = a[live], b[live], ga[live], gb[live]
-    # the last two iterates, and the sizes of the last two steps
-    x0, g0, x1, g1 = a, ga, b, gb
-    step1 = step2 = np.full(a.shape, np.inf)
-    for _ in range(_POLISH_MAX_STEPS):
-        if a.size == 0:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = x1 - g1 * (x1 - x0) / (g1 - g0)
-        bisect = ~((x > a) & (x < b) & (np.abs(x - x1) <= 0.5 * step2))
-        x = np.where(bisect, 0.5 * (a + b), x)
-        value, g = profile(x)
-        best = max(best, float(np.max(value)))
-        rising = g > 0.0
-        a, ga = np.where(rising, x, a), np.where(rising, g, ga)
-        b, gb = np.where(rising, b, x), np.where(rising, gb, g)
-        step1, step2 = np.abs(x - x1), step1
-        go = (step1 > _POLISH_XTOL) & (g != 0.0)
-        x0, g0, x1, g1 = x1[go], g1[go], x[go], g[go]
-        a, b, ga, gb, step1, step2 = a[go], b[go], ga[go], gb[go], step1[go], step2[go]
-    return best
+    t = np.linspace(0.0, 1.0, _POLISH_POINTS)
+    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+    rows = np.arange(a.shape[0])[:, None]
+    step = float(np.max(b - a)) / (_POLISH_POINTS - 1)
+    best = -np.inf
+    while True:
+        x = a * (1.0 - t) + b * t  # exact at both ends
+        w = bin_probability_matrix(x.ravel(), thr, sigma)
+        prof = _divergences_bits(w, _row_negentropy_bits(w), r).reshape(x.shape)
+        prof += gamma * (power - x * x)
+        best = max(best, float(np.max(prof)))
+        if step <= _POLISH_XTOL:
+            return best
+        top = np.argmax(prof, axis=1)[:, None]
+        a = x[rows, np.maximum(top - 1, 0)]
+        b = x[rows, np.minimum(top + 1, _POLISH_POINTS - 1)]
+        step *= 2.0 / (_POLISH_POINTS - 1)

@@ -282,9 +282,9 @@ WIDE8 = Quantizer(tuple(np.linspace(-12.0, 12.0, 7)))
 
 
 class TestPeakPolish:
-    """The certificate's peaks are polished all at once by a safeguarded
-    secant on the profile's slope; a per-peak bounded Brent search on the
-    profile itself is the oracle."""
+    """The certificate's peaks are polished all at once by bisection on the
+    profile's slope; a per-peak bounded Brent search on the profile itself
+    is the oracle."""
 
     @pytest.mark.parametrize(
         "snr_db, quant, out",
