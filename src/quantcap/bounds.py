@@ -171,8 +171,9 @@ def _certified_bound(spec: ChannelSpec, out: OutputPmf) -> float:
     the envelope minimum on a grid only picks gamma; the sup is re-taken
     over continuous x by polishing every grid peak between its two grid
     neighbours, all peaks together in rounds of finer grids (`_polish_peaks`)
-    down to a step of _POLISH_XTOL; the best value it evaluates counts, so a polished peak never falls below its grid value.
-    Past the grid ends a row leaves at most eps = Q(_CERT_PAD) of its mass outside the edge bin
+    down to a step of _POLISH_XTOL; the best value it evaluates counts, so a
+    polished peak never falls below its grid value.  Past the grid ends a
+    row leaves at most eps = Q(_CERT_PAD) of its mass outside the edge bin
     e, so D(W(.|x) || R) <= -log2 R_e - eps log2 min R there, while gamma (P
     - x^2) only falls; at gamma = 0 these tails are the saturation limits
     -log2 R_0 and -log2 R_{K-1}, which no finite grid reaches.

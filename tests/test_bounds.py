@@ -282,9 +282,9 @@ WIDE8 = Quantizer(tuple(np.linspace(-12.0, 12.0, 7)))
 
 
 class TestPeakPolish:
-    """The certificate's peaks are polished all at once by bisection on the
-    profile's slope; a per-peak bounded Brent search on the profile itself
-    is the oracle."""
+    """The certificate's peaks are polished all at once by re-gridding their
+    brackets; a per-peak bounded Brent search on the profile itself is the
+    oracle."""
 
     @pytest.mark.parametrize(
         "snr_db, quant, out",
@@ -325,8 +325,8 @@ class TestPeakPolish:
         assert got > grid_best
 
     def test_never_below_bracket_ends(self):
-        # brackets whose slope does not turn from rising to falling are
-        # left at their ends, which count
+        # brackets that hold no interior peak keep their maximum at an
+        # end, and the ends are evaluated
         spec = spec_db(5.0)
         out = OutputPmf([0.1, 0.2, 0.3, 0.4])
         a, b = np.array([-9.0, 0.5, 3.0]), np.array([-8.0, 0.6, 3.1])
