@@ -20,8 +20,12 @@ Then each tree's workload pass functions run once (tables seed 1, verify
 seed 1, capacity_sweep seeds 11 and 21), and every fingerprint value (table
 cells, verify margins, sweep capacities) is compared bit for bit, next to
 each pass's diagnostics (the tables' largest deviations from the published
-values).  Last, one ``--trace 1`` run per tree and workload (seed 1,
-capacity_sweep 11) records its per-layer metrics.
+values).  Fingerprints check cell values but not labels, row order or
+deviation rows, so each tree also prints every table's report
+(``quantcap reproduce --table T --out -`` with ``SOURCE_DATE_EPOCH=0``), and
+the file records per table whether the two are byte-identical.  Last, one
+``--trace 1`` run per tree and workload (seed 1, capacity_sweep 11) records
+its per-layer metrics.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,7 @@ from pathlib import Path
 
 FINGERPRINT_SEEDS = {"tables": (1,), "verify": (1,), "capacity_sweep": (11, 21)}
 TRACED_SEEDS = {"tables": 1, "verify": 1, "capacity_sweep": 11}
+REPORT_TABLES = ("I", "II", "III", "IV", "V")
 ENV_KEYS = ("blas", "blas_threads", "cpu_count", "numpy", "python", "scipy", "seconds", "trace")
 
 #: run in a tree's perfbench/ directory: every fingerprint of one pass, as JSON
@@ -166,6 +172,18 @@ def compare_fingerprints(parent: dict, change: dict) -> dict:
     return out
 
 
+def report(tree: Path, table: str) -> bytes:
+    """One table's machine report from `tree`'s source, timestamp pinned."""
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "0", "PYTHONPATH": str(tree / "src")}
+    argv = [sys.executable, "-m", "quantcap.cli", "reproduce", "--table", table, "--out", "-"]
+    return subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True).stdout
+
+
+def compare_reports(trees: dict) -> dict:
+    """Per table: are the two trees' reports byte-identical?"""
+    return {t: report(trees["parent"], t) == report(trees["change"], t) for t in REPORT_TABLES}
+
+
 def traced(trees: dict, workloads: list) -> dict:
     out = {}
     for name in workloads:
@@ -243,6 +261,7 @@ def main(argv=None) -> int:
     record["fingerprints"] = compare_fingerprints(
         fingerprints(trees["parent"], seeds), fingerprints(trees["change"], seeds)
     )
+    record["reports_identical"] = compare_reports(trees)
     record["traced"] = traced(trees, [name for name, _ in args.plan])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

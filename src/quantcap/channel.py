@@ -60,11 +60,6 @@ class Quantizer:
             raise ValueError(f"thresholds must be strictly ascending, got {thr}")
         object.__setattr__(self, "thresholds", thr)
 
-    @property
-    def bins(self) -> int:
-        """Number of output levels K."""
-        return len(self.thresholds) + 1
-
     def is_symmetric(self) -> bool:
         """True when the threshold set is closed under negation, to 1e-12
         relative to the largest |threshold| (or 1)."""

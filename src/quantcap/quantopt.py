@@ -88,7 +88,6 @@ class BenchmarkScheme:
     scheme's mutual information *is* its hard-decision rate.
     """
 
-    bins: int
     snr: float
     noise_variance: float
     input: InputDistribution
@@ -104,7 +103,6 @@ class BenchmarkScheme:
         masses = np.full(bins, 1.0 / bins)
         thresholds = tuple((2 * j - bins) * d for j in range(1, bins))
         return cls(
-            bins=bins,
             snr=snr,
             noise_variance=noise_variance,
             input=InputDistribution(locations, masses),

@@ -1,10 +1,10 @@
-"""Builders for the five benchmark comparison tables.
+"""The five benchmark comparison tables, built from one table of rows.
 
-Every builder computes its cells from scratch (reference values are attached
-for deviation reporting only) and accepts a shared cache dict so that
-overlapping tables reuse each other's optimizer runs: the joint 2- and 3-bit
-cells of the cross-precision grid, and those that Table V's Newton solves
-evaluate on their way to each target rate.
+Every cell is computed from scratch (reference values are attached for
+deviation reporting only), and `build_table` accepts a shared cache dict so
+that overlapping tables reuse each other's optimizer runs: the joint 2- and
+3-bit cells of the cross-precision grid, and those that Table V's Newton
+solves evaluate on their way to each target rate.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .special import gaussian_q
 
 TABLE_I_QUANTIZER = Quantizer((-2.0, 0.0, 2.0))
 
+_JOINT_OPTIMIZERS = {2: optimize_quantizer_2bit, 3: optimize_quantizer_3bit_iterative}
+
 
 def _snr(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -39,18 +41,12 @@ def _cached(cache, key, compute):
     return cache[key]
 
 
-def two_bit_cell(snr_db: float, cache=None):
-    """Joint-optimal symmetric 2-bit result at one SNR, rounded to 1e-6 dB (cached)."""
+def joint_cell(bits: int, snr_db: float, cache=None):
+    """Joint-optimal 2-bit or iteratively optimized 3-bit result at one SNR,
+    rounded to 1e-6 dB (cached under ("2bit", db) or ("3bit", db))."""
     db = round(snr_db, 6)
-    return _cached(cache, ("2bit", db), lambda: optimize_quantizer_2bit(_snr(db)))
-
-
-def three_bit_cell(snr_db: float, cache=None):
-    """Iteratively optimized 3-bit result at one SNR, rounded to 1e-6 dB (cached)."""
-    db = round(snr_db, 6)
-    return _cached(
-        cache, ("3bit", db), lambda: optimize_quantizer_3bit_iterative(_snr(db))
-    )
+    optimize = _JOINT_OPTIMIZERS[bits]
+    return _cached(cache, (f"{bits}bit", db), lambda: optimize(_snr(db)))
 
 
 def capacity_and_gamma(precision, snr_db: float, cache=None):
@@ -71,8 +67,7 @@ def capacity_and_gamma(precision, snr_db: float, cache=None):
         log_odds = math.log2(1.0 - q) - math.log2(q)
         return onebit_capacity(power), log_odds * density / (2.0 * root)
     if precision in (2, 3):
-        cell = two_bit_cell if precision == 2 else three_bit_cell
-        result = cell(snr_db, cache).capacity_result
+        result = joint_cell(precision, snr_db, cache).capacity_result
         return result.capacity, result.gamma
     if precision == "inf":
         return unquantized_capacity(power), 1.0 / (2.0 * math.log(2.0) * (1.0 + power))
@@ -95,124 +90,60 @@ def table_i_upper_bound(snr_db: float, cache=None):
     return _cached(cache, ("t1ub", round(snr_db, 6)), compute)
 
 
-def build_table_i(cache=None) -> ReportTable:
-    ref = REFERENCE_TABLES["I"]
-    cols = ref.columns
-    ub = tuple(table_i_upper_bound(db, cache) for db in cols)
-    mi = tuple(table_i_mutual_information(db, cache).capacity for db in cols)
-    return ReportTable(
-        name="I",
-        column_label=ref.column_label,
-        columns=cols,
-        computed=(("Upper bound", ub), ("Mutual information", mi)),
-        reference=ref.rows,
-    )
+def _capacity(precision):
+    return lambda snr_db, cache: capacity_and_gamma(precision, snr_db, cache)[0]
 
 
-def build_table_ii(cache=None) -> ReportTable:
-    ref = REFERENCE_TABLES["II"]
-    cols = ref.columns
-    onebit = tuple(onebit_capacity(_snr(db)) for db in cols)
-    opt = tuple(two_bit_cell(db, cache).capacity_result.capacity for db in cols)
-    bench = tuple(benchmark_mutual_information(4, _snr(db)) for db in cols)
-    return ReportTable(
-        name="II",
-        column_label=ref.column_label,
-        columns=cols,
-        computed=(
-            ("1-bit", onebit),
-            ("2-bit optimal", opt),
-            ("2-bit benchmark", bench),
-        ),
-        reference=ref.rows,
-    )
+def _benchmark(bins):
+    return lambda snr_db, cache: benchmark_mutual_information(bins, _snr(snr_db))
 
 
-def build_table_iii(cache=None) -> ReportTable:
-    ref = REFERENCE_TABLES["III"]
-    cols = ref.columns
-    opt = tuple(three_bit_cell(db, cache).capacity_result.capacity for db in cols)
-    bench = tuple(benchmark_mutual_information(8, _snr(db)) for db in cols)
-    return ReportTable(
-        name="III",
-        column_label=ref.column_label,
-        columns=cols,
-        computed=(("3-bit optimal", opt), ("3-bit benchmark", bench)),
-        reference=ref.rows,
-    )
-
-
-def build_table_iv(cache=None) -> ReportTable:
-    ref = REFERENCE_TABLES["IV"]
-    cols = ref.columns
-    rows = (
-        ("1-bit", tuple(onebit_capacity(_snr(db)) for db in cols)),
-        ("2-bit", tuple(two_bit_cell(db, cache).capacity_result.capacity for db in cols)),
-        ("3-bit", tuple(three_bit_cell(db, cache).capacity_result.capacity for db in cols)),
-        ("Unquantized", tuple(unquantized_capacity(_snr(db)) for db in cols)),
-    )
-    return ReportTable(
-        name="IV",
-        column_label=ref.column_label,
-        columns=cols,
-        computed=rows,
-        reference=ref.rows,
-    )
-
-
-def build_table_v(cache=None) -> ReportTable:
-    """SNR per target rate, one bracketed Newton solve per cell (see
+def _snr_for_rate(precision):
+    """SNR for one target rate, one bracketed Newton solve per cell (see
     `snr_for_spectral_efficiency`); log2 of the bin count is each quantized
     row's unattainable ceiling."""
-    ref = REFERENCE_TABLES["V"]
-    targets = ref.columns
-    rows = []
-    for label, precision, supremum in (
-        ("1-bit", 1, 1.0),
-        ("2-bit", 2, 2.0),
-        ("3-bit", 3, 3.0),
-        ("Unquantized", "inf", None),
-    ):
+    supremum = None if precision == "inf" else float(precision)
 
-        def curve(snr_db, precision=precision):
+    def cell(target, cache):
+        def curve(snr_db):
             return capacity_and_gamma(precision, snr_db, cache)
 
-        rows.append(
-            (label, tuple(snr_for_spectral_efficiency(t, curve, supremum) for t in targets))
-        )
-    return ReportTable(
-        name="V",
-        column_label=ref.column_label,
-        columns=targets,
-        computed=tuple(rows),
-        reference=ref.rows,
-    )
+        return snr_for_spectral_efficiency(target, curve, supremum)
+
+    return cell
 
 
-_BUILDERS = {
-    "I": build_table_i,
-    "II": build_table_ii,
-    "III": build_table_iii,
-    "IV": build_table_iv,
-    "V": build_table_v,
+_PRECISIONS = (("1-bit", 1), ("2-bit", 2), ("3-bit", 3), ("Unquantized", "inf"))
+
+#: per table, its computed rows as (label, cell(column, cache)), in order
+_ROWS = {
+    "I": (
+        ("Upper bound", table_i_upper_bound),
+        ("Mutual information", lambda db, cache: table_i_mutual_information(db, cache).capacity),
+    ),
+    "II": (
+        ("1-bit", _capacity(1)),
+        ("2-bit optimal", _capacity(2)),
+        ("2-bit benchmark", _benchmark(4)),
+    ),
+    "III": (("3-bit optimal", _capacity(3)), ("3-bit benchmark", _benchmark(8))),
+    "IV": tuple((label, _capacity(p)) for label, p in _PRECISIONS),
+    "V": tuple((label, _snr_for_rate(p)) for label, p in _PRECISIONS),
 }
 
 
 def build_table(name: str, cache=None) -> ReportTable:
     try:
-        builder = _BUILDERS[name]
+        rows = _ROWS[name]
     except KeyError:
-        raise ValueError(
-            f"unknown table {name!r}; expected one of {sorted(_BUILDERS)}"
-        ) from None
-    return builder(cache)
-
-
-def sweep_cell(precision, snr_db: float) -> float:
-    """One uncached (precision, SNR) capacity cell."""
-    return capacity_and_gamma(precision, snr_db)[0]
-
-
-def run_sweep(precisions, snr_dbs):
-    """Capacity cells for every (precision, SNR) pair, in input order."""
-    return [(p, db, sweep_cell(p, db)) for p in precisions for db in snr_dbs]
+        raise ValueError(f"unknown table {name!r}; expected one of {sorted(_ROWS)}") from None
+    ref = REFERENCE_TABLES[name]
+    return ReportTable(
+        name=name,
+        column_label=ref.column_label,
+        columns=ref.columns,
+        computed=tuple(
+            (label, tuple(cell(col, cache) for col in ref.columns)) for label, cell in rows
+        ),
+        reference=ref.rows,
+    )

@@ -24,8 +24,8 @@ from quantcap.reference import REFERENCE_TABLES
 from quantcap.tables import (
     build_table,
     table_i_mutual_information,
+    joint_cell,
     table_i_upper_bound,
-    two_bit_cell,
 )
 
 ABS_TOL = 2e-3
@@ -55,7 +55,7 @@ def test_gate_rejects_edge_of_scan_value():
     _cells("II", "2-bit optimal") + _cells("IV", "2-bit"),
 )
 def test_two_bit_optimal_cell(snr_db, published, cell_cache):
-    ours = two_bit_cell(snr_db, cell_cache).capacity_result.capacity
+    ours = joint_cell(2, snr_db, cell_cache).capacity_result.capacity
     assert _within_gate(ours, published), (
         f"{snr_db:g} dB: ours {ours:.6f}, published {published}"
     )

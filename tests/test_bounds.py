@@ -189,7 +189,7 @@ class TestUpperBoundForOutput:
         for quant, trial in itertools.product(WEAK_DUALITY_QUANTIZERS, range(100)):
             spec = spec_db(5.0, quant)
             reach = max(abs(quant.thresholds[0]), quant.thresholds[-1]) + 1.0
-            probs = rng.uniform(0.05, 0.95, size=quant.bins)
+            probs = rng.uniform(0.05, 0.95, size=len(quant.thresholds) + 1)
             if trial % 2 == 0:
                 probs = probs + probs[::-1]
             out = OutputPmf(probs / probs.sum())

@@ -92,11 +92,8 @@ ANTIPODAL = _dist((-1.0, 0.5), (1.0, 0.5))
 class TestQuantizer:
     def test_basic(self):
         q = Quantizer((-2.0, 0.0, 2.0))
-        assert q.bins == 4
+        assert len(q.thresholds) + 1 == 4
         assert q.is_symmetric()
-
-    def test_one_bit(self):
-        assert Quantizer((0.0,)).bins == 2
 
     def test_rejects_duplicates_and_disorder(self):
         with pytest.raises(ValueError):
@@ -308,7 +305,7 @@ class TestMutualInformation:
             spec = _random_spec(rng)
             d = _random_dist(rng, spec)
             mi = mutual_information(d, spec)
-            assert 0.0 <= mi <= math.log2(spec.quantizer.bins) + 1e-12
+            assert 0.0 <= mi <= math.log2(len(spec.quantizer.thresholds) + 1) + 1e-12
             snr = spec.power_constraint / spec.noise_variance
             assert mi <= 0.5 * math.log2(1.0 + snr) + 1e-6
 

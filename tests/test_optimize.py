@@ -336,7 +336,7 @@ class TestCuttingPlane:
             x, p = res.dist.locations, res.dist.masses
             assert np.abs(x + x[::-1]).max() <= 1e-8 * max(1.0, np.abs(x).max())
             assert np.abs(p - p[::-1]).max() <= 1e-8
-            assert x.size <= TWOBIT.bins + 1
+            assert x.size <= len(TWOBIT.thresholds) + 2  # K + 1 points
 
     def test_grid_widening_is_inert(self):
         # same spacing, wider reach: the optimizer must land on the same support

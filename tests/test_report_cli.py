@@ -404,6 +404,26 @@ class TestSweepCommand:
         caps = {r[0]: float(r[2]) for r in rows}
         assert caps["1"] <= caps["2"] <= caps["3"] <= caps["inf"]
 
+    def test_rows_are_precision_major(self, capsys, monkeypatch):
+        # one uncached capacity cell per (precision, SNR), precision-major
+        calls = []
+
+        def fake(precision, snr_db, cache=None):
+            assert cache is None
+            calls.append((str(precision), snr_db))
+            return float(len(calls)), 0.0
+
+        monkeypatch.setattr(cli, "capacity_and_gamma", fake)
+        code, out, _ = run_cli(["sweep", "--snr-db=0..10", "--step", "10", "--out", "-"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["precision", "snr_db", "capacity"]
+        assert [(r[0], float(r[1])) for r in rows] == [
+            (p, db) for p in ("1", "2", "3", "inf") for db in (0.0, 10.0)
+        ]
+        assert calls == [(r[0], float(r[1])) for r in rows]
+        assert [float(r[2]) for r in rows] == [float(i) for i in range(1, len(rows) + 1)]
+
     def test_csv_deterministic(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         argv = ["sweep", "--snr-db=-5..5", "--step", "5", "--bits", "1"]
@@ -458,7 +478,7 @@ class TestSweepCommand:
         def unreached(*args, **kwargs):
             raise AssertionError("a bad flag must fail before any solve")
 
-        monkeypatch.setattr(cli, "run_sweep", unreached)
+        monkeypatch.setattr(cli, "capacity_and_gamma", unreached)
         argv = ["sweep", "--snr-db", "0", "--sigma2", "4", "--out", "-"] + mode
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -586,7 +606,7 @@ def test_removed_flags_are_usage_errors(capsys, monkeypatch, argv):
     for name in (
         "optimize_input_cutting_plane",
         "duality_upper_bound",
-        "run_sweep",
+        "capacity_and_gamma",
         "benchmark_mutual_information",
     ):
         monkeypatch.setattr(cli, name, unreached)

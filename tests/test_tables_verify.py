@@ -7,50 +7,32 @@ import math
 import numpy as np
 import pytest
 
-from quantcap.optimize import onebit_capacity
-from quantcap.quantopt import unquantized_capacity
+from quantcap.optimize import CapacityResult, onebit_capacity
+from quantcap.quantopt import JointResult, unquantized_capacity
 from quantcap.reference import REFERENCE_TABLES
-from quantcap.tables import (
-    build_table,
-    capacity_and_gamma,
-    run_sweep,
-    sweep_cell,
-    three_bit_cell,
-    two_bit_cell,
-)
+from quantcap.tables import build_table, capacity_and_gamma, joint_cell
 from quantcap.verify import CheckResult, all_passed, run_suite
 
 
 class TestCells:
     def test_cells_are_cached(self, cell_cache):
-        first = two_bit_cell(0.0, cell_cache)
-        again = two_bit_cell(0.0, cell_cache)
+        first = joint_cell(2, 0.0, cell_cache)
+        again = joint_cell(2, 0.0, cell_cache)
         assert again is first
         assert ("2bit", 0.0) in cell_cache
 
     def test_three_bit_cell_dominates_two_bit(self, cell_cache):
-        two = two_bit_cell(0.0, cell_cache).capacity_result.capacity
-        three = three_bit_cell(0.0, cell_cache).capacity_result.capacity
+        two = joint_cell(2, 0.0, cell_cache).capacity_result.capacity
+        three = joint_cell(3, 0.0, cell_cache).capacity_result.capacity
         assert three >= two - 1e-9
 
     def test_sweep_cell_closed_forms(self):
-        assert sweep_cell(1, 0.0) == pytest.approx(onebit_capacity(1.0), rel=1e-12)
-        assert sweep_cell("inf", 10.0) == pytest.approx(
+        assert capacity_and_gamma(1, 0.0)[0] == pytest.approx(onebit_capacity(1.0), rel=1e-12)
+        assert capacity_and_gamma("inf", 10.0)[0] == pytest.approx(
             unquantized_capacity(10.0), rel=1e-12
         )
         with pytest.raises(ValueError):
-            sweep_cell(4, 0.0)
-
-    def test_run_sweep_preserves_order(self):
-        records = run_sweep([1, "inf"], [0.0, 10.0])
-        assert [(p, db) for p, db, _ in records] == [
-            (1, 0.0),
-            (1, 10.0),
-            ("inf", 0.0),
-            ("inf", 10.0),
-        ]
-        for p, db, cap in records:
-            assert cap == pytest.approx(sweep_cell(p, db), rel=1e-12)
+            capacity_and_gamma(4, 0.0)
 
 
 class TestCurves:
@@ -125,13 +107,30 @@ class TestTableBuilders:
         # capacity is within 0.005 dB times the local slope of the target
         table = build_table("V", cell_cache)
         rows = dict(table.computed)
-        for label, cell in (("2-bit", two_bit_cell), ("3-bit", three_bit_cell)):
+        for label, bits in (("2-bit", 2), ("3-bit", 3)):
             for target, db in zip(table.columns, rows[label]):
                 if db is None:
                     continue
-                res = cell(db, cell_cache).capacity_result
+                res = joint_cell(bits, db, cell_cache).capacity_result
                 per_db = res.gamma * 10.0 ** (db / 10.0) * np.log(10.0) / 10.0
                 assert abs(res.capacity - target) <= 0.005 * per_db, (label, target)
+
+    def test_cache_keys_keep_the_benchmark_contract(self, cell_cache):
+        # perfbench/workloads.py collects the solves its checker verifies
+        # from these keys and values
+        for name in ("I", "II", "III", "IV", "V"):
+            build_table(name, cell_cache)
+        for key, value in cell_cache.items():
+            kind, db = key
+            assert kind in {"t1mi", "t1ub", "2bit", "3bit"}
+            assert db == round(db, 6)
+            if kind in ("2bit", "3bit"):
+                assert isinstance(value, JointResult)
+            elif kind == "t1mi":
+                assert isinstance(value, CapacityResult)
+        for table, kind in (("II", "2bit"), ("III", "3bit")):
+            for db in REFERENCE_TABLES[table].columns:
+                assert (kind, round(db, 6)) in cell_cache
 
     def test_unknown_table_name(self):
         with pytest.raises(ValueError):
