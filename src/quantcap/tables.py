@@ -26,9 +26,6 @@ from .special import gaussian_q
 
 TABLE_I_QUANTIZER = Quantizer((-2.0, 0.0, 2.0))
 
-_JOINT_OPTIMIZERS = {2: optimize_quantizer_2bit, 3: optimize_quantizer_3bit_iterative}
-
-
 def _snr(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -45,7 +42,8 @@ def joint_cell(bits: int, snr_db: float, cache=None):
     """Joint-optimal 2-bit or iteratively optimized 3-bit result at one SNR,
     rounded to 1e-6 dB (cached under ("2bit", db) or ("3bit", db))."""
     db = round(snr_db, 6)
-    optimize = _JOINT_OPTIMIZERS[bits]
+    # read at call time, so that a wrapper set on this module's name is used
+    optimize = optimize_quantizer_2bit if bits == 2 else optimize_quantizer_3bit_iterative
     return _cached(cache, (f"{bits}bit", db), lambda: optimize(_snr(db)))
 
 

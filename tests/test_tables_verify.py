@@ -10,6 +10,7 @@ import pytest
 from quantcap.optimize import CapacityResult, onebit_capacity
 from quantcap.quantopt import JointResult, unquantized_capacity
 from quantcap.reference import REFERENCE_TABLES
+from quantcap import tables
 from quantcap.tables import build_table, capacity_and_gamma, joint_cell
 from quantcap.verify import CheckResult, all_passed, run_suite
 
@@ -20,6 +21,13 @@ class TestCells:
         again = joint_cell(2, 0.0, cell_cache)
         assert again is first
         assert ("2bit", 0.0) in cell_cache
+
+    def test_joint_cells_call_the_optimizers_this_module_binds(self, monkeypatch):
+        # the benchmark's tracer times a layer by replacing the module's name
+        names = {2: "optimize_quantizer_2bit", 3: "optimize_quantizer_3bit_iterative"}
+        for bits, name in names.items():
+            monkeypatch.setattr(tables, name, lambda snr, bits=bits: (bits, snr))
+            assert joint_cell(bits, 10.0) == (bits, 10.0)
 
     def test_three_bit_cell_dominates_two_bit(self, cell_cache):
         two = joint_cell(2, 0.0, cell_cache).capacity_result.capacity
