@@ -26,6 +26,7 @@ from .special import gaussian_q
 
 TABLE_I_QUANTIZER = Quantizer((-2.0, 0.0, 2.0))
 
+
 def _snr(db: float) -> float:
     return 10.0 ** (db / 10.0)
 

@@ -23,8 +23,8 @@ from quantcap.quantopt import benchmark_mutual_information, optimize_quantizer_2
 from quantcap.reference import REFERENCE_TABLES
 from quantcap.tables import (
     build_table,
-    table_i_mutual_information,
     joint_cell,
+    table_i_mutual_information,
     table_i_upper_bound,
 )
 
