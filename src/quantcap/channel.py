@@ -4,10 +4,11 @@ The channel is Y = quantize(X + N) with N ~ Normal(0, noise_variance) and a
 quantizer described by its K-1 ascending thresholds.  Everything downstream
 (optimizers, bounds, reports) works through the types and kernels here: the
 transition rows bin_probability_matrix, the mutual information, the one
-divergence kernel _divergences_bits, which every other module uses, its
-input slope _divergence_slope_bits, and the threshold gradient
-_threshold_gradient_bits; callers form the output pmf p W themselves, from
-the rows they already hold.
+divergence kernel _divergences_bits, which every other module uses, and the
+one flow kernel _flow_bits, whose row sums are the divergence's input slope
+and whose weighted column sums are the threshold gradient of the mutual
+information; callers form the output pmf p W themselves, from the rows they
+already hold.
 
 All information quantities are in bits.
 """
@@ -216,36 +217,24 @@ def _divergences_bits(w, negent, r):
     return np.maximum(negent - w @ np.log2(np.maximum(r, _R_FLOOR)), 0.0)
 
 
-def _threshold_gradient_bits(x, p, thresholds, sigma, w, r):
-    """dI/dq_k in bits per unit threshold for each threshold q_k at the
-    fixed input (x, p), given its rows w and output pmf r = p w.
+def _flow_bits(x, thresholds, sigma, w, r):
+    """Flow matrix in bits per unit shift: entry (i, k) is
+    phi((q_k - x_i)/sigma)/sigma log2[(w_{i,k+1} r_k)/(w_{i,k} r_{k+1})],
+    given the rows w of the inputs x and an output pmf r.
 
-    Raising q_k by dq moves mass phi((q_k - x)/sigma)/sigma dq from bin k+1
-    to bin k of row x; the terms from the change in r sum to zero, leaving
-    sum_x p(x) phi((q_k - x)/sigma)/sigma log2[(w_k r_{k+1})/(w_{k+1} r_k)].
-    Zero entries of w and r are floored at _R_FLOOR, so a row that reaches
-    neither bin contributes zero, not nan.
+    Raising x_i by dx moves mass phi((q_k - x_i)/sigma)/sigma dx from bin k
+    to bin k+1 across each threshold q_k, so row i sums to
+    d'(x_i) = dD(W(.|x_i) || r)/dx.  Raising q_k moves the same mass the
+    other way, and at r = p w the terms from the change in r sum to zero, so
+    -(p @ flow) is dI/dq_k at the input (x, p).  Zero entries of w and r are
+    floored at _R_FLOOR, so a row that reaches neither bin of q_k gives a
+    finite entry, not nan.
     """
-    x = np.asarray(x, dtype=float)
-    z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
-    flow = np.asarray(p)[:, None] * np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
-    log_w = np.log2(np.maximum(w, _R_FLOOR))
-    log_r = np.log2(np.maximum(r, _R_FLOOR))
-    return (flow * (log_w[:, :-1] - log_w[:, 1:])).sum(axis=0) - flow.sum(axis=0) * (
-        log_r[:-1] - log_r[1:]
-    )
-
-
-def _divergence_slope_bits(x, thresholds, sigma, w, r):
-    """d'(x) = dD(W(.|x) || r)/dx in bits per unit x for each input x, given
-    its rows w: raising x by dx moves mass phi((q_k - x)/sigma)/sigma dx
-    from bin k to bin k+1 across each threshold q_k.  Zero entries of w and
-    r are floored at _R_FLOOR."""
     x = np.asarray(x, dtype=float)
     z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
     flow = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
     ratio = np.log2(np.maximum(w, _R_FLOOR)) - np.log2(np.maximum(r, _R_FLOOR))
-    return (flow * (ratio[:, 1:] - ratio[:, :-1])).sum(axis=1)
+    return flow * (ratio[:, 1:] - ratio[:, :-1])
 
 
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:

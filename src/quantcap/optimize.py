@@ -30,37 +30,36 @@ from .channel import (
     OutputPmf,
     PRUNE_TOL,
     _R_FLOOR,
-    _divergence_slope_bits,
     _divergences_bits,
+    _flow_bits,
     _row_negentropy_bits,
     bin_probability_matrix,
 )
 from .special import LN2, binary_entropy, gaussian_q
 
+# Half-width of every input grid, in units of sqrt(P).
+_GRID_HALF_WIDTH = 10.0
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Input-support search grid: [-m sqrt(P), m sqrt(P)] with n points.
+    """Input-support search grid: [-10 sqrt(P), 10 sqrt(P)] with n points.
 
-    The default half-width multiplier 10 reaches far beyond where optimal
-    supports live (the per-input divergence saturates past the outermost
-    threshold), and an odd point count keeps 0 exactly on the grid.
+    The fixed half-width 10 sqrt(P) (_GRID_HALF_WIDTH) reaches far beyond
+    where optimal supports live (the per-input divergence saturates past the
+    outermost threshold), and an odd point count keeps 0 exactly on the grid.
     """
 
-    half_width_multiplier: float = 10.0
     point_count: int = 2001
 
     def __post_init__(self):
-        if not math.isfinite(self.half_width_multiplier) or self.half_width_multiplier < 5.0:
-            raise ValueError(
-                f"half_width_multiplier must be finite and >= 5, got {self.half_width_multiplier!r}"
-            )
         if self.point_count < 101 or self.point_count % 2 == 0:
             raise ValueError(
                 f"point_count must be odd and >= 101, got {self.point_count!r}"
             )
 
     def points(self, power: float) -> np.ndarray:
-        half = self.half_width_multiplier * math.sqrt(power)
+        half = _GRID_HALF_WIDTH * math.sqrt(power)
         return np.linspace(-half, half, self.point_count)
 
 
@@ -132,10 +131,8 @@ def _feasible_start(p, xsq, power):
     q = np.where(inside, p, 0.0)
     total = q.sum()
     q = q / total if total > 0.0 else inside / inside.sum()
-    e_q = float(q @ xsq)
-    if e_q >= cur:
-        return q
-    t = min(1.0, (cur - power) / (cur - e_q) + 1e-12)
+    # q sits on x^2 <= power < cur, so the blend reaches the budget by t = 1
+    t = min(1.0, (cur - power) / (cur - float(q @ xsq)) + 1e-12)
     mix = (1.0 - t) * p + t * q
     return mix / mix.sum()
 
@@ -238,8 +235,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     that stalls so reruns `careful`: such a join (a reduced Hessian singular
     to working precision) takes a _join_step, or is left out if that gains
     nothing; RuntimeError if this stalls too.  In either mode, a join whose
-    Newton step would drop the point again takes the same way out, unless
-    its reduced gradient was within rounding: then the face is optimal.
+    Newton step would drop the point again takes the same way out.
 
     Starts from `start` when given, else from uniform masses, made feasible
     by _feasible_start.  The program is concave, so any KKT point is a
@@ -306,11 +302,6 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
             if added >= 0:
                 j = np.searchsorted(idx, added)
                 singular = careful and not pivot and sv[-1] < _RANK_RTOL * sv[0]
-                if not singular and v[j] < 0.0 and join_gain <= 10.0 * _ADD_TOL:
-                    # The step would drop the point that just joined, whose
-                    # reduced gradient was within rounding of the face's own
-                    # residual.
-                    return p, float(pf @ g)
                 if singular or v[j] < 0.0:
                     q = _join_step(pf, wf, negf, xf, power, j, f)
                     if q is not None:
@@ -378,7 +369,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
         if reduced[j] <= _ADD_TOL:
             return p, float(pf @ g)
         free[j] = True
-        added, join_gain = j, float(reduced[j])
+        added = j
 
 
 def _canonical_dist(locations, masses, spec, merge_tol):
@@ -440,9 +431,13 @@ def optimize_input_cutting_plane(
     I(F).  gamma is chosen each round as the exact minimizer of the duality
     envelope of the current output law, which makes the measured violation an
     upper bound on the remaining capacity gap: termination at `tol` is a real
-    certificate rather than a stall test.  For symmetric quantizers the
-    returned distribution is symmetrized, which never lowers the objective.
-    `grid` defaults to GridConfig().
+    certificate rather than a stall test.  The result is unconverged at
+    three other stops: the largest violation off the support is within
+    `tol` (new points cannot close the gap); a round's input, its support,
+    warm-start masses and previous cuts, repeats an earlier round's, so the
+    deterministic loop would only cycle; or _CUT_MAX_ITER rounds.  For
+    symmetric quantizers the returned distribution is symmetrized, which
+    never lowers the objective.  `grid` defaults to GridConfig().
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -468,15 +463,14 @@ def optimize_input_cutting_plane(
 
     warm: dict[int, float] = {}
     fresh: set[int] = set()
+    seen = set()
     idx = np.asarray(support, dtype=int)
     p_cur = np.full(idx.size, 1.0 / idx.size)
+    start = None
     converged = False
     iterations = 0
     for iterations in range(1, _CUT_MAX_ITER + 1):
         idx = np.asarray(support, dtype=int)
-        start = (
-            np.array([warm.get(int(j), 1e-3) for j in idx]) if warm else None
-        )
         p_cur, mi = _optimal_masses_rows(
             w[idx], negent[idx], xs[idx] ** 2, power, start=start
         )
@@ -510,6 +504,13 @@ def optimize_input_cutting_plane(
         kept = set(idx[p_cur > 1e-12].tolist()) | fresh | {anchor}
         fresh = cuts
         support = sorted(kept | cuts)
+        # The next round's whole input; checked before idx moves on, so the
+        # result below keeps this round's support with its own masses.
+        start = np.array([warm.get(j, 1e-3) for j in support])
+        round_input = (tuple(support), tuple(start.tolist()), tuple(sorted(fresh)))
+        if round_input in seen:
+            break
+        seen.add(round_input)
 
     dist = _canonical_dist(xs[idx], p_cur, spec, 2.5 * spacing)
     mi, gamma, bound = _certify(dist, spec, w, negent, slopes)
@@ -558,7 +559,7 @@ def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None)
         p, mi = _optimal_masses_rows(w, negent, pts**2, power, start=p)
         r = p @ w
         gamma = minimize_max_affine(_divergences_bits(w, negent, r), power - pts**2).gamma
-        slope = _divergence_slope_bits(x, thr, sigma, w[:-1], r)
+        slope = _flow_bits(x, thr, sigma, w[:-1], r).sum(axis=1)
         return -mi, -p[:-1] * (slope - 2.0 * gamma * x)
 
     # stop at a gain below rounding or a location gradient below 1e-10 bits

@@ -29,8 +29,8 @@ from .channel import (
     bin_probability_matrix,
     mutual_information,
     _divergences_bits,
+    _flow_bits,
     _row_negentropy_bits,
-    _threshold_gradient_bits,
 )
 from .optimize import (
     CapacityResult,
@@ -287,8 +287,9 @@ def _threshold_step(dist: InputDistribution, halves, sigma):
     The input is fixed.  L-BFGS-B runs on the gaps h_1, h_2 - h_1, ... in
     units of sigma, bounded below by _MIN_GAP, so every iterate keeps the
     order 0 < h_1 < h_2 < ...; each evaluation builds the transition rows
-    on the support once and takes the exact gradient from
-    _threshold_gradient_bits.  A result below the start returns the start.
+    on the support once and takes the exact gradient, minus the
+    mass-weighted column sums of _flow_bits.  A result below the start
+    returns the start.
     """
     locs = dist.locations
     masses = dist.masses
@@ -300,7 +301,7 @@ def _threshold_step(dist: InputDistribution, halves, sigma):
         w = bin_probability_matrix(locs, thr, sigma)
         r = masses @ w
         mi = float(masses @ _divergences_bits(w, _row_negentropy_bits(w), r))
-        grad = _threshold_gradient_bits(locs, masses, thr, sigma, w, r)
+        grad = -(masses @ _flow_bits(locs, thr, sigma, w, r))
         # q_{+i} = h_i and q_{-i} = -h_i
         return mi, grad[n + 1:] - grad[n - 1::-1]
 

@@ -24,10 +24,9 @@ from quantcap import (
     mutual_information,
 )
 from quantcap.channel import (
-    _divergence_slope_bits,
     _divergences_bits,
+    _flow_bits,
     _row_negentropy_bits,
-    _threshold_gradient_bits,
     bin_probability_matrix,
 )
 from quantcap.optimize import _canonical_dist
@@ -365,7 +364,8 @@ class TestThresholdGradient:
             x = np.sort(rng.normal(0.0, 3.0 * sigma, size=n))
             p = rng.dirichlet(np.ones(n))
             w = bin_probability_matrix(x, thr, sigma)
-            got = _threshold_gradient_bits(x, p, thr, sigma, w, p @ w)
+            # dI/dq_k is minus the p-weighted column sum of the flow
+            got = -(p @ _flow_bits(x, thr, sigma, w, p @ w))
             for k in range(bins - 1):
                 e = np.zeros(bins - 1)
                 e[k] = step
@@ -393,7 +393,8 @@ class TestDivergenceSlope:
                 return _divergences_bits(w, _row_negentropy_bits(w), r)
 
             w = bin_probability_matrix(x, thr, sigma)
-            got = _divergence_slope_bits(x, thr, sigma, w, r)
+            # d'(x) is the row sum of the flow
+            got = _flow_bits(x, thr, sigma, w, r).sum(axis=1)
             diff = (d(x + step) - d(x - step)) / (2.0 * step)
             np.testing.assert_allclose(got, diff, atol=1e-7)
 

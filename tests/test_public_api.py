@@ -2,9 +2,9 @@
 (its own definition does not count), or is an independent oracle that a
 named test cross-checks the solvers with.  Likewise every parameter with a
 default, of an exported function or of a `def` method of an exported class,
-is passed by some call in another module of the package, or is listed with
-the test that needs it.  A defaulted field of an exported dataclass counts
-like a parameter of its constructor, passed by a call in any module of the
+is passed by some call in another module of the package, with no test-only
+exception.  A defaulted field of an exported dataclass counts like a
+parameter of its constructor, passed by a call in any module of the
 package, its own included, because result types are built where they are
 defined.  An argument that is a literal equal to the default passes
 nothing."""
@@ -22,15 +22,6 @@ ORACLES = {
     "optimize_input_blahut_arimoto": (
         "test_optimize.py",
         "test_ba_value_at_certified_multiplier_is_capacity",
-    ),
-}
-
-# (function or dataclass, parameter or field): the test that needs a
-# setting no module passes.
-TEST_ONLY_PARAMETERS = {
-    ("GridConfig", "half_width_multiplier"): (
-        "test_optimize.py",
-        "test_grid_widening_is_inert",
     ),
 }
 
@@ -182,7 +173,4 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     for module, name, params, own_module in _exported_defs(trees):
         passed = _passed(trees, module, name, params, own_module)
         unpassed.update((name, param) for param in params if param not in passed)
-    assert sorted(unpassed - set(TEST_ONLY_PARAMETERS)) == []
-    for (name, param), (module, test) in TEST_ONLY_PARAMETERS.items():
-        assert (name, param) in unpassed
-        _assert_named_test(module, test, name, param)
+    assert sorted(unpassed) == []
