@@ -178,78 +178,82 @@ def _join(values) -> str:
     return " ".join(f"{float(v):.16e}" for v in values)
 
 
+def _per_snr(args, snrs, cell, head="", sep="\n") -> int:
+    """Emit one report row and one human block per SNR, both from
+    `cell(db) -> (row, block)`.  A row maps each report column to its value;
+    the human text is `head`, then the blocks joined by `sep`."""
+    rows, blocks = [], []
+    for db in snrs:
+        row, block = cell(db)
+        rows.append(list(row.values()))
+        blocks.append(block)
+    _emit(args, _manifest(args, snrs), list(row), rows, head + sep.join(blocks))
+    return EXIT_OK
+
+
+def _specs(args, snrs) -> dict:
+    """The channel at each SNR; every quantizer is parsed before the first
+    solve."""
+    return {db: ChannelSpec.from_snr_db(db, _quantizer_for(args, db), args.sigma2) for db in snrs}
+
+
 def cmd_capacity(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
     kw = _solver_kwargs(args)
-    # every quantizer is parsed before the first solve
-    quants = [_quantizer_for(args, db) for db in snrs]
-    rows, blocks = [], []
-    for db, quant in zip(snrs, quants):
-        spec = ChannelSpec.from_snr_db(db, quant, args.sigma2)
-        res = optimize_input_cutting_plane(spec, **kw)
-        blocks.append(f"snr_db {db:g}\n" + res.to_text())
-        rows.append(
-            [
-                db,
-                res.capacity,
-                res.gamma,
-                res.kkt_max_violation,
-                res.iterations,
-                _join(res.dist.locations),
-                _join(res.dist.masses),
-            ]
-        )
-    header = [
-        "snr_db",
-        "capacity",
-        "gamma",
-        "kkt_max_violation",
-        "iterations",
-        "support",
-        "masses",
-    ]
-    _emit(args, _manifest(args, snrs), header, rows, "\n".join(blocks))
-    return EXIT_OK
+    specs = _specs(args, snrs)
+
+    def cell(db):
+        res = optimize_input_cutting_plane(specs[db], **kw)
+        row = {
+            "snr_db": db,
+            "capacity": res.capacity,
+            "gamma": res.gamma,
+            "kkt_max_violation": res.kkt_max_violation,
+            "iterations": res.iterations,
+            "support": _join(res.dist.locations),
+            "masses": _join(res.dist.masses),
+        }
+        return row, f"snr_db {db:g}\n" + res.to_text()
+
+    return _per_snr(args, snrs, cell)
 
 
 def cmd_bound(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
-    # every quantizer is parsed before the first solve
-    quants = [_quantizer_for(args, db) for db in snrs]
-    rows, blocks = [], []
-    for db, quant in zip(snrs, quants):
-        spec = ChannelSpec.from_snr_db(db, quant, args.sigma2)
-        bound, out_pmf = duality_upper_bound(spec)
-        blocks.append(
-            f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {_join(out_pmf.probs)}\n"
-        )
-        rows.append([db, bound, _join(out_pmf.probs)])
-    header = ["snr_db", "bound", "output_pmf"]
-    _emit(args, _manifest(args, snrs), header, rows, "\n".join(blocks))
-    return EXIT_OK
+    specs = _specs(args, snrs)
+
+    def cell(db):
+        bound, out_pmf = duality_upper_bound(specs[db])
+        pmf = _join(out_pmf.probs)
+        row = {"snr_db": db, "bound": bound, "output_pmf": pmf}
+        return row, f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {pmf}\n"
+
+    return _per_snr(args, snrs, cell)
 
 
 def cmd_benchmark(args) -> int:
     bins = 2**args.bits
-    snrs = _snr_values(args.snr_db, args.step)
-    rows = []
-    lines = ["  snr_db  mutual_info  error_prob  fano_bound"]
-    for db in snrs:
+
+    def cell(db):
         snr = 10.0 ** (db / 10.0)
         mi = benchmark_mutual_information(bins, snr)
         pe = benchmark_error_probability(bins, snr)
         fano = benchmark_fano_lower_bound(bins, snr)
-        rows.append([db, args.bits, mi, pe, fano])
-        lines.append(f"{db:8.2f}  {mi:11.4f}  {pe:10.4f}  {fano:10.4f}")
-    header = ["snr_db", "bits", "mutual_information", "error_probability", "fano_lower_bound"]
-    _emit(args, _manifest(args, snrs), header, rows, "\n".join(lines) + "\n")
-    return EXIT_OK
+        row = {
+            "snr_db": db,
+            "bits": args.bits,
+            "mutual_information": mi,
+            "error_probability": pe,
+            "fano_lower_bound": fano,
+        }
+        return row, f"{db:8.2f}  {mi:11.4f}  {pe:10.4f}  {fano:10.4f}\n"
+
+    head = "  snr_db  mutual_info  error_prob  fano_bound\n"
+    return _per_snr(args, _snr_values(args.snr_db, args.step), cell, head, sep="")
 
 
 def cmd_optimize_quantizer(args) -> int:
-    snrs = _snr_values(args.snr_db, args.step)
-    rows, blocks = [], []
-    for db in snrs:
+    def cell(db):
         snr = 10.0 ** (db / 10.0)
         jr = (
             optimize_quantizer_2bit if args.bits == 2 else optimize_quantizer_3bit_iterative
@@ -259,31 +263,19 @@ def cmd_optimize_quantizer(args) -> int:
             **({"tol": args.tol} if args.tol is not None else {}),
         )
         cr = jr.capacity_result
-        blocks.append(f"snr_db {db:g}\n" + jr.to_text())
-        rows.append(
-            [
-                db,
-                args.bits,
-                cr.capacity,
-                cr.gamma,
-                cr.kkt_max_violation,
-                _join(jr.quantizer.thresholds),
-                _join(cr.dist.locations),
-                _join(cr.dist.masses),
-            ]
-        )
-    header = [
-        "snr_db",
-        "bits",
-        "capacity",
-        "gamma",
-        "kkt_max_violation",
-        "thresholds",
-        "support",
-        "masses",
-    ]
-    _emit(args, _manifest(args, snrs), header, rows, "\n".join(blocks))
-    return EXIT_OK
+        row = {
+            "snr_db": db,
+            "bits": args.bits,
+            "capacity": cr.capacity,
+            "gamma": cr.gamma,
+            "kkt_max_violation": cr.kkt_max_violation,
+            "thresholds": _join(jr.quantizer.thresholds),
+            "support": _join(cr.dist.locations),
+            "masses": _join(cr.dist.masses),
+        }
+        return row, f"snr_db {db:g}\n" + jr.to_text()
+
+    return _per_snr(args, _snr_values(args.snr_db, args.step), cell)
 
 
 def cmd_sweep(args) -> int:
@@ -333,7 +325,9 @@ def cmd_reproduce(args) -> int:
     human = table.to_human() + f"max |deviation| {table.max_deviation():.4f}\n"
     rows = [list(item) for item in table.machine_rows()]
     header = ["row", "provenance", "column", "value"]
-    manifest = _manifest(args, None, table=args.table, column_label=table.column_label)
+    manifest = _manifest(
+        args, None, table=args.table, column_label=table.reference.column_label
+    )
     _emit(args, manifest, header, rows, human)
     return EXIT_OK
 

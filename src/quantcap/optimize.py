@@ -469,6 +469,7 @@ def optimize_input_cutting_plane(
     start = None
     converged = False
     iterations = 0
+    best_value, best_r = math.inf, None
     for iterations in range(1, _CUT_MAX_ITER + 1):
         idx = np.asarray(support, dtype=int)
         p_cur, mi = _optimal_masses_rows(
@@ -479,6 +480,8 @@ def optimize_input_cutting_plane(
         r = p_cur @ w[idx]
         d_all = _divergences_bits(w, negent, r)
         env = minimize_max_affine(d_all, slopes)
+        if env.value < best_value:
+            best_value, best_r = env.value, r
         if env.value - mi <= tol:
             converged = True
             break
@@ -515,14 +518,15 @@ def optimize_input_cutting_plane(
     dist = _canonical_dist(xs[idx], p_cur, spec, 2.5 * spacing)
     mi, gamma, bound = _certify(dist, spec, w, negent, slopes)
     if bound - mi > tol:
-        # Pruning and fusion can leave dist's output law far from the loop's;
-        # weak duality holds for any output law, so also certify the loop's
-        # own over the grid and dist's support, and keep the smaller bound.
-        _, loop_gamma, loop_bound = _certify(
-            dist, spec, w, negent, slopes, r=p_cur @ w[idx]
-        )
-        if loop_bound < bound:
-            gamma, bound = loop_gamma, loop_bound
+        # Pruning and fusion can leave dist's output law far from the loop's,
+        # and an unconverged loop's last law depends on where its cycle
+        # stopped; weak duality holds for any output law, so also certify
+        # the last round's law and that of the round with the lowest
+        # envelope, over the grid and dist's support, and keep the smallest.
+        for law in (r, best_r):
+            _, law_gamma, law_bound = _certify(dist, spec, w, negent, slopes, r=law)
+            if law_bound < bound:
+                gamma, bound = law_gamma, law_bound
     return CapacityResult(
         capacity=mi,
         dist=dist,

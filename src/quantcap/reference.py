@@ -1,8 +1,10 @@
-"""Published reference values for the five benchmark tables.
+"""The five benchmark tables as published: their layout and their values.
 
-These are the values reported in the source study, kept as a static dataset
-for deviation reporting only — nothing in the computational path reads them.
-`None` marks a cell published as infeasible ("-").
+This module is the one statement of each table's layout: its columns (the
+SNRs, or target rates, that `tables.build_table` computes each cell at), its
+row labels and its row order.  The published cell values are kept for
+deviation reporting only; no computation reads them.  `None` marks a cell
+published as infeasible ("-").
 
 Known wart, preserved as published: the 1-bit cell of table II at 15 dB reads
 0.9974, while the closed form (and table IV) give 0.9999; deviation reports
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ReferenceTable:
-    """One published table: column axis plus labelled rows of cells."""
+    """One published table: column axis plus labelled rows of cells, each
+    row as long as the column axis."""
 
     name: str
     column_label: str
@@ -30,12 +33,6 @@ class ReferenceTable:
                     f"table {self.name} row {label!r} has {len(cells)} cells, "
                     f"expected {len(self.columns)}"
                 )
-
-    def row(self, label: str) -> tuple:
-        for name, cells in self.rows:
-            if name == label:
-                return cells
-        raise KeyError(f"table {self.name} has no row {label!r}")
 
 
 TABLE_I = ReferenceTable(

@@ -1,4 +1,6 @@
-"""Report plumbing: run manifests, CSV / JSON-lines writers, table rendering.
+"""Report plumbing: run manifests, CSV / JSON-lines writers, and the
+rendering of a computed table beside its published one, whose layout
+`reference.py` holds.
 
 Machine formats carry full float precision (16 significant digits); the
 human rendering rounds to 4 decimals to match the published tables.  Every
@@ -17,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
+from .reference import ReferenceTable
 
 INFEASIBLE = "-"
 
@@ -86,40 +89,40 @@ def render_report(header, rows, fmt: str, manifest: RunManifest) -> str:
 
 @dataclass(frozen=True)
 class ReportTable:
-    """A rectangular comparison grid: computed rows beside reference rows.
+    """A published table beside its computed cells.
 
-    Each logical row label appears with provenance-tagged variants
+    `reference`, from `reference.py`, is the table's layout (columns, row
+    labels, row order) and its published rows; `computed` holds one
+    (row_label, cells) row per reference row, under the same label and in
+    the same order.  Each label gets three provenance-tagged variants
     (``computed`` / ``reference`` / ``deviation``); infeasible cells hold
-    None.  `column_label` names the column axis (SNR in dB or target rate).
+    None.
     """
 
-    name: str
-    column_label: str
-    columns: tuple
+    reference: ReferenceTable
     computed: tuple  # of (row_label, cells)
-    reference: tuple  # of (row_label, cells)
 
     def __post_init__(self):
-        for label, cells in self.computed + self.reference:
-            if len(cells) != len(self.columns):
-                raise ValueError(
-                    f"row {label!r} has {len(cells)} cells for "
-                    f"{len(self.columns)} columns"
-                )
+        shape = [(label, len(cells)) for label, cells in self.computed]
+        expected = [(label, len(self.reference.columns)) for label, _ in self.reference.rows]
+        if shape != expected:
+            raise ValueError(
+                f"table {self.reference.name}: computed rows {shape} do not match "
+                f"the reference layout {expected}"
+            )
 
     def deviations(self) -> tuple:
-        """Absolute computed-vs-reference deviation per shared row label."""
-        ref = dict(self.reference)
-        out = []
-        for label, cells in self.computed:
-            if label not in ref:
-                continue
-            devs = tuple(
-                abs(c - r) if (c is not None and r is not None) else None
-                for c, r in zip(cells, ref[label])
+        """Absolute computed-vs-reference deviation per row."""
+        return tuple(
+            (
+                label,
+                tuple(
+                    abs(c - r) if (c is not None and r is not None) else None
+                    for c, r in zip(cells, published)
+                ),
             )
-            out.append((label, devs))
-        return tuple(out)
+            for (label, cells), (_, published) in zip(self.computed, self.reference.rows)
+        )
 
     def max_deviation(self) -> float:
         worst = 0.0
@@ -131,40 +134,30 @@ class ReportTable:
 
     def machine_rows(self):
         """Long-form rows: (row_label, provenance, column value, cell)."""
-        for provenance, block in (("computed", self.computed), ("reference", self.reference)):
+        blocks = (
+            ("computed", self.computed),
+            ("reference", self.reference.rows),
+            ("deviation", self.deviations()),
+        )
+        for provenance, block in blocks:
             for label, cells in block:
-                for col, cell in zip(self.columns, cells):
+                for col, cell in zip(self.reference.columns, cells):
                     yield (label, provenance, col, cell)
-        for label, devs in self.deviations():
-            for col, cell in zip(self.columns, devs):
-                yield (label, "deviation", col, cell)
 
     def to_human(self) -> str:
         """4-decimal aligned text: computed, reference, and deviation rows."""
-        width = max(
-            [len(str(label)) + len(" (reference)") for label, _ in self.computed + self.reference]
-            + [12]
-        )
-        cols = [f"{c:g}" for c in self.columns]
+        ref = self.reference
+        suffixes = ("", " (reference)", " (deviation)")
+        width = len(suffixes[1]) + max((len(label) for label, _ in ref.rows), default=0)
+        cols = [f"{c:g}" for c in ref.columns]
         cell_w = max([8] + [len(c) for c in cols])
         lines = [
-            f"table {self.name}  ({self.column_label})",
+            f"table {ref.name}  ({ref.column_label})",
             " " * width + "  " + "  ".join(f"{c:>{cell_w}}" for c in cols),
         ]
-        ref = dict(self.reference)
-        devs = dict(self.deviations())
-        for label, cells in self.computed:
-            lines.append(self._human_row(f"{label}", cells, width, cell_w))
-            if label in ref:
-                lines.append(
-                    self._human_row(f"{label} (reference)", ref[label], width, cell_w)
-                )
-                lines.append(
-                    self._human_row(f"{label} (deviation)", devs[label], width, cell_w)
-                )
-        for label, cells in self.reference:
-            if label not in dict(self.computed):
-                lines.append(self._human_row(f"{label} (reference)", cells, width, cell_w))
+        for variants in zip(self.computed, ref.rows, self.deviations()):
+            for suffix, (label, cells) in zip(suffixes, variants):
+                lines.append(self._human_row(label + suffix, cells, width, cell_w))
         return "\n".join(lines) + "\n"
 
     @staticmethod

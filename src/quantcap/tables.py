@@ -1,7 +1,9 @@
-"""The five benchmark comparison tables, built from one table of rows.
+"""The five benchmark comparison tables, computed cell by cell.
 
-Every cell is computed from scratch (reference values are attached for
-deviation reporting only), and `build_table` accepts a shared cache dict so
+`reference.py` holds each table's layout, its columns and its labelled rows;
+this module holds only the cell function of each row.  Every cell is
+computed from scratch (the published values are attached for deviation
+reporting only), and `build_table` accepts a shared cache dict so
 that overlapping tables reuse each other's optimizer runs: the joint 2- and
 3-bit cells of the cross-precision grid, and those that Table V's Newton
 solves evaluate on their way to each target rate.
@@ -112,37 +114,31 @@ def _snr_for_rate(precision):
     return cell
 
 
-_PRECISIONS = (("1-bit", 1), ("2-bit", 2), ("3-bit", 3), ("Unquantized", "inf"))
+_PRECISIONS = (1, 2, 3, "inf")
 
-#: per table, its computed rows as (label, cell(column, cache)), in order
+#: per table, the cell(column, cache) of each row, in `reference.py`'s row order
 _ROWS = {
     "I": (
-        ("Upper bound", table_i_upper_bound),
-        ("Mutual information", lambda db, cache: table_i_mutual_information(db, cache).capacity),
+        table_i_upper_bound,
+        lambda db, cache: table_i_mutual_information(db, cache).capacity,
     ),
-    "II": (
-        ("1-bit", _capacity(1)),
-        ("2-bit optimal", _capacity(2)),
-        ("2-bit benchmark", _benchmark(4)),
-    ),
-    "III": (("3-bit optimal", _capacity(3)), ("3-bit benchmark", _benchmark(8))),
-    "IV": tuple((label, _capacity(p)) for label, p in _PRECISIONS),
-    "V": tuple((label, _snr_for_rate(p)) for label, p in _PRECISIONS),
+    "II": (_capacity(1), _capacity(2), _benchmark(4)),
+    "III": (_capacity(3), _benchmark(8)),
+    "IV": tuple(_capacity(p) for p in _PRECISIONS),
+    "V": tuple(_snr_for_rate(p) for p in _PRECISIONS),
 }
 
 
 def build_table(name: str, cache=None) -> ReportTable:
     try:
-        rows = _ROWS[name]
+        cells = _ROWS[name]
     except KeyError:
         raise ValueError(f"unknown table {name!r}; expected one of {sorted(_ROWS)}") from None
     ref = REFERENCE_TABLES[name]
     return ReportTable(
-        name=name,
-        column_label=ref.column_label,
-        columns=ref.columns,
+        reference=ref,
         computed=tuple(
-            (label, tuple(cell(col, cache) for col in ref.columns)) for label, cell in rows
+            (label, tuple(cell(col, cache) for col in ref.columns))
+            for (label, _), cell in zip(ref.rows, cells, strict=True)
         ),
-        reference=ref.rows,
     )

@@ -41,7 +41,7 @@ def _cells(table, row):
     ref = REFERENCE_TABLES[table]
     return [
         pytest.param(db, published, id=f"{table}-{db:g}dB")
-        for db, published in zip(ref.columns, ref.row(row))
+        for db, published in zip(ref.columns, dict(ref.rows)[row])
     ]
 
 
@@ -63,7 +63,7 @@ def test_two_bit_optimal_cell(snr_db, published, cell_cache):
 
 @pytest.mark.parametrize(
     "snr_db, published",
-    zip(REFERENCE_TABLES["I"].columns, REFERENCE_TABLES["I"].row("Upper bound")),
+    zip(REFERENCE_TABLES["I"].columns, dict(REFERENCE_TABLES["I"].rows)["Upper bound"]),
 )
 def test_table_i_bound_between_mutual_information_and_published(
     snr_db, published, cell_cache
@@ -79,25 +79,26 @@ def test_table_i_bound_between_mutual_information_and_published(
 def test_table_ii_columns_3_and_7_db_are_linear_snr_2_and_5(column, snr):
     ref = REFERENCE_TABLES["II"]
     i = ref.columns.index(column)
-    assert onebit_capacity(snr) == pytest.approx(ref.row("1-bit")[i], abs=5e-5)
+    published = dict(ref.rows)
+    assert onebit_capacity(snr) == pytest.approx(published["1-bit"][i], abs=5e-5)
     assert benchmark_mutual_information(4, snr) == pytest.approx(
-        ref.row("2-bit benchmark")[i], abs=5e-5
+        published["2-bit benchmark"][i], abs=5e-5
     )
 
 
 def test_table_ii_onebit_15_db_published_value_is_an_error():
     ours = onebit_capacity(10.0**1.5)
-    published = REFERENCE_TABLES["II"].row("1-bit")[-1]
+    published = dict(REFERENCE_TABLES["II"].rows)["1-bit"][-1]
     # Table IV prints this same closed-form cell as 0.9999; Table II's 0.9974
     # is 2.6e-3 below it
-    assert REFERENCE_TABLES["IV"].row("1-bit")[5] == 0.9999
+    assert dict(REFERENCE_TABLES["IV"].rows)["1-bit"][5] == 0.9999
     assert 0.9999 <= ours <= 1.0
     assert ours - published > 2e-3
 
 
 def test_table_v_cells_feasible_or_blank_as_published(cell_cache):
     table = build_table("V", cell_cache)
-    for (label, cells), (_, published) in zip(table.computed, table.reference):
+    for (label, cells), (_, published) in zip(table.computed, table.reference.rows):
         for ours, pub in zip(cells, published):
             assert (ours is None) == (pub is None), label
             assert ours is None or math.isfinite(ours)
@@ -107,8 +108,8 @@ def test_table_v_two_bit_one_bit_per_use(cell_cache):
     # published 6.13 dB; the published Tables II and IV, interpolated,
     # already cross 1.0 bit/use near 6.06 dB
     table = build_table("V", cell_cache)
-    i = table.columns.index(1.0)
+    i = table.reference.columns.index(1.0)
     ours = dict(table.computed)["2-bit"][i]
-    assert ours < REFERENCE_TABLES["V"].row("2-bit")[i]
+    assert ours < dict(REFERENCE_TABLES["V"].rows)["2-bit"][i]
     direct = optimize_quantizer_2bit(10.0 ** (ours / 10.0)).capacity_result
     assert abs(direct.capacity - 1.0) <= 1e-3

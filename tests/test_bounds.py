@@ -335,6 +335,9 @@ class TestPeakPolish:
 
 
 class TestBestSymmetricBound:
+    """`duality_upper_bound`: the bound from the capacity solve's polished
+    output law, for any quantizer."""
+
     def test_onebit_brackets_closed_form(self):
         # the only symmetric 2-bin output is (1/2, 1/2); the bound must pinch
         # the closed-form capacity from above

@@ -275,6 +275,17 @@ class TestFarThresholds:
         assert res.iterations < optimize._CUT_MAX_ITER
         assert res.capacity == pytest.approx(0.8741882801780686, abs=1e-12)
 
+    def test_unconverged_bound_uses_the_best_law_of_the_cycle(self):
+        # draw 156 of 300 stops at its first repeated round; the last
+        # round's output law certifies only 0.9359 bits, a lower-envelope
+        # round of the same cycle under 0.72
+        half = [3.4460645335149547, 13.848174391217645, 15.049123848539043]
+        thr = _fuzz_thresholds(8, True, half, None)
+        res = optimize_input_cutting_plane(spec_db(3.890927159544649, Quantizer(thr)), grid=FAST)
+        assert not res.converged
+        assert res.capacity == pytest.approx(0.712131225088277, abs=1e-12)
+        assert res.capacity <= res.upper_bound < 0.72
+
 
 class TestCapacityResultValidation:
     def test_rejects_capacity_above_certificate(self):

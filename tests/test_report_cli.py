@@ -9,9 +9,14 @@ import pytest
 
 from quantcap import __version__, cli
 from quantcap.cli import UsageError, _merge_negative_values, _snr_values, main
-from quantcap.optimize import onebit_capacity
-from quantcap.quantopt import benchmark_mutual_information, two_bit_threshold_curve
-from quantcap.reference import REFERENCE_TABLES
+from quantcap.channel import ChannelSpec
+from quantcap.optimize import GridConfig, onebit_capacity, optimize_input_cutting_plane
+from quantcap.quantopt import (
+    BenchmarkScheme,
+    benchmark_mutual_information,
+    two_bit_threshold_curve,
+)
+from quantcap.reference import REFERENCE_TABLES, ReferenceTable
 from quantcap.report import (
     INFEASIBLE,
     ReportTable,
@@ -98,16 +103,24 @@ class TestReportTable:
     @staticmethod
     def table():
         return ReportTable(
-            name="X",
-            column_label="snr_db",
-            columns=(0.0, 5.0),
+            reference=ReferenceTable("X", "snr_db", (0.0, 5.0), (("rate", (0.4552, 1.0)),)),
             computed=(("rate", (0.4551, None)),),
-            reference=(("rate", (0.4552, 1.0)),),
         )
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            ReportTable("X", "snr_db", (0.0, 5.0), (("rate", (1.0,)),), ())
+        # computed rows must follow the reference's labels, order and widths
+        ref = ReferenceTable("X", "snr_db", (0.0, 5.0), (("a", (1.0, 2.0)), ("b", (3.0, 4.0))))
+        ReportTable(ref, (("a", (1.0, 2.0)), ("b", (3.0, None))))
+        for computed in (
+            (("a", (1.0,)), ("b", (3.0, 4.0))),
+            (("a", (1.0, 2.0)), ("b", (3.0, 4.0, 5.0))),
+            (("a", (1.0, 2.0)), ("c", (3.0, 4.0))),
+            (("b", (3.0, 4.0)), ("a", (1.0, 2.0))),
+            (("a", (1.0, 2.0)),),
+            (("a", (1.0, 2.0)), ("b", (3.0, 4.0)), ("b", (3.0, 4.0))),
+        ):
+            with pytest.raises(ValueError):
+                ReportTable(ref, computed)
 
     def test_deviations_skip_infeasible_cells(self):
         (label, devs), = self.table().deviations()
@@ -140,17 +153,13 @@ class TestReferenceTables:
 
     def test_spot_values(self):
         t1 = REFERENCE_TABLES["I"]
-        mi = dict(zip(t1.columns, t1.row("Mutual information")))
+        mi = dict(zip(t1.columns, dict(t1.rows)["Mutual information"]))
         assert mi[5.0] == 0.8668
 
     def test_infeasible_cells_marked_none(self):
         t5 = REFERENCE_TABLES["V"]
-        assert None in t5.row("1-bit")
-        assert None not in t5.row("Unquantized")
-
-    def test_unknown_row_label(self):
-        with pytest.raises(KeyError):
-            REFERENCE_TABLES["I"].row("nope")
+        assert None in dict(t5.rows)["1-bit"]
+        assert None not in dict(t5.rows)["Unquantized"]
 
 
 class TestSnrParsing:
@@ -208,6 +217,25 @@ class TestCapacityCommand:
         masses = [float(v) for v in row[header.index("masses")].split()]
         assert locs == pytest.approx([-2.86, -0.52, 0.52, 2.86], abs=0.05)
         assert sum(masses) == pytest.approx(1.0, abs=1e-9)
+
+    def test_solver_flags_reach_the_solve_and_the_manifest(self, capsys):
+        argv = ["capacity", "--snr-db", "1", "--bits", "2", "--tol", "1e-6"]
+        code, out, _ = run_cli(argv + ["--grid-points", "501", "--out", "-"], capsys)
+        assert code == 0
+        manifest, header, rows = parse_csv(out)
+        assert manifest["parameters"]["tol"] == 1e-6
+        assert manifest["parameters"]["grid_points"] == 501
+        quantizer = BenchmarkScheme.build(4, 10.0**0.1, noise_variance=1.0).quantizer
+        direct = optimize_input_cutting_plane(
+            ChannelSpec.from_snr_db(1.0, quantizer, 1.0),
+            grid=GridConfig(point_count=501),
+            tol=1e-6,
+        )
+        (row,) = rows
+        # 17 significant digits round-trip every double exactly
+        assert float(row[header.index("capacity")]) == direct.capacity
+        support = [float(v) for v in row[header.index("support")].split()]
+        assert support == direct.dist.locations.tolist()
 
     @pytest.mark.parametrize("db", ["8", "10", "12"])
     def test_far_outer_thresholds_solve(self, capsys, db):
