@@ -523,7 +523,7 @@ def optimize_input_cutting_plane(
         # stopped; weak duality holds for any output law, so also certify
         # the last round's law and that of the round with the lowest
         # envelope, over the grid and dist's support, and keep the smallest.
-        for law in (r, best_r):
+        for law in (r,) if best_r is r else (r, best_r):
             _, law_gamma, law_bound = _certify(dist, spec, w, negent, slopes, r=law)
             if law_bound < bound:
                 gamma, bound = law_gamma, law_bound
