@@ -10,7 +10,7 @@ from .channel import (
     Quantizer,
     mutual_information,
 )
-from .bounds import divergence_to_output, minimize_max_affine
+from .bounds import minimize_max_affine
 from .optimize import (
     CapacityResult,
     GridConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "optimize_input_cutting_plane",
     "optimize_input_blahut_arimoto",
     "minimize_max_affine",
-    "divergence_to_output",
     "duality_upper_bound",
     "BenchmarkScheme",
     "JointResult",

@@ -545,31 +545,40 @@ def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None)
     `result` (solved here when None), re-solving the masses warm each step;
     by the envelope theorem the gradient in x_i is p_i (d'(x_i) - 2 gamma
     x_i), gamma being that solve's power multiplier.  A point fixed at 0 is
-    in every solve, as a feasibility anchor.  `bounds._certified_bound`
-    certifies the polished input's output law.
+    in every solve, as a feasibility anchor.  Each evaluation keeps its
+    output law, keyed by its x, so the law at L-BFGS-B's optimum is not
+    solved again.  `bounds._certified_bound` certifies that law over
+    continuous x: it proves the sup of the tilted divergence profile by
+    branch and bound, each cell bounded by its chord plus a curvature term
+    from the monotone log ratio of adjacent bins (the Fisher information
+    term dropped), with a rounding allowance, and bounds the tails past its
+    grid in closed form.
     """
     if result is None:
         result = optimize_input_cutting_plane(spec)
     thr, sigma, power = spec.quantizer.thresholds, spec.sigma, spec.power_constraint
     locs, masses = result.dist.locations, result.dist.masses
     moving = locs != 0.0
-    p, r = np.append(masses[moving], masses[~moving].sum()), None
+    p = np.append(masses[moving], masses[~moving].sum())
+    laws = {}  # the output law of every evaluation, keyed by its x
 
     def negated(x):
-        nonlocal p, r
+        nonlocal p
         pts = np.append(x, 0.0)
         w = bin_probability_matrix(pts, thr, sigma)
         negent = _row_negentropy_bits(w)
         p, mi = _optimal_masses_rows(w, negent, pts**2, power, start=p)
-        r = p @ w
+        r = laws[x.tobytes()] = p @ w
         gamma = minimize_max_affine(_divergences_bits(w, negent, r), power - pts**2).gamma
         slope = _flow_bits(x, thr, sigma, w[:-1], r).sum(axis=1)
         return -mi, -p[:-1] * (slope - 2.0 * gamma * x)
 
     # stop at a gain below rounding or a location gradient below 1e-10 bits
     options = {"ftol": _F_NOISE, "gtol": 1e-10, "maxiter": 100}
-    negated(minimize(negated, locs[moving], jac=True, method="L-BFGS-B", options=options).x)
-    r = np.maximum(r, _R_FLOOR)
+    x = minimize(negated, locs[moving], jac=True, method="L-BFGS-B", options=options).x
+    if x.tobytes() not in laws:
+        negated(x)
+    r = np.maximum(laws[x.tobytes()], _R_FLOOR)
     out = OutputPmf(r / r.sum())
     return _certified_bound(spec, out), out
 

@@ -24,15 +24,22 @@ from quantcap import (
     InputDistribution,
     OutputPmf,
     Quantizer,
-    divergence_to_output,
     duality_upper_bound,
     minimize_max_affine,
     mutual_information,
     onebit_capacity,
     optimize_input_cutting_plane,
 )
-from quantcap.bounds import _CERT_PAD, _CERT_POINTS, _certified_bound, _polish_peaks
-from quantcap.channel import bin_probability_matrix
+from quantcap import bounds
+from quantcap.bounds import (
+    _CERT_PAD,
+    _CERT_POINTS,
+    _cell_bounds,
+    _certified_bound,
+    _evaluate,
+    _rounded_up,
+)
+from quantcap.channel import _divergences_bits, _row_negentropy_bits, bin_probability_matrix
 from quantcap.special import gaussian_q
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
@@ -40,6 +47,14 @@ TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 
 def spec_db(snr_db, quant=TWOBIT):
     return ChannelSpec.from_snr_db(snr_db, quant)
+
+
+def divergence_to_output(x, out, spec):
+    """D(W(.|x) || R) in bits from the package's divergence kernel; a float
+    for a scalar x."""
+    w = bin_probability_matrix(x, spec.quantizer.thresholds, spec.sigma)
+    d = _divergences_bits(w, _row_negentropy_bits(w), out.probs)
+    return float(d[0]) if np.ndim(x) == 0 else d
 
 
 def grid_bound(spec, out, xs):  # the envelope minimum with the sup over grid xs
@@ -158,11 +173,6 @@ class TestDivergenceToOutput:
         for x, v in zip(xs, vec):
             assert divergence_to_output(float(x), out, spec) == pytest.approx(v)
 
-    def test_rejects_zero_output_bin(self):
-        spec = spec_db(0.0)
-        with pytest.raises(ValueError):
-            divergence_to_output(0.0, OutputPmf([0.5, 0.5, 0.0, 0.0]), spec)
-
 
 def jittered(bins, snr_db, seed=7):
     """The K-PAM benchmark quantizer with N(0, 0.2) noise on each threshold,
@@ -240,9 +250,9 @@ class TestUpperBoundForOutput:
 
 
 def brent_certified_bound(spec, out):
-    """Oracle for `_certified_bound`: the same grid, multiplier and peaks,
-    each peak polished on its own by bounded Brent on the profile itself.
-    Returns (bound, best grid value, gamma)."""
+    """Oracle for `_certified_bound`: the multiplier of the whole grid, and
+    the sup over x from polishing each grid peak on its own by bounded Brent
+    on the profile itself.  Returns (bound, best grid value, gamma)."""
     thr, sigma, power = spec.quantizer.thresholds, spec.sigma, spec.power_constraint
     lo = min(thr[0], 0.0) - _CERT_PAD * sigma
     hi = max(thr[-1], 0.0) + _CERT_PAD * sigma
@@ -282,9 +292,9 @@ WIDE8 = Quantizer(tuple(np.linspace(-12.0, 12.0, 7)))
 
 
 class TestPeakPolish:
-    """The certificate's peaks are polished all at once by re-gridding their
-    brackets; a per-peak bounded Brent search on the profile itself is the
-    oracle."""
+    """The certificate's sup over continuous x, which a branch and bound
+    proves; a per-peak bounded Brent search on the profile itself, at the
+    multiplier of the whole grid, is the oracle."""
 
     @pytest.mark.parametrize(
         "snr_db, quant, out",
@@ -296,8 +306,10 @@ class TestPeakPolish:
             (10.0, PAM8_10DB, None),
             (5.0, jittered(8, 5.0), None),
             (20.0, jittered(8, 20.0, seed=3), None),
+            # sqrt(P) = 0.003: only grid points within it of 0 have rising lines
+            (-50.0, Quantizer((-1.0, 0.5)), OutputPmf([0.3, 0.3, 0.4])),
         ],
-        ids=["K2", "K4", "K4-asym-R", "K4-asym", "K8", "K8-asym", "K8-asym-20dB"],
+        ids=["K2", "K4", "K4-asym-R", "K4-asym", "K8", "K8-asym", "K8-asym-20dB", "K3-asym-50dB"],
     )
     def test_matches_brent_oracle(self, snr_db, quant, out):
         spec = spec_db(snr_db, quant)
@@ -324,14 +336,109 @@ class TestPeakPolish:
         assert abs(got - want) <= 1e-12
         assert got > grid_best
 
-    def test_never_below_bracket_ends(self):
-        # brackets that hold no interior peak keep their maximum at an
-        # end, and the ends are evaluated
-        spec = spec_db(5.0)
-        out = OutputPmf([0.1, 0.2, 0.3, 0.4])
-        a, b = np.array([-9.0, 0.5, 3.0]), np.array([-8.0, 0.6, 3.1])
-        ends = divergence_to_output(np.concatenate((a, b)), out, spec)
-        assert _polish_peaks(spec, out, 0.0, a, b) >= float(np.max(ends))
+
+def tilted_profile(spec, out, gamma, xs):
+    return divergence_to_output(xs, out, spec) + gamma * (spec.power_constraint - xs**2)
+
+
+def certificate_range(spec):
+    thr, sigma = spec.quantizer.thresholds, spec.sigma
+    return min(thr[0], 0.0) - _CERT_PAD * sigma, max(thr[-1], 0.0) + _CERT_PAD * sigma
+
+
+class TestCellBound:
+    """`_cell_bounds`, the chord-plus-curvature bound of one cell, against
+    the tilted profile on 1,001 points inside each cell."""
+
+    @pytest.mark.parametrize("bins", [2, 4, 8, 16])
+    @pytest.mark.parametrize("jitter", [False, True], ids=["symmetric", "jittered"])
+    @pytest.mark.parametrize("noise_variance", [1.0, 2.0])
+    def test_dominates_profile_inside_cells(self, bins, jitter, noise_variance):
+        rng = np.random.default_rng(100 * bins + 10 * jitter + int(noise_variance))
+        thr = 1.5 * (np.arange(bins - 1) - (bins - 2) / 2.0)
+        if jitter:
+            thr = np.sort(thr + rng.normal(0.0, 0.3, thr.size))
+        spec = ChannelSpec.from_snr_db(10.0, Quantizer(tuple(thr)), noise_variance)
+        probs = rng.dirichlet(np.ones(bins))
+        probs[rng.integers(bins)] = 1e-60  # a bin the law all but never uses
+        out = OutputPmf(probs / probs.sum())
+        gamma = rng.uniform(0.0, 0.5)
+        # wide cells over the certificate's range, and a run of cells as
+        # narrow as one to sixteen steps of its grid
+        lo, hi = certificate_range(spec)
+        step = (hi - lo) / (_CERT_POINTS - 1)
+        run = rng.uniform(lo, hi) + step * np.cumsum(rng.integers(1, 17, 12))
+        ends = np.unique(np.concatenate((rng.uniform(lo, hi, 30), run)))
+        a, b = _evaluate(spec, out.probs, ends[:-1]), _evaluate(spec, out.probs, ends[1:])
+        power = spec.power_constraint
+        bound = _cell_bounds(
+            a, b, _rounded_up(a, gamma, power), _rounded_up(b, gamma, power), gamma, spec.sigma
+        )
+        for xa, xb, cell in zip(ends[:-1], ends[1:], bound):
+            inside = tilted_profile(spec, out, gamma, np.linspace(xa, xb, 1001))
+            assert cell >= float(np.max(inside))
+
+
+def fuzz_draw(index):
+    """(snr_db, quantizer) of draw `index` of scripts/fuzz_solves.py."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        halves = np.sort(rng.uniform(0.2, 20.0, 3))
+        snr_db = float(rng.uniform(-5.0, 20.0))
+    return snr_db, Quantizer(tuple(np.concatenate([-halves[::-1], [0.0], halves])))
+
+
+def certificate_case(case):
+    if case == "tableI-30dB":
+        spec = spec_db(30.0)
+        return spec, _solved_output(spec)
+    if case == "K16":
+        spec = ChannelSpec.from_snr_db(40.0, WEAK_DUALITY_QUANTIZERS[2], noise_variance=2.0)
+        return spec, _solved_output(spec)
+    snr_db, quant = fuzz_draw(19)
+    spec = spec_db(snr_db, quant)
+    dist = optimize_input_cutting_plane(spec, grid=GridConfig(point_count=501)).dist
+    w = bin_probability_matrix(dist.locations, quant.thresholds, spec.sigma)
+    r = np.maximum(dist.masses @ w, 1e-300)
+    return spec, OutputPmf(r / r.sum())
+
+
+class TestCertificateProof:
+    """`_certified_bound` against the tilted profile at its own multiplier:
+    at least its maximum on a 10^6-point grid over the certificate's range,
+    and within 1e-12 of that maximum, refined around the grid's best
+    points."""
+
+    @pytest.mark.parametrize("case", ["tableI-30dB", "fuzz-19", "K16"])
+    def test_bounds_a_dense_grid_tightly(self, case, monkeypatch):
+        spec, out = certificate_case(case)
+        found = []
+        envelope = bounds.minimize_max_affine
+
+        def recorded(*args):
+            found.append(envelope(*args))
+            return found[-1]
+
+        monkeypatch.setattr(bounds, "minimize_max_affine", recorded)
+        cert = _certified_bound(spec, out)
+        gamma = found[-1].gamma
+        if case == "tableI-30dB":
+            assert gamma == 0.0
+        if case == "fuzz-19":
+            assert np.min(out.probs) < 1e-60
+        xs = np.linspace(*certificate_range(spec), 1_000_001)
+        prof = np.concatenate([tilted_profile(spec, out, gamma, c) for c in np.array_split(xs, 10)])
+        best = float(np.max(prof))
+        assert cert >= best
+        for i in np.flatnonzero(prof >= best - 1e-9)[:50]:
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+            for _ in range(3):  # 1,001 points over the two steps around the best
+                local = np.linspace(a, b, 1001)
+                vals = tilted_profile(spec, out, gamma, local)
+                j = int(np.argmax(vals))
+                best = max(best, float(vals[j]))
+                a, b = local[max(j - 1, 0)], local[min(j + 1, 1000)]
+        assert cert - best <= 1e-12
 
 
 class TestBestSymmetricBound:

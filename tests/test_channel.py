@@ -2,8 +2,8 @@
 
 Quadrature oracles (scipy.integrate.quad of the Gaussian density over each
 bin) provide the independent route for the transition probabilities.  The
-divergence profile is bounds.divergence_to_output; the mirror mixture is the
-one that optimize._canonical_dist builds.
+divergence profile is channel._divergences_bits of the transition rows; the
+mirror mixture is the one that optimize._canonical_dist builds.
 """
 
 import math
@@ -19,7 +19,6 @@ from quantcap import (
     InputDistribution,
     OutputPmf,
     Quantizer,
-    divergence_to_output,
     gaussian_q,
     mutual_information,
 )
@@ -30,6 +29,13 @@ from quantcap.channel import (
     bin_probability_matrix,
 )
 from quantcap.optimize import _canonical_dist
+
+
+def divergence_to_output(x, out, spec):
+    """D(W(.|x) || R) in bits at each x, or a float for a scalar x."""
+    w = bin_probability_matrix(x, spec.quantizer.thresholds, spec.sigma)
+    d = _divergences_bits(w, _row_negentropy_bits(w), out.probs)
+    return float(d[0]) if np.ndim(x) == 0 else d
 
 
 def _bin_prob_quadrature(lo, hi, x, sigma):
