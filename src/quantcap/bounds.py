@@ -66,42 +66,44 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
     s = np.asarray(slopes, dtype=float)
     if d.ndim != 1 or d.size == 0 or d.shape != s.shape:
         raise ValueError("intercepts and slopes must be equal-length 1-d arrays")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(s))):
+    if not (np.isfinite(d).all() and np.isfinite(s).all()):
         raise ValueError("intercepts and slopes must be finite")
 
-    def probe(g):
-        vals = d + s * g
-        m = float(np.max(vals))
-        atol = _ACTIVE_RTOL * max(1.0, abs(m)) + 1e-300
-        active = vals >= m - atol
-        return m, active
+    vals = np.empty_like(d)
 
-    m0, act0 = probe(0.0)
-    if float(np.max(s[act0])) >= 0.0:
+    def probe(g):
+        """Envelope value at g, the active lines' indices and their slopes."""
+        np.multiply(s, g, out=vals)
+        np.add(vals, d, out=vals)
+        m = float(vals.max())
+        atol = _ACTIVE_RTOL * max(1.0, abs(m)) + 1e-300
+        idx = (vals >= m - atol).nonzero()[0]
+        return m, idx, s[idx]
+
+    m0, idx0, s0 = probe(0.0)
+    steep = int(s0.argmax())  # steepest active line at 0
+    if s0[steep] >= 0.0:
         return EnvelopeMinimum(0.0, m0)
-    if float(np.max(s)) <= 0.0:
+    if s.max() <= 0.0:
         return _degenerate_minimum(
             d, s, "envelope is decreasing for all gamma; minimum not attained"
         )
 
     # expand hi until the envelope stops decreasing there
     lo, hi = 0.0, 1.0
-    idx0 = np.flatnonzero(act0)
-    line_lo = int(idx0[np.argmax(s[idx0])])  # steepest active line at lo
+    line_lo = int(idx0[steep])
     line_hi = None
     for _ in range(200):
-        m_hi, act_hi = probe(hi)
-        idx = np.flatnonzero(act_hi)
-        smax = float(np.max(s[idx]))
-        smin = float(np.min(s[idx]))
-        if smax < 0.0:  # still strictly decreasing at hi
+        m_hi, idx, act = probe(hi)
+        steep, flat = int(act.argmax()), int(act.argmin())
+        if act[steep] < 0.0:  # still strictly decreasing at hi
             lo = hi
-            line_lo = int(idx[np.argmax(s[idx])])
+            line_lo = int(idx[steep])
             hi *= 4.0
             continue
-        if smin <= 0.0:  # zero sits in the subgradient: hi is the minimizer
+        if act[flat] <= 0.0:  # zero sits in the subgradient: hi is the minimizer
             return EnvelopeMinimum(hi, m_hi)
-        line_hi = int(idx[np.argmin(s[idx])])
+        line_hi = int(idx[flat])
         break
     if line_hi is None:
         return _degenerate_minimum(d, s, "failed to bracket the envelope minimum")
@@ -113,24 +115,22 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
             break  # degenerate; fall through to the probe result below
         g_x = (da - db) / (sb - sa)
         g_x = min(max(g_x, lo), hi)
-        m_x, act_x = probe(g_x)
+        m_x, idx, act = probe(g_x)
         pair_val = da + sa * g_x
         atol = _ACTIVE_RTOL * max(1.0, abs(m_x))
         if m_x <= pair_val + atol:
             return EnvelopeMinimum(float(g_x), m_x)
         # a third line is strictly above the candidate pair at g_x
-        idx = np.flatnonzero(act_x)
-        smax = float(np.max(s[idx]))
-        smin = float(np.min(s[idx]))
-        if smin <= 0.0 <= smax:
+        steep, flat = int(act.argmax()), int(act.argmin())
+        if act[flat] <= 0.0 <= act[steep]:
             return EnvelopeMinimum(float(g_x), m_x)
-        if smax < 0.0:
+        if act[steep] < 0.0:
             lo = g_x
-            line_lo = int(idx[np.argmax(s[idx])])
+            line_lo = int(idx[steep])
         else:
             hi = g_x
-            line_hi = int(idx[np.argmin(s[idx])])
-    m_f, _ = probe(lo)
+            line_hi = int(idx[flat])
+    m_f, _, _ = probe(lo)
     return EnvelopeMinimum(float(lo), m_f)
 
 

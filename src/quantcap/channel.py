@@ -183,20 +183,35 @@ def bin_probability_matrix(x, thresholds, sigma):
     An interior bin with standardized edges a < b has probability Q(a) - Q(b)
     if a >= 0, (1 - Q(b)) - (1 - Q(a)) if b <= 0, else 1 - (1 - Q(a)) - Q(b):
     both operands stay in the same tail, so nothing cancels catastrophically
-    far from the thresholds.  Non-finite x or thresholds raise ValueError.
+    far from the thresholds.  An interior bin reads Q(z) at an edge z only
+    where z >= 0, and 1 - Q(z) = Q(-z) only where z <= 0, and there z and
+    -z are the very double |z|: one erfc per threshold, Q(|z|), serves
+    every interior bin, bit for bit.  The edge bins take 1 - Q(z) at the
+    first threshold and Q(z) at the last, whatever their signs.  Non-finite
+    x or thresholds raise ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     thr = np.asarray(thresholds, dtype=float)
-    z = (thr[None, :] - x[:, None]) / sigma  # ascending along axis 1
-    # Q(z) and 1 - Q(z) in one erfc call: (-z)/sqrt2 is bitwise -(z/sqrt2)
-    tail, comp = gaussian_q(np.stack((z, -z)))
-    out = np.empty((z.shape[0], z.shape[1] + 1))
-    out[:, 0] = comp[:, 0]
-    out[:, -1] = tail[:, -1]
-    ta, tb, ca, cb = tail[:, :-1], tail[:, 1:], comp[:, :-1], comp[:, 1:]
-    inner = np.where(z[:, 1:] <= 0.0, cb - ca, 1.0 - ca - tb)
-    out[:, 1:-1] = np.where(z[:, :-1] >= 0.0, ta - tb, inner)
-    np.clip(out, 0.0, 1.0, out=out)
+    # thresholds along axis 0, so that every pass runs over contiguous rows
+    z = (thr[:, None] - x[None, :]) / sigma  # ascending along axis 0
+    cuts = z.shape[0]
+    # one erfc call on -z at the first threshold, z at the last and, when
+    # there are interior bins, |z| at every threshold
+    arg = np.empty((cuts + 2 if cuts > 1 else 2, x.size))
+    np.negative(z[0], out=arg[0])
+    arg[1] = z[-1]
+    if cuts > 1:
+        np.abs(z, out=arg[2:])
+    q = gaussian_q(arg)
+    bins = np.empty((cuts + 1, x.size))
+    bins[0] = q[0]
+    bins[-1] = q[1]
+    if cuts > 1:
+        ak, ak1 = q[2:-1], q[3:]
+        inner = np.where(z[1:] <= 0.0, ak1 - ak, 1.0 - ak - ak1)
+        bins[1:-1] = np.where(z[:-1] >= 0.0, ak - ak1, inner)
+    out = np.empty((x.size, cuts + 1))
+    np.clip(bins.T, 0.0, 1.0, out=out)
     return out
 
 

@@ -446,7 +446,7 @@ def optimize_input_cutting_plane(
     w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
     negent = _row_negentropy_bits(w)
     slopes = power - xs**2
-    spacing = float(np.median(np.diff(xs)))
+    spacing = float(xs[1] - xs[0])
 
     root_p = math.sqrt(power)
     seeds = (

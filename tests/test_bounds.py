@@ -136,6 +136,20 @@ class TestMinimizeMaxAffine:
         with pytest.raises(ValueError):
             minimize_max_affine([1.0, 2.0], [-1.0, -0.5])
 
+    def test_leaves_read_only_inputs_untouched(self):
+        # the probes work in a buffer of their own: read-only inputs are
+        # accepted, unchanged, and a second call returns the same minimum
+        rng = np.random.default_rng(81)
+        xs = np.linspace(-4.0, 4.0, 801)
+        intercepts = rng.uniform(0.0, 2.0, xs.size)
+        slopes = 1.0 - xs**2
+        kept = intercepts.copy(), slopes.copy()
+        intercepts.flags.writeable = slopes.flags.writeable = False
+        first = minimize_max_affine(intercepts, slopes)
+        assert first.gamma > 0.0
+        assert minimize_max_affine(intercepts, slopes) == first
+        assert np.array_equal(intercepts, kept[0]) and np.array_equal(slopes, kept[1])
+
 
 class TestDivergenceToOutput:
     def test_zero_against_own_transition(self):

@@ -230,29 +230,38 @@ class TestTransitionProbs:
     @pytest.mark.parametrize("bins", [2, 3, 8, 16])
     def test_matches_per_bin_reference_exactly(self, bins):
         rng = np.random.default_rng(6000 + bins)
-        straddling = deep = 0
+        straddling = deep = on_threshold = negative_zero = 0
         for trial in range(150):
             sigma = (0.3, 1.0, 2.0)[trial % 3]
             thr = np.sort(rng.uniform(-12.0, 12.0, size=bins - 1))
             if np.any(np.diff(thr) <= 0.0):
                 continue
+            if trial % 5 == 0:
+                # a threshold of -0.0, so that x = +0.0 sits on it at z = -0.0
+                thr[np.argmin(np.abs(thr))] = -0.0
             # a few inputs inside every bin (so some bins straddle x), plus
-            # inputs far enough out that every tail underflows (|z| > 37)
+            # inputs far enough out that every tail underflows (|z| > 37),
+            # plus inputs on every threshold (z = 0) and at both zeros
             cases = [
                 rng.uniform(-16.0, 16.0, size=int(rng.integers(1, 30))),
                 rng.uniform(40.0, 110.0, size=3) * sigma * rng.choice([-1.0, 1.0], size=3),
                 np.array([rng.uniform(-16.0, 16.0)]),
                 float(rng.uniform(-16.0, 16.0)),
+                np.concatenate((thr, [0.0, -0.0])),
             ]
             for x in cases:
                 z = (thr[None, :] - np.atleast_1d(x)[:, None]) / sigma
                 straddling += int(np.sum((z[:, :-1] < 0.0) & (z[:, 1:] > 0.0)))
                 deep += int(np.sum(np.abs(z) > 37.0))
+                on_threshold += int(np.sum(z == 0.0))
+                negative_zero += int(np.sum((z == 0.0) & np.signbit(z)))
                 got = bin_probability_matrix(x, thr, sigma)
                 assert np.array_equal(got, self._per_bin_reference(x, thr, sigma))
         if bins > 2:
             assert straddling > 100
         assert deep > 100
+        assert on_threshold > 150
+        assert negative_zero >= 30
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input_and_thresholds(self, bad):
