@@ -28,8 +28,11 @@ import workloads  # noqa: E402
 PASSES = (("tables", 1), ("verify", 1), ("capacity_sweep", 11), ("capacity_sweep", 21))
 
 
+def hexes(values):
+    return ",".join(float(v).hex() for v in values)
+
+
 def line(label, rank, result):
-    hexes = lambda values: ",".join(float(v).hex() for v in values)  # noqa: E731
     return " ".join((
         label,
         str(rank),
