@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
+from scipy.linalg.lapack import dgesdd, dposv
 from scipy.optimize import brentq, minimize
-from scipy.special import xlogy
 
 from .bounds import _certified_bound, minimize_max_affine
 from .channel import (
@@ -117,10 +116,13 @@ def onebit_capacity(snr: float) -> float:
 
 
 def _feasible_start(p, xsq, power):
-    """Blend a candidate mass vector back inside the power constraint.
+    """Blend a candidate mass vector back onto the power budget.
 
-    Mixes toward the restriction of p to the points with x^2 <= power, which
-    always yields a feasible start (boundary points at x^2 = power included).
+    Mixes toward the restriction q of p to the points with x^2 <= power
+    (boundary points at x^2 = power included) just far enough to spend the
+    budget exactly, so that the solve can start on the power face.  When
+    every point that carries mass sits on x^2 = power at rounding, q is not
+    below p's power, and q itself is returned.
     """
     cur = float(p @ xsq)
     if cur <= power:
@@ -131,8 +133,11 @@ def _feasible_start(p, xsq, power):
     q = np.where(inside, p, 0.0)
     total = q.sum()
     q = q / total if total > 0.0 else inside / inside.sum()
+    below = float(q @ xsq)
+    if below >= cur:
+        return q
     # q sits on x^2 <= power < cur, so the blend reaches the budget by t = 1
-    t = min(1.0, (cur - power) / (cur - float(q @ xsq)) + 1e-12)
+    t = min(1.0, (cur - power) / (cur - below))
     mix = (1.0 - t) * p + t * q
     return mix / mix.sum()
 
@@ -144,21 +149,28 @@ def _feasible_start(p, xsq, power):
 # rounding cannot be checked.  Singular values below _RANK_RTOL, and a
 # spread of x^2 over the free set below _RANK_RTOL of its scale, count as
 # zero, and a reduced Hessian whose singular values spread past
-# 1/_RANK_RTOL is singular to working precision.
+# 1/_RANK_RTOL is singular to working precision.  B^T B squares the
+# conditioning of B, so a Newton step is solved by Cholesky only while the
+# factor's diagonal stays above _CHOL_RTOL times its largest entry (and 1);
+# past that B may be near singular, and the step comes from B's SVD.
 _ADD_TOL = 1e-13
 _FACE_TOL = 1e-12
 _F_NOISE = 1e-15
 _RANK_RTOL = 1e-10
-# In the capacity_sweep benchmark a solve takes about 7 steps, 25 at most.
+_CHOL_RTOL = 1e-5
+# In the capacity_sweep benchmark a solve takes about 6 steps, 24 at most.
 _NEWTON_MAX_ITER = 200
 # Cap on the cutting-plane rounds; a solve that reaches it is unconverged.
 _CUT_MAX_ITER = 200
 
 
-def _mass_objective(p, w, negent):
-    """Mutual information in bits, sum_j p_j negent_j - H(p W)."""
+def _mass_point(p, w, negent):
+    """(R, d, I) at masses p, in bits: the output law R = p W, the
+    divergence d_j = D(w_j || R) of every row and the mutual information
+    I = p @ d."""
     r = p @ w
-    return float(p @ negent - xlogy(r, r).sum() / LN2)
+    d = _divergences_bits(w, negent, r)
+    return r, d, float(p @ d)
 
 
 def _face_basis(xsq, power_row):
@@ -172,17 +184,16 @@ def _face_basis(xsq, power_row):
     """
     n = xsq.size
     if power_row:
-        a, b = int(np.argmin(xsq)), int(np.argmax(xsq))
+        a, b = int(xsq.argmin()), int(xsq.argmax())
         span = float(xsq[b] - xsq[a])
         if span > _RANK_RTOL * float(xsq[b]):
-            others = np.flatnonzero((np.arange(n) != a) & (np.arange(n) != b))
-            z = np.zeros((n, n - 2))
-            z[others, np.arange(n - 2)] = 1.0
-            z[a] = (xsq[others] - xsq[b]) / span
-            z[b] = (xsq[a] - xsq[others]) / span
+            others = [k for k in range(n) if k != a and k != b]
+            z = np.eye(n)[:, others]
+            rest = xsq[others]
+            z[a] = (rest - xsq[b]) / span
+            z[b] = (xsq[a] - rest) / span
             return z, (a, b)
-    z = np.zeros((n, n - 1))
-    z[:-1] = np.eye(n - 1)
+    z = np.eye(n, n - 1)
     z[-1] = -1.0
     return z, None
 
@@ -191,7 +202,8 @@ def _join_step(pf, wf, negf, xf, power, j, f):
     """Masses moved from pf, whose objective is f, toward the vertex that
     mixes point j at exactly the power level with the face point of most
     different x^2 on the other side of it, to the exact maximum of I on that
-    segment; None if there is no such point or the gain is below rounding."""
+    segment, with their _mass_point; None if there is no such point or the
+    gain is below rounding."""
     beyond = (xf - power) * (xf[j] - power) < -_RANK_RTOL * power**2
     if not np.any(beyond):
         return None
@@ -210,7 +222,8 @@ def _join_step(pf, wf, negf, xf, power, j, f):
         # reach xtol; its last iterate is still a point of the segment
         t = brentq(slope, 0.0, 1.0, xtol=1e-300, disp=False) if slope(0.0) > 0.0 else 0.0
     q = np.maximum(pf + t * v, 0.0)
-    return q if _mass_objective(q, wf, negf) > f + _F_NOISE * max(1.0, abs(f)) else None
+    point = _mass_point(q, wf, negf)
+    return (q, *point) if point[2] > f + _F_NOISE * max(1.0, abs(f)) else None
 
 
 def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
@@ -219,16 +232,27 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     Active-set Newton method for the concave program max_p sum_j p_j d_j(p)
     subject to sum(p) = 1, p @ xsq <= power and p >= 0, where d_j is the
     divergence of row j from the output law R = p W.  On the face of free
-    points F (and the power row while that constraint is active) each step
-    solves the equality-constrained Newton system with the analytic
-    Hessian -W_F diag(1/R) W_F^T / ln2, takes a ratio test against p >= 0
-    and the power budget, and backtracks (Armijo).  Along a direction that
-    leaves R unchanged the objective is linear; such a face is left by an
-    LP pivot to the next vertex, which keeps at most K+1 free points.  At a
-    face optimum the multipliers nu, gamma of the face give the reduced
+    points F (and the power row while that constraint is active), with a
+    basis z of the face's directions, each step solves the
+    equality-constrained Newton system B^T B y = z^T d for the direction
+    v = z y.  The Hessian is -W_F diag(1/R) W_F^T / ln2, so
+    B = diag(1/sqrt(R ln2)) W_F^T z, with W_F^T z formed once per face.
+    The step then takes a ratio test against p >= 0 and the power budget
+    and backtracks (Armijo), evaluating R, d and I once per trial point and
+    carrying the accepted point's into the next step.  Along a direction
+    that leaves R unchanged the objective is linear; such a face is left by
+    an LP pivot to the next vertex, which keeps at most K+1 free points.  At
+    a face optimum the multipliers nu, gamma of the face give the reduced
     gradient d_j - nu - gamma x_j^2 of every other point: the power row is
     released if gamma < 0 beyond rounding, else the point with the largest
     reduced gradient joins F, and the solve ends when none exceeds _ADD_TOL.
+
+    The Newton system is solved by Cholesky (LAPACK dposv).  An SVD of B
+    (dgesdd) takes its place only where the Cholesky factor cannot settle
+    the step: when the face has K or more free directions, so that B has a
+    null direction to pivot along; when the factorization fails or its
+    diagonal spreads past _CHOL_RTOL, so that B may be singular; and for
+    the careful rank test of a join below.
 
     A point that joins F and alone reaches some bin sees R near 0 there, and
     its 1/R curvature can shrink every Newton step below rounding.  A solve
@@ -237,11 +261,12 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     nothing; RuntimeError if this stalls too.  In either mode, a join whose
     Newton step would drop the point again takes the same way out.
 
-    Starts from `start` when given, else from uniform masses, made feasible
-    by _feasible_start.  The program is concave, so any KKT point is a
-    global optimum.  Returns (masses, mutual_information_bits).
+    Starts from `start` when given, else from uniform masses.  A start at
+    or over the budget is blended onto it by _feasible_start and the solve
+    starts on the power face.  The program is concave, so any KKT point is
+    a global optimum.  Returns (masses, mutual_information_bits).
     """
-    m = negent.size
+    m, bins = w.shape
     if m == 1:
         return np.ones(1), 0.0
     p = np.full(m, 1.0 / m)
@@ -251,9 +276,9 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
         s = np.clip(np.asarray(start, dtype=float), 0.0, None)
         if s.sum() > 0.0:
             p = s / s.sum()
+    on_power = float(p @ xsq) >= power
     p = np.array(_feasible_start(p, xsq, power), dtype=float)
     free = p > 0.0
-    on_power = float(p @ xsq) >= power
     added = -1
     left_out = np.zeros(m, dtype=bool)
     steps = 0
@@ -261,8 +286,9 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
         idx = np.flatnonzero(free)
         pf, wf, xf, negf = p[idx], w[idx], xsq[idx], negent[idx]
         z, pair = _face_basis(xf, on_power)
-        r = pf @ wf
-        f = _mass_objective(pf, wf, negf)
+        wz = wf.T @ z
+        wzt = wz.T / LN2
+        r, g, f = _mass_point(pf, wf, negf)
         # Newton steps on this face, until it is optimal or the face changes
         while True:
             steps += 1
@@ -275,69 +301,85 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
             v = None
             # The gradient is d - 1/ln2; the constant is orthogonal to every
             # face direction and only shifts nu.
-            g = _divergences_bits(wf, negf, r)
             zg = g @ z
             stationary = not zg.size or np.abs(zg).max() <= _FACE_TOL
             # A stationary face is optimal unless it has more free directions
             # than the K - 1 that R can take; such a face is degenerate.
-            if stationary and zg.size < w.shape[1]:
+            if stationary and zg.size < bins:
                 break
-            # Reduced Hessian z^T W_F diag(1/R) W_F^T z / ln2 = G^T G; bins
-            # that no free point reaches add zero rows to G.
-            scaled = wf / np.sqrt(np.maximum(r, _R_FLOOR) * LN2)
-            _, sv, vt, info = dgesdd(scaled.T @ z)
-            if info:
-                raise np.linalg.LinAlgError("SVD of the reduced Hessian did not converge")
-            pivot = sv.size < zg.size or sv[-1] <= _RANK_RTOL
-            if pivot:
-                # R is constant along this null direction, so the objective
-                # is linear there with slope g @ v (= negent @ v).
-                v = z @ vt[-1]
-                if g @ v < 0.0:
-                    v = -v
-            elif stationary:
-                break
-            else:
-                v = z @ (((vt @ zg) / sv**2) @ vt)
+            # Reduced Hessian z^T W_F diag(1/R) W_F^T z / ln2 = B^T B; bins
+            # that no free point reaches add zero rows to B.
+            rr = np.maximum(r, _R_FLOOR)
+            y = None
+            pivot = False
+            # the careful rank test of a join reads the singular values
+            if zg.size < bins and not (careful and added >= 0):
+                factor, y, info = dposv((wzt / rr) @ wz, zg)
+                diag = factor.diagonal().tolist()
+                if info or min(diag) <= _CHOL_RTOL * max(1.0, max(diag)):
+                    y = None
+            if y is None:
+                _, sv, vt, info = dgesdd(wz / np.sqrt(rr * LN2)[:, None])
+                if info:
+                    raise np.linalg.LinAlgError("SVD of the reduced Hessian did not converge")
+                pivot = sv.size < zg.size or sv[-1] <= _RANK_RTOL
+                if pivot:
+                    # R is constant along this null direction, so the
+                    # objective is linear there with slope g @ v (= negent @ v).
+                    y = vt[-1] if zg @ vt[-1] >= 0.0 else -vt[-1]
+                elif stationary:
+                    break
+                else:
+                    y = ((vt @ zg) / sv**2) @ vt
+            v = z @ y
             if added >= 0:
                 j = np.searchsorted(idx, added)
-                singular = careful and not pivot and sv[-1] < _RANK_RTOL * sv[0]
+                # With fewer free directions than K, a direction that leaves
+                # R unchanged needs rows that distinct points do not give, so
+                # a pivot there is rounding: like singular values spread past
+                # 1/_RANK_RTOL, it marks a reduced Hessian singular to
+                # working precision.
+                singular = careful and (
+                    zg.size < bins if pivot else sv[-1] < _RANK_RTOL * sv[0]
+                )
                 if singular or v[j] < 0.0:
-                    q = _join_step(pf, wf, negf, xf, power, j, f)
-                    if q is not None:
-                        pf, r, added = q, q @ wf, -1
-                        f = _mass_objective(pf, wf, negf)
+                    joined = _join_step(pf, wf, negf, xf, power, j, f)
+                    if joined is not None:
+                        pf, r, g, f = joined
+                        added = -1
                         continue
                     # leave the point out: a boundary step that drops it
                     v, hit = -np.eye(idx.size)[j], added
                     left_out[added] = True
                     break
             added = -1
-            t_max, hit = np.inf, None
-            neg = (v < 0.0).nonzero()[0]
-            if neg.size:
-                with np.errstate(over="ignore"):  # tiny components give inf
-                    ratios = pf[neg] / -v[neg]
-                k = int(np.argmin(ratios))
-                t_max, hit = float(ratios[k]), int(idx[neg[k]])
-            rise = float(xf @ v)
-            if not on_power and rise > 0.0:
-                t_power = max(power - float(pf @ xf), 0.0) / rise
-                if t_power <= t_max:
-                    t_max, hit = t_power, None
-            t = t_max
-            if not pivot:
-                t = min(1.0, t_max)
-                gain = float(g @ v)
-                slack = _F_NOISE * max(1.0, abs(f))
-                while True:
-                    f_new = _mass_objective(pf + t * v, wf, negf)
-                    if f_new >= f + 1e-4 * t * gain - slack:
-                        break
-                    t *= 0.5
-                f = f_new
-            pf = np.maximum(pf + t * v, 0.0)
-            r = pf @ wf
+            # Ratio test against p >= 0, on Python floats: a tiny component of
+            # v gives an infinite ratio, not an overflow warning.
+            t_max, hit = math.inf, None
+            for k, (pk, vk) in enumerate(zip(pf.tolist(), v.tolist())):
+                if vk < 0.0 and pk / -vk < t_max:
+                    t_max, hit = pk / -vk, k
+            if hit is not None:
+                hit = int(idx[hit])
+            if not on_power:
+                rise = float(xf @ v)
+                if rise > 0.0:
+                    t_power = max(power - float(pf @ xf), 0.0) / rise
+                    if t_power <= t_max:
+                        t_max, hit = t_power, None
+            if pivot:
+                pf = np.maximum(pf + t_max * v, 0.0)
+                break
+            t = min(1.0, t_max)
+            gain = float(zg @ y)
+            slack = _F_NOISE * max(1.0, abs(f))
+            while True:
+                q = np.maximum(pf + t * v, 0.0)
+                r_new, g_new, f_new = _mass_point(q, wf, negf)
+                if f_new >= f + 1e-4 * t * gain - slack:
+                    break
+                t *= 0.5
+            pf, r, g, f = q, r_new, g_new, f_new
             if t == t_max:
                 break
         p[idx] = pf
@@ -367,7 +409,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
         reduced[left_out] = -np.inf
         j = int(np.argmax(reduced))
         if reduced[j] <= _ADD_TOL:
-            return p, float(pf @ g)
+            return p, f
         free[j] = True
         added = j
 

@@ -491,6 +491,16 @@ class TestBestSymmetricBound:
             assert out.probs[0] == pytest.approx(out.probs[3])
             assert out.probs[1] == pytest.approx(out.probs[2])
 
+    def test_support_on_the_power_budget(self):
+        # the joint 2-bit optimum at -10 dB: the solve is antipodal at
+        # +/- sqrt(P), and the polish puts both points on x^2 = P exactly,
+        # where blending a warm start onto the budget once divided by zero
+        spec = ChannelSpec(1.0, 0.1, Quantizer((-0.9629701295720821, 0.0, 0.9629701295720821)))
+        result = optimize_input_cutting_plane(spec)
+        bound, out = duality_upper_bound(spec, result)
+        assert result.capacity - 1e-9 <= bound <= result.capacity + 1e-6
+        assert out.probs == pytest.approx(out.probs[::-1])
+
     def test_sandwiches_cutting_plane(self):
         for db in (0.0, 5.0, 15.0):
             spec = spec_db(db)

@@ -145,6 +145,7 @@ class TestOptimalMasses:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("error")
     def test_optimal_feasible_kkt_and_sparse(self, bins, snr_db, jitter, size, seed):
         rng = np.random.default_rng(seed)
         power = 10.0 ** (snr_db / 10.0)
@@ -178,6 +179,70 @@ class TestOptimalMasses:
         start = rng.random(xs.size)
         _, mi_warm = _optimal_masses_rows(w, negent, xsq, power, start=start)
         assert mi_warm == pytest.approx(mi, abs=1e-12)
+
+    def test_start_on_the_budget_matches_the_cold_solve(self):
+        # dyadic masses and x^2: the first start spends the budget exactly,
+        # the second exceeds it and is blended onto it, so both solves
+        # start on the power face
+        xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        w = bin_probability_matrix(xs, (-1.0, 0.0, 1.0), 1.0)
+        negent = _row_negentropy_bits(w)
+        _, cold = _optimal_masses_rows(w, negent, xs**2, 1.0)
+        for start in ([0.0625, 0.25, 0.375, 0.25, 0.0625], [0.25, 0.25, 0.0, 0.25, 0.25]):
+            assert np.asarray(start) @ xs**2 >= 1.0
+            p, mi = _optimal_masses_rows(w, negent, xs**2, 1.0, start=start)
+            assert mi == pytest.approx(cold, abs=1e-12)
+            assert p @ xs**2 <= 1.0 + 1e-12
+
+    def test_far_support_takes_the_svd_step(self, monkeypatch):
+        # fuzz draw 19 of 300: +/- sqrt(P) with the grid points +/- 20.63,
+        # whose outer bins no other point reaches.  Their 1/R curvature
+        # spreads the Cholesky factor's diagonal past its tolerance, so some
+        # Newton steps are taken from the SVD of a face with fewer free
+        # directions than bins.
+        from quantcap import optimize
+
+        narrow = []
+        svd = optimize.dgesdd
+
+        def counted(a, *args, **kwargs):
+            narrow.append(a.shape[1] < a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "dgesdd", counted)
+        power = 10.0 ** (6.5011284827274025 / 10.0)
+        half = [12.48022634990448, 18.989084763767753, 19.902910803659417]
+        thr = [-t for t in reversed(half)] + [0.0] + half
+        far = 20.630333175956636  # the 501-point grid point nearest 20.63
+        xs = np.array([-far, -math.sqrt(power), 0.0, math.sqrt(power), far])
+        w = bin_probability_matrix(xs, thr, 1.0)
+        p, mi = _optimal_masses_rows(w, _row_negentropy_bits(w), xs**2, power)
+        assert any(narrow)
+        assert mi == pytest.approx(float(p @ _divergences(w, p)), abs=1e-12)
+        oracle = _slsqp_masses(w, xs**2, power)
+        assert mi >= float(oracle @ _divergences(w, oracle)) - 1e-10
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert p @ xs**2 <= power * (1.0 + 1e-12)
+
+    def test_careful_rerun_joins_past_a_rounding_pivot(self):
+        # a warm start from fuzz draw 227 of 300 (11.1 dB): +/- 21.0 alone
+        # reach the outer bins.  When one joins at zero mass, its 1/R
+        # curvature leaves the SVD a null direction that is only rounding,
+        # and the Newton steps stall; the careful rerun takes the join step
+        # in place of that pivot and reaches the cold solve's optimum.
+        half = [5.958832341136689, 7.846845054073446, 19.344196661448674]
+        thr = [-t for t in reversed(half)] + [0.0] + half
+        outer, root_p, inner = 20.99862816588685, 3.5956555078573373, 0.5753048812571748
+        xs = np.array([-outer, -root_p, -inner, 0.0, inner, root_p, outer])
+        power = 12.928738531184807
+        start = [6.560322519414706e-10, 0.49999998366297516, 2.2288938142013917e-08, 0.0]
+        start += [1e-3, 0.49999999339205436, 1e-3]
+        w = bin_probability_matrix(xs, thr, 1.0)
+        negent = _row_negentropy_bits(w)
+        _, cold = _optimal_masses_rows(w, negent, xs**2, power)
+        p, mi = _optimal_masses_rows(w, negent, xs**2, power, start=start)
+        assert mi == pytest.approx(cold, abs=1e-12)
+        assert p @ xs**2 <= power * (1.0 + 1e-12)
 
     def test_degenerate_face_terminates_at_antipodal_optimum(self):
         # One threshold (K = 2) and seven points: every face with more than

@@ -394,6 +394,15 @@ class TestBenchmarkAndBoundCommands:
         val = float(out.split("bound ")[1].split()[0])
         assert val == pytest.approx(0.4046, abs=2e-3)
 
+    def test_bound_of_a_support_on_the_power_budget(self, capsys):
+        # the joint 2-bit quantizer at -10 dB, whose bound polish puts the
+        # whole support on x^2 = P
+        thresholds = "-0.9629701295720821,0,0.9629701295720821"
+        code, out, _ = run_cli(["bound", "--snr-db", "-10", "--thresholds", thresholds], capsys)
+        assert code == 0
+        val = float(out.split("bound ")[1].split()[0])
+        assert val == pytest.approx(0.0612889, abs=1e-6)
+
     def test_any_capacity_quantizer_is_bounded(self, capsys):
         # bound takes every quantizer that capacity takes, asymmetric or of
         # any bin count, and bounds its capacity from above
