@@ -239,13 +239,14 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     B = diag(1/sqrt(R ln2)) W_F^T z, with W_F^T z formed once per face.
     The step then takes a ratio test against p >= 0 and the power budget
     and backtracks (Armijo), evaluating R, d and I once per trial point and
-    carrying the accepted point's into the next step.  Along a direction
-    that leaves R unchanged the objective is linear; such a face is left by
-    an LP pivot to the next vertex, which keeps at most K+1 free points.  At
-    a face optimum the multipliers nu, gamma of the face give the reduced
-    gradient d_j - nu - gamma x_j^2 of every other point: the power row is
-    released if gamma < 0 beyond rounding, else the point with the largest
-    reduced gradient joins F, and the solve ends when none exceeds _ADD_TOL.
+    carrying the accepted point's values into the next step.  Along a
+    direction that leaves R unchanged the objective is linear; such a face
+    is left by an LP pivot to the next vertex, which keeps at most K+1 free
+    points.  At a face optimum the multipliers nu, gamma of the face give the
+    reduced gradient d_j - nu - gamma x_j^2 of every other point: the power
+    row is released if gamma < 0 beyond rounding, else the point with the
+    largest reduced gradient joins F, and the solve ends when none exceeds
+    _ADD_TOL.
 
     The Newton system is solved by Cholesky (LAPACK dposv).  An SVD of B
     (dgesdd) takes its place only where the Cholesky factor cannot settle
