@@ -7,9 +7,9 @@ Three layers:
   have closed or near-closed forms;
 * a 12-point scan over (0, 2 max(sqrt(P), sigma)] of the single free
   threshold q of a symmetric 2-bit quantizer, refined at its near-best
-  peaks, the capacity curve C(q) over twice that span, and for 3-bit an
-  alternation of input solves with a quasi-Newton threshold step on the
-  exact gradient at the fixed input;
+  peaks by scipy's bounded Brent search, the capacity curve C(q) over
+  twice that span, and for 3-bit an alternation of input solves with a
+  quasi-Newton threshold step on the exact gradient at the fixed input;
 * the unquantized baseline, and the SNR at which a capacity reaches a
   target spectral efficiency, by Newton's method on the power multiplier.
 """
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .channel import (
     ChannelSpec,
@@ -50,8 +50,6 @@ _SCAN_POINTS = 12
 _SCAN_SPAN = 2.0
 _CURVE_POINTS = 200
 _CURVE_SPAN = 4.0
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Scan peaks within this many bits of the best scanned capacity are refined.
 _PEAK_WINDOW = 2e-3
@@ -173,24 +171,6 @@ class JointResult:
         return "\n".join(lines) + "\n" + self.capacity_result.to_text()
 
 
-def _golden_max(f, lo, hi, xtol):
-    """Golden-section maximization of a unimodal scalar function."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 def _solve_q(q, power, noise_variance, tol, seed):
     """Input solve of the symmetric 2-bit quantizer {-q, 0, q} on the scan grid."""
     spec = ChannelSpec(noise_variance, power, Quantizer((-q, 0.0, q)))
@@ -221,9 +201,10 @@ def optimize_quantizer_2bit(
     the same step, so the winner is never on the scan edge.  The capacity is
     multimodal in q, and the optimum jumps between branches as the SNR
     moves, so every local maximum of the scan within 2e-3 bits of the best
-    is refined by golden section on its bracket of scan neighbours to 1e-3
-    max(sqrt(P), sigma), seeded with that point's support; the best refined
-    peak wins, ties toward the smaller threshold.
+    is refined by scipy's bounded Brent search (golden section with
+    parabolic steps) on its bracket of scan neighbours, with xatol
+    1e-3 max(sqrt(P), sigma), seeded with that point's support; the best
+    refined peak wins, ties toward the smaller threshold.
     """
     _check_snr(snr)
     power = snr * noise_variance
@@ -248,12 +229,13 @@ def optimize_quantizer_2bit(
             continue
         lo = qs[i - 1] if i > 0 else 0.5 * qs[0]
         hi = qs[i + 1] if i + 1 < len(qs) else qs[i] + step
-        q_peak, cap_peak = _golden_max(
-            lambda q: _solve_q(q, power, noise_variance, tol, seeds[i]).capacity,
-            lo,
-            hi,
-            1e-3 * scale,
+        peak = minimize_scalar(
+            lambda q: -_solve_q(q, power, noise_variance, tol, seeds[i]).capacity,
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1e-3 * scale},
         )
+        q_peak, cap_peak = peak.x, -peak.fun
         if cap >= cap_peak:
             q_peak, cap_peak = qs[i], cap
         if cap_peak > cap_star:

@@ -455,7 +455,7 @@ class TestCertificateProof:
         assert cert - best <= 1e-12
 
 
-class TestBestSymmetricBound:
+class TestDualityUpperBound:
     """`duality_upper_bound`: the bound from the capacity solve's polished
     output law, for any quantizer."""
 
