@@ -210,8 +210,8 @@ class TestOptimizeQuantizer2bit:
         assert two_bit_10db.capacity_result.capacity == pytest.approx(1.4731, abs=5e-3)
 
     def test_refinement_reaches_the_10db_peak(self, two_bit_10db):
-        # the peak near q = 3.635 holds 1.47318 bits; a golden section on the
-        # same bracket and tolerance stopped at q = 3.596, 1.75e-4 lower
+        # the peak near q = 3.635 holds 1.47318 bits; a refinement that
+        # settles at q = 3.596 on the same bracket returns 1.47301
         assert two_bit_10db.capacity_result.capacity >= 1.47315
 
     def test_result_structure(self, two_bit_0db):
