@@ -15,7 +15,9 @@ absolute thresholds; `benchmark` depends on the SNR alone and takes no
 Every command prints a human-readable summary to stdout; ``--out`` addition-
 ally writes a machine-format report (CSV or JSON-lines, manifest embedded),
 and ``--out -`` sends the machine format to stdout instead.  Exit codes:
-0 success, 1 usage error, 2 computation error, 3 verification failure.
+0 success, 1 usage error, 2 computation error, 3 verification failure.  A
+computation error names the command and SNR of the failed solve and, for
+`capacity` and `bound`, its thresholds.
 """
 
 from __future__ import annotations
@@ -178,13 +180,21 @@ def _join(values) -> str:
     return " ".join(f"{float(v):.16e}" for v in values)
 
 
-def _per_snr(args, snrs, cell, head="", sep="\n") -> int:
+def _per_snr(args, snrs, cell, head="", sep="\n", specs=None) -> int:
     """Emit one report row and one human block per SNR, both from
     `cell(db) -> (row, block)`.  A row maps each report column to its value;
-    the human text is `head`, then the blocks joined by `sep`."""
+    the human text is `head`, then the blocks joined by `sep`.  A cell that
+    raises is re-raised under the command, its SNR and, given `specs`, its
+    thresholds, so a failed run names the solve that failed."""
     rows, blocks = [], []
     for db in snrs:
-        row, block = cell(db)
+        try:
+            row, block = cell(db)
+        except Exception as exc:
+            where = f"{args.command} at {db:g} dB"
+            if specs is not None:
+                where += f", thresholds {specs[db].quantizer.thresholds}"
+            raise RuntimeError(f"{where}: {exc}") from exc
         rows.append(list(row.values()))
         blocks.append(block)
     _emit(args, _manifest(args, snrs), list(row), rows, head + sep.join(blocks))
@@ -215,7 +225,7 @@ def cmd_capacity(args) -> int:
         }
         return row, f"snr_db {db:g}\n" + res.to_text()
 
-    return _per_snr(args, snrs, cell)
+    return _per_snr(args, snrs, cell, specs=specs)
 
 
 def cmd_bound(args) -> int:
@@ -228,7 +238,7 @@ def cmd_bound(args) -> int:
         row = {"snr_db": db, "bound": bound, "output_pmf": pmf}
         return row, f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {pmf}\n"
 
-    return _per_snr(args, snrs, cell)
+    return _per_snr(args, snrs, cell, specs=specs)
 
 
 def cmd_benchmark(args) -> int:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dposv
-from scipy.optimize import brentq, minimize
 
 from .bounds import _certified_bound, minimize_max_affine
 from .channel import (
@@ -218,6 +217,9 @@ def _join_step(pf, wf, negf, xf, power, j, f):
 
     t = 1.0
     if slope(1.0) < 0.0:
+        # imported here: the capacity path must not load scipy.optimize
+        from scipy.optimize import brentq
+
         # a root near 0 can need more than brentq's 100 iterations to
         # reach xtol; its last iterate is still a point of the segment
         t = brentq(slope, 0.0, 1.0, xtol=1e-300, disp=False) if slope(0.0) > 0.0 else 0.0
@@ -615,6 +617,9 @@ def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None)
         gamma = minimize_max_affine(_divergences_bits(w, negent, r), power - pts**2).gamma
         slope = _flow_bits(x, thr, sigma, w[:-1], r).sum(axis=1)
         return -mi, -p[:-1] * (slope - 2.0 * gamma * x)
+
+    # imported here: the capacity path must not load scipy.optimize
+    from scipy.optimize import minimize
 
     # stop at a gain below rounding or a location gradient below 1e-10 bits
     options = {"ftol": _F_NOISE, "gtol": 1e-10, "maxiter": 100}

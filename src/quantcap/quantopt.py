@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .channel import (
     ChannelSpec,
@@ -220,6 +219,9 @@ def optimize_quantizer_2bit(
     caps = [res.capacity for res in scanned]
     seeds = [res.dist.locations for res in scanned]
 
+    # imported here: the capacity path must not load scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     q_star, cap_star, best_seed = None, -math.inf, None
     top = max(caps)
     for i, cap in enumerate(caps):
@@ -291,6 +293,9 @@ def _threshold_step(dist: InputDistribution, halves, sigma):
         # h_i is the sum of the first i gaps
         mi, dh = mi_and_grad(sigma * np.cumsum(gaps))
         return -mi, -sigma * np.cumsum(dh[::-1])[::-1]
+
+    # imported here: the capacity path must not load scipy.optimize
+    from scipy.optimize import minimize
 
     res = minimize(
         neg_mi,

@@ -15,8 +15,12 @@ import csv
 import io
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .reference import ReferenceTable
@@ -34,7 +38,8 @@ def _timestamp() -> str:
 @dataclass(frozen=True)
 class RunManifest:
     """Resolved invocation record embedded into every report file; the
-    package version and the timestamp are stamped when it is written."""
+    package version, the Python, numpy and scipy versions and the timestamp
+    are stamped when it is written."""
 
     command: str
     parameters: dict
@@ -44,6 +49,9 @@ class RunManifest:
             "command": self.command,
             "parameters": self.parameters,
             "version": __version__,
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "timestamp": _timestamp(),
         }
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))

@@ -7,11 +7,16 @@ exception.  A defaulted field of an exported dataclass counts like a
 parameter of its constructor, passed by a call in any module of the
 package, its own included, because result types are built where they are
 defined.  An argument that is a literal equal to the default passes
-nothing."""
+nothing.  Last, the fixed-quantizer capacity path, run in a fresh
+interpreter, never loads scipy.optimize."""
 
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import quantcap
@@ -174,3 +179,43 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
         passed = _passed(trees, module, name, params, own_module)
         unpassed.update((name, param) for param in params if param not in passed)
     assert sorted(unpassed) == []
+
+
+# scipy.optimize is for the bound polish and the joint searches only; the
+# bound at the end loads it on first use.
+_CAPACITY_PATH = textwrap.dedent(
+    """
+    import sys
+
+    import quantcap
+    from quantcap import cli
+
+    spec = quantcap.ChannelSpec.from_snr_db(
+        10.0, quantcap.BenchmarkScheme.build(4, 10.0).quantizer
+    )
+    result = quantcap.optimize_input_cutting_plane(spec)
+    asymmetric = quantcap.ChannelSpec.from_snr_db(
+        5.0, quantcap.Quantizer((-2.6, -1.3, -0.4, 0.2, 0.9, 1.7, 3.1))
+    )
+    assert quantcap.optimize_input_cutting_plane(asymmetric).converged
+    assert quantcap.benchmark_mutual_information(8, 10.0) > 0.0
+    assert cli.main(["capacity", "--snr-db", "0..10", "--step", "10", "--bits", "2"]) == 0
+    assert cli.main(["benchmark", "--snr-db", "0..10", "--step", "10", "--bits", "3"]) == 0
+    assert "scipy.optimize" not in sys.modules, "the capacity path loaded scipy.optimize"
+
+    bound, _ = quantcap.duality_upper_bound(spec, result)
+    assert bound >= result.capacity - 1e-9, (bound, result.capacity)
+    """
+)
+
+
+def test_capacity_path_does_not_load_scipy_optimize():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPACITY_PATH],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,12 +4,15 @@ and the command-line front end, including the exit-code contract."""
 import csv
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from quantcap import __version__, cli
 from quantcap.cli import UsageError, _merge_negative_values, _snr_values, main
-from quantcap.channel import ChannelSpec
+from quantcap.channel import ChannelSpec, OutputPmf
 from quantcap.optimize import GridConfig, onebit_capacity, optimize_input_cutting_plane
 from quantcap.quantopt import (
     BenchmarkScheme,
@@ -53,6 +56,9 @@ class TestRunManifest:
             "command": "sweep",
             "parameters": {"snr_db": [0.0, 5.0], "bits": 2},
             "version": __version__,
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "timestamp": "2023-11-14T22:13:20Z",
         }
 
@@ -65,6 +71,19 @@ class TestRunManifest:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         m = RunManifest("verify", {})
         assert json.loads(m.to_json())["timestamp"] == "1970-01-01T00:00:00Z"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_record_the_versions(self, capsys, fmt):
+        argv = ["benchmark", "--snr-db", "0", "--bits", "1", "--out", "-", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        if fmt == "csv":
+            manifest = parse_csv(out)[0]
+        else:
+            manifest = json.loads(out.splitlines()[0])["manifest"]
+        assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
 
 
 class TestWriters:
@@ -336,17 +355,33 @@ class TestCapacityCommand:
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", boom)
         code, _, err = run_cli(["capacity", "--snr-db", "0", "--bits", "1"], capsys)
         assert code == 2
-        assert "computation error" in err
+        assert "computation error: capacity at 0 dB, thresholds (0.0,): solver blew up" in err
 
     def test_value_error_inside_solve_is_computation_error(self, capsys, monkeypatch):
         def fails(*args, **kwargs):
             raise ValueError("minimize_max_affine: failed to bracket")
 
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", fails)
-        code, _, err = run_cli(["capacity", "--snr-db", "0", "--bits", "1"], capsys)
+        code, _, err = run_cli(["capacity", "--snr-db", "0", "--thresholds", "-1,0,2"], capsys)
         assert code == 2
         assert "computation error" in err
+        assert "capacity at 0 dB, thresholds (-1.0, 0.0, 2.0): minimize_max_affine" in err
         assert "usage error" not in err
+
+    def test_failed_bound_names_its_solve(self, capsys, monkeypatch):
+        calls = []
+
+        def fails_second(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise ZeroDivisionError("float division by zero")
+            return 0.5, OutputPmf(np.array([0.5, 0.5]))
+
+        monkeypatch.setattr(cli, "duality_upper_bound", fails_second)
+        code, out, err = run_cli(["bound", "--snr-db", "-1..0", "--bits", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "computation error: bound at 0 dB, thresholds (0.0,): float division" in err
 
 
 class TestBenchmarkAndBoundCommands:
