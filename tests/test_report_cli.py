@@ -362,26 +362,11 @@ class TestCapacityCommand:
             raise ValueError("minimize_max_affine: failed to bracket")
 
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", fails)
-        code, _, err = run_cli(["capacity", "--snr-db", "0", "--thresholds", "-1,0,2"], capsys)
+        code, _, err = run_cli(["capacity", "--snr-db", "0", "--bits", "1"], capsys)
         assert code == 2
         assert "computation error" in err
-        assert "capacity at 0 dB, thresholds (-1.0, 0.0, 2.0): minimize_max_affine" in err
+        assert "capacity at 0 dB, thresholds (0.0,): minimize_max_affine: failed" in err
         assert "usage error" not in err
-
-    def test_failed_bound_names_its_solve(self, capsys, monkeypatch):
-        calls = []
-
-        def fails_second(spec):
-            calls.append(spec)
-            if len(calls) == 2:
-                raise ZeroDivisionError("float division by zero")
-            return 0.5, OutputPmf(np.array([0.5, 0.5]))
-
-        monkeypatch.setattr(cli, "duality_upper_bound", fails_second)
-        code, out, err = run_cli(["bound", "--snr-db", "-1..0", "--bits", "1"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "computation error: bound at 0 dB, thresholds (0.0,): float division" in err
 
 
 class TestBenchmarkAndBoundCommands:
@@ -428,6 +413,22 @@ class TestBenchmarkAndBoundCommands:
         assert code == 0
         val = float(out.split("bound ")[1].split()[0])
         assert val == pytest.approx(0.4046, abs=2e-3)
+
+    def test_failed_bound_names_its_solve(self, capsys, monkeypatch):
+        calls = []
+
+        def fails_second(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise ZeroDivisionError("float division by zero")
+            return 0.5, OutputPmf(np.array([0.5, 0.5]))
+
+        monkeypatch.setattr(cli, "duality_upper_bound", fails_second)
+        argv = ["bound", "--snr-db", "-1..0", "--thresholds", "-1,0,2"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "computation error: bound at 0 dB, thresholds (-1.0, 0.0, 2.0): float" in err
 
     def test_bound_of_a_support_on_the_power_budget(self, capsys):
         # the joint 2-bit quantizer at -10 dB, whose bound polish puts the
