@@ -23,9 +23,11 @@ each pass's diagnostics (the tables' largest deviations from the published
 values).  Fingerprints check cell values but not labels, row order or
 deviation rows, so each tree also prints every table's report
 (``quantcap reproduce --table T --out -`` with ``SOURCE_DATE_EPOCH=0``), and
-the file records per table whether the two are byte-identical.  Last, one
-``--trace 1`` run per tree and workload (seed 1, capacity_sweep 11) records
-its per-layer metrics.
+the file records per table whether the two are byte-identical below their
+manifest lines (``reports_identical``), and whether the manifest lines are
+(``manifests_identical``): a manifest records the run, not the numbers.
+Last, one ``--trace 1`` run per tree and workload (seed 1, capacity_sweep
+11) records its per-layer metrics.
 """
 
 from __future__ import annotations
@@ -179,9 +181,15 @@ def report(tree: Path, table: str) -> bytes:
     return subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True).stdout
 
 
-def compare_reports(trees: dict) -> dict:
-    """Per table: are the two trees' reports byte-identical?"""
-    return {t: report(trees["parent"], t) == report(trees["change"], t) for t in REPORT_TABLES}
+def compare_reports(trees: dict) -> tuple[dict, dict]:
+    """Per table: are the two trees' reports byte-identical below their
+    manifest lines, and are the manifest lines?"""
+    bodies, manifests = {}, {}
+    for t in REPORT_TABLES:
+        parent, change = (report(trees[side], t).split(b"\n", 1) for side in ("parent", "change"))
+        manifests[t] = parent[0] == change[0]
+        bodies[t] = parent[1:] == change[1:]
+    return bodies, manifests
 
 
 def traced(trees: dict, workloads: list) -> dict:
@@ -261,7 +269,7 @@ def main(argv=None) -> int:
     record["fingerprints"] = compare_fingerprints(
         fingerprints(trees["parent"], seeds), fingerprints(trees["change"], seeds)
     )
-    record["reports_identical"] = compare_reports(trees)
+    record["reports_identical"], record["manifests_identical"] = compare_reports(trees)
     record["traced"] = traced(trees, [name for name, _ in args.plan])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

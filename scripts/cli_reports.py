@@ -39,11 +39,14 @@ INVOCATIONS = (
      "json"],
     ["sweep", "--snr-db", "0", "--curve", "q", "--sigma2", "2", "--out", "-"],
     ["sweep", "--snr-db", "0..5", "--step", "5", "--curve", "q"],
+    ["sweep", "--snr-db", "0", "--curve", "q", "--out", "-", "--format", "json"],
     *(["reproduce", "--table", t] for t in TABLES),
     *(["reproduce", "--table", t, "--out", "-"] for t in TABLES),
     ["reproduce", "--table", "I", "--out", "-", "--format", "json"],
     ["verify", "kkt"],
     ["verify", "all", "--out", "-", "--format", "json"],
+    ["verify", "cardinality"],
+    ["verify", "sandwich", "--out", "-"],
     # usage errors, exit code 1
     ["capacity", "--snr-db", "1"],
     ["capacity", "--snr-db", "1", "--bits", "2", "--thresholds", "0"],

@@ -31,17 +31,16 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .channel import (
     ChannelSpec,
     OutputPmf,
-    _R_FLOOR,
     _divergences_bits,
+    _log_ratios_bits,
     _row_negentropy_bits,
     bin_probability_matrix,
 )
-from .special import LN2, gaussian_q
+from .special import gaussian_q
 
 _ACTIVE_RTOL = 1e-12
 _FLAT_SLOPE = np.finfo(float).eps ** 2
@@ -163,8 +162,6 @@ _CERT_PAD = 10.0
 _CERT_STRIDE = 16
 _CERT_SPLIT = 16
 _CERT_RTOL = 1e-13
-#: bin probabilities below this have their logarithm retaken from log Q
-_TINY_BIN = 1e-280
 #: the extremes of t psi(t) are -/+ _TPSI_MAX, at t = -1 and t = 1
 _TPSI_MAX = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 _EPS = float(np.finfo(float).eps)
@@ -188,28 +185,8 @@ def _evaluate(spec: ChannelSpec, r, x) -> _Points:
     w = bin_probability_matrix(x, thr, sigma)
     t = (np.asarray(thr)[None, :] - x[:, None]) / sigma
     tpsi = t * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    ratio = _log2_bins(w, t) - np.log2(np.maximum(r, _R_FLOOR))
     d = _divergences_bits(w, _row_negentropy_bits(w), r)
-    return _Points(x, d, t, tpsi, np.diff(ratio, axis=1))
-
-
-def _log2_bins(w, t):
-    """log2 of the bin probabilities w, whose rows have the standardized
-    thresholds t.  An entry below _TINY_BIN may have lost its precision or
-    underflowed, so it is retaken as log Q(a) + log(1 - Q(b)/Q(a)) from the
-    bin's standardized edges a < b, mirrored to (-b, -a) when a + b < 0, so
-    that the bin lies mostly above x, where Q keeps its relative precision."""
-    out = np.log2(np.maximum(w, _TINY_BIN))
-    tiny = w < _TINY_BIN
-    if np.any(tiny):
-        i, k = np.nonzero(tiny)
-        edges = np.pad(t, ((0, 0), (1, 1)), constant_values=((0.0, 0.0), (-np.inf, np.inf)))
-        a, b = edges[i, k], edges[i, k + 1]
-        low = a + b < 0.0
-        a, b = np.where(low, -b, a), np.where(low, -a, b)
-        log_qa, log_qb = log_ndtr(-a), log_ndtr(-b)
-        out[tiny] = (log_qa + np.log(-np.expm1(log_qb - log_qa))) / LN2
-    return out
+    return _Points(x, d, t, tpsi, _log_ratios_bits(w, t, r))
 
 
 def _ends(p: _Points, side) -> _Points:
@@ -290,12 +267,12 @@ def _certified_bound(spec: ChannelSpec, out: OutputPmf) -> float:
     -/+ 1/sqrt(2 pi e) where t = -/+ 1 falls inside.  So m is 2 gamma minus
     the sum over k of the least of the four corner products.  A bin
     probability that underflows, or nearly, has its logarithm retaken in
-    log space (`_log2_bins`), so Delta_k stays exact where the rows hold
-    zeros; t psi(t) itself underflows only past |t| = 38, where the term is
-    below the allowance on phi.  That allowance is 4 ulps of the magnitudes
-    summed in phi; m carries one for its sum, and m h^2 / 8 one for its
-    product.  These rest on erfc, exp and log being accurate to a few ulps;
-    they are not interval arithmetic.
+    log space (`channel._log_ratios_bits`), so Delta_k stays exact where the
+    rows hold zeros; t psi(t) itself underflows only past |t| = 38, where
+    the term is below the allowance on phi.  That allowance is 4 ulps of the
+    magnitudes summed in phi; m carries one for its sum, and m h^2 / 8 one
+    for its product.  These rest on erfc, exp and log being accurate to a
+    few ulps; they are not interval arithmetic.
 
     Past [lo, hi] a row leaves at most eps = Q(_CERT_PAD) of its mass outside
     the edge bin e, so D(W(.|x) || R) <= -log2 R_e - eps log2 min R there,

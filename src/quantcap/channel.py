@@ -7,8 +7,9 @@ transition rows bin_probability_matrix, the mutual information, the one
 divergence kernel _divergences_bits, which every other module uses, and the
 one flow kernel _flow_bits, whose row sums are the divergence's input slope
 and whose weighted column sums are the threshold gradient of the mutual
-information; callers form the output pmf p W themselves, from the rows they
-already hold.
+information, and the one log ratio of adjacent bins _log_ratios_bits, which
+the flow kernel and the bound certificate share; callers form the output pmf
+p W themselves, from the rows they already hold.
 
 All information quantities are in bits.
 """
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import log_ndtr, xlogy
 
 from .special import LN2, gaussian_q
 
@@ -29,6 +30,8 @@ PROB_ATOL = 1e-10
 PRUNE_TOL = 1e-7
 #: floor applied to output probabilities before taking their logarithm
 _R_FLOOR = 1e-300
+#: bin probabilities below this have their logarithm retaken from log Q
+_TINY_BIN = 1e-280
 
 
 class OutputBinZeroError(ArithmeticError):
@@ -232,24 +235,48 @@ def _divergences_bits(w, negent, r):
     return np.maximum(negent - w @ np.log2(np.maximum(r, _R_FLOOR)), 0.0)
 
 
+def _log_ratios_bits(w, t, r):
+    """Delta_k = log2(w_{k+1}/w_k) - log2(r_{k+1}/r_k), the log ratio of
+    adjacent bins, for each row of the bin probabilities w, whose rows have
+    the standardized thresholds t_k = (q_k - x)/sigma, against the output
+    pmf r (zeros floored at _R_FLOOR).
+
+    An entry of w below _TINY_BIN may have lost its precision or
+    underflowed, so its logarithm is retaken as log Q(a) + log(1 - Q(b)/Q(a))
+    from the bin's standardized edges a < b, mirrored to (-b, -a) when
+    a + b < 0, so that the bin lies mostly above x, where Q keeps its
+    relative precision.  So Delta_k stays exact, and finite, where the rows
+    hold zeros.
+    """
+    log_w = np.log2(np.maximum(w, _TINY_BIN))
+    tiny = w < _TINY_BIN
+    if np.any(tiny):
+        i, k = np.nonzero(tiny)
+        edges = np.pad(t, ((0, 0), (1, 1)), constant_values=((0.0, 0.0), (-np.inf, np.inf)))
+        a, b = edges[i, k], edges[i, k + 1]
+        low = a + b < 0.0
+        a, b = np.where(low, -b, a), np.where(low, -a, b)
+        log_qa, log_qb = log_ndtr(-a), log_ndtr(-b)
+        log_w[tiny] = (log_qa + np.log(-np.expm1(log_qb - log_qa))) / LN2
+    return np.diff(log_w - np.log2(np.maximum(r, _R_FLOOR)), axis=1)
+
+
 def _flow_bits(x, thresholds, sigma, w, r):
     """Flow matrix in bits per unit shift: entry (i, k) is
-    phi((q_k - x_i)/sigma)/sigma log2[(w_{i,k+1} r_k)/(w_{i,k} r_{k+1})],
-    given the rows w of the inputs x and an output pmf r.
+    phi((q_k - x_i)/sigma)/sigma Delta_k(x_i), with Delta_k the log ratio of
+    adjacent bins of `_log_ratios_bits`, given the rows w of the inputs x and
+    an output pmf r.
 
     Raising x_i by dx moves mass phi((q_k - x_i)/sigma)/sigma dx from bin k
     to bin k+1 across each threshold q_k, so row i sums to
     d'(x_i) = dD(W(.|x_i) || r)/dx.  Raising q_k moves the same mass the
     other way, and at r = p w the terms from the change in r sum to zero, so
-    -(p @ flow) is dI/dq_k at the input (x, p).  Zero entries of w and r are
-    floored at _R_FLOOR, so a row that reaches neither bin of q_k gives a
-    finite entry, not nan.
+    -(p @ flow) is dI/dq_k at the input (x, p).
     """
     x = np.asarray(x, dtype=float)
     z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
     flow = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
-    ratio = np.log2(np.maximum(w, _R_FLOOR)) - np.log2(np.maximum(r, _R_FLOOR))
-    return flow * (ratio[:, 1:] - ratio[:, :-1])
+    return flow * _log_ratios_bits(w, z, r)
 
 
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:

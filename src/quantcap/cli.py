@@ -38,7 +38,7 @@ from .quantopt import (
     two_bit_threshold_curve,
 )
 from .report import RunManifest, render_report
-from .tables import build_table, capacity_and_gamma
+from .tables import _PRECISIONS, build_table, capacity_and_gamma
 from .verify import all_passed, run_suite
 
 EXIT_OK = 0
@@ -143,24 +143,22 @@ def _solver_kwargs(args):
     return kw
 
 
+#: what the manifest leaves out of the parsed arguments: the output
+#: destination and format never change the numbers, so reports stay
+#: byte-identical across them, and the SNRs are recorded resolved, not as
+#: the range and step that give them
+_UNRECORDED = ("command", "func", "out", "format", "step")
+
+
 def _manifest(args, snrs=None, **extra) -> RunManifest:
-    """Resolved invocation parameters.  The output destination never changes
-    the numbers, so it stays out of the manifest: reports must be
-    byte-identical across file names.
-    """
-    sigma2 = getattr(args, "sigma2", None)
-    params = {} if sigma2 is None else {"sigma2": sigma2}
+    """Every parsed flag that is set, with the SNRs and thresholds resolved,
+    and the `extra` facts of the run."""
+    params = {k: v for k, v in vars(args).items() if v is not None and k not in _UNRECORDED}
     if snrs is not None:
         params["snr_db"] = [float(v) for v in snrs]
     thresholds = _parsed_thresholds(args)
     if thresholds is not None:
         params["thresholds"] = list(thresholds)
-    if getattr(args, "bits", None) is not None:
-        params["bits"] = args.bits
-    if getattr(args, "grid_points", None) is not None:
-        params["grid_points"] = args.grid_points
-    if getattr(args, "tol", None) is not None:
-        params["tol"] = args.tol
     params.update(extra)
     return RunManifest(command=args.command, parameters=params)
 
@@ -181,23 +179,24 @@ def _join(values) -> str:
 
 
 def _per_snr(args, snrs, cell, head="", sep="\n", specs=None) -> int:
-    """Emit one report row and one human block per SNR, both from
-    `cell(db) -> (row, block)`.  A row maps each report column to its value;
-    the human text is `head`, then the blocks joined by `sep`.  A cell that
-    raises is re-raised under the command, its SNR and, given `specs`, its
-    thresholds, so a failed run names the solve that failed."""
+    """Emit the report rows and one human block per SNR, all from
+    `cell(db) -> (rows, block)`.  Each row maps every report column to its
+    value; the human text is `head`, then the blocks joined by `sep`.  A cell
+    that raises is re-raised under the command, its SNR and, given `specs`,
+    its thresholds, so a failed run names the solve that failed."""
     rows, blocks = [], []
     for db in snrs:
         try:
-            row, block = cell(db)
+            cell_rows, block = cell(db)
         except Exception as exc:
             where = f"{args.command} at {db:g} dB"
             if specs is not None:
                 where += f", thresholds {specs[db].quantizer.thresholds}"
             raise RuntimeError(f"{where}: {exc}") from exc
-        rows.append(list(row.values()))
+        rows.extend(list(row.values()) for row in cell_rows)
         blocks.append(block)
-    _emit(args, _manifest(args, snrs), list(row), rows, head + sep.join(blocks))
+    header = list(cell_rows[-1])
+    _emit(args, _manifest(args, snrs), header, rows, head + sep.join(blocks))
     return EXIT_OK
 
 
@@ -223,7 +222,7 @@ def cmd_capacity(args) -> int:
             "support": _join(res.dist.locations),
             "masses": _join(res.dist.masses),
         }
-        return row, f"snr_db {db:g}\n" + res.to_text()
+        return [row], f"snr_db {db:g}\n" + res.to_text()
 
     return _per_snr(args, snrs, cell, specs=specs)
 
@@ -236,7 +235,7 @@ def cmd_bound(args) -> int:
         bound, out_pmf = duality_upper_bound(specs[db])
         pmf = _join(out_pmf.probs)
         row = {"snr_db": db, "bound": bound, "output_pmf": pmf}
-        return row, f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {pmf}\n"
+        return [row], f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {pmf}\n"
 
     return _per_snr(args, snrs, cell, specs=specs)
 
@@ -256,7 +255,7 @@ def cmd_benchmark(args) -> int:
             "error_probability": pe,
             "fano_lower_bound": fano,
         }
-        return row, f"{db:8.2f}  {mi:11.4f}  {pe:10.4f}  {fano:10.4f}\n"
+        return [row], f"{db:8.2f}  {mi:11.4f}  {pe:10.4f}  {fano:10.4f}\n"
 
     head = "  snr_db  mutual_info  error_prob  fano_bound\n"
     return _per_snr(args, _snr_values(args.snr_db, args.step), cell, head, sep="")
@@ -283,7 +282,7 @@ def cmd_optimize_quantizer(args) -> int:
             "support": _join(cr.dist.locations),
             "masses": _join(cr.dist.masses),
         }
-        return row, f"snr_db {db:g}\n" + jr.to_text()
+        return [row], f"snr_db {db:g}\n" + jr.to_text()
 
     return _per_snr(args, _snr_values(args.snr_db, args.step), cell)
 
@@ -300,22 +299,19 @@ def cmd_sweep(args) -> int:
     if args.curve:
         if args.sigma2 is None:
             args.sigma2 = 1.0
-        rows, blocks = [], []
-        for db in snrs:
-            snr = 10.0 ** (db / 10.0)
-            curve = two_bit_threshold_curve(snr, args.sigma2)
-            rows.extend([db, q, cap] for q, cap in curve)
-            best_q, cap = max(curve, key=lambda point: point[1])
-            blocks.append(
-                f"snr_db {db:g}: {len(curve)} curve points, "
-                f"best q {best_q:.4f} with capacity {cap:.4f}"
-            )
-        header = ["snr_db", "q", "capacity"]
-        manifest = _manifest(args, snrs, curve="q")
-        _emit(args, manifest, header, rows, "\n".join(blocks) + "\n")
-        return EXIT_OK
 
-    precisions = [args.bits] if args.bits is not None else [1, 2, 3, "inf"]
+        def cell(db):
+            curve = two_bit_threshold_curve(10.0 ** (db / 10.0), args.sigma2)
+            best_q, cap = max(curve, key=lambda point: point[1])
+            rows = [{"snr_db": db, "q": q, "capacity": value} for q, value in curve]
+            return rows, (
+                f"snr_db {db:g}: {len(curve)} curve points, "
+                f"best q {best_q:.4f} with capacity {cap:.4f}\n"
+            )
+
+        return _per_snr(args, snrs, cell, sep="")
+
+    precisions = [args.bits] if args.bits is not None else list(_PRECISIONS)
     records = [(p, db, capacity_and_gamma(p, db)[0]) for p in precisions for db in snrs]
     rows = [[str(p), db, cap] for p, db, cap in records]
     by_cell = {(p, db): cap for p, db, cap in records}
@@ -335,9 +331,7 @@ def cmd_reproduce(args) -> int:
     human = table.to_human() + f"max |deviation| {table.max_deviation():.4f}\n"
     rows = [list(item) for item in table.machine_rows()]
     header = ["row", "provenance", "column", "value"]
-    manifest = _manifest(
-        args, None, table=args.table, column_label=table.reference.column_label
-    )
+    manifest = _manifest(args, column_label=table.reference.column_label)
     _emit(args, manifest, header, rows, human)
     return EXIT_OK
 
@@ -350,10 +344,9 @@ def cmd_verify(args) -> int:
         lines.append(f"{status}  {c.name}  margin {c.margin:.3e}  {c.detail}")
     passed = sum(1 for c in checks if c.passed)
     lines.append(f"{passed}/{len(checks)} checks passed")
-    rows = [[c.name, bool(c.passed), float(c.margin), c.detail] for c in checks]
+    rows = [[c.name, c.passed, float(c.margin), c.detail] for c in checks]
     header = ["check", "passed", "margin", "detail"]
-    manifest = _manifest(args, None, suite=args.suite)
-    _emit(args, manifest, header, rows, "\n".join(lines) + "\n")
+    _emit(args, _manifest(args), header, rows, "\n".join(lines) + "\n")
     return EXIT_OK if all_passed(checks) else EXIT_VERIFY
 
 

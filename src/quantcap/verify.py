@@ -1,8 +1,11 @@
 """Self-check suites: structural facts the solvers are supposed to guarantee.
 
-Each suite re-derives a property from scratch and reports a signed margin
-(positive = pass, with room to spare), so a regression shows up as a negative
-margin rather than a silent drift.  The `verify` CLI subcommand is a thin
+Each check reports a signed margin, and one rule decides every check: it
+passes when its margin is >= 0, so a regression shows up as a negative margin
+rather than a silent drift.  The sandwich and cardinality suites run on Table
+I's channels, its SNRs (`reference.py`) and its K=4 quantizer, and read their
+solves through the tables' cache; only the K=2 cardinality cases solve on
+their own, on the 501-point scan grid.  The `verify` CLI subcommand is a thin
 wrapper over `run_suite`.
 """
 
@@ -15,6 +18,7 @@ import numpy as np
 from .channel import ChannelSpec, Quantizer
 from .optimize import optimize_input_cutting_plane
 from .quantopt import _SCAN_GRID
+from .reference import REFERENCE_TABLES
 from .special import convexity_witness, hq_of_sqrt, second_derivative_scan
 from .tables import table_i_mutual_information, table_i_upper_bound
 
@@ -24,23 +28,21 @@ _KKT_SNR_DB = 5.0
 _KKT_SUPPORT = (-2.86, -0.52, 0.52, 2.86)
 _KKT_GAMMA = 0.1530
 
-_SANDWICH_DB = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-
-_CARDINALITY_CASES = tuple(
-    (bins, db)
-    for bins in (2, 4)
-    for db in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-)
+_TABLE_I_DB = REFERENCE_TABLES["I"].columns
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified property: signed margin > 0 means pass with room."""
+    """One verified property and its signed margin: it passes when the
+    margin is >= 0, with that much room."""
 
     name: str
-    passed: bool
     margin: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
 
 def convexity_checks(cache=None) -> list[CheckResult]:
@@ -58,7 +60,6 @@ def convexity_checks(cache=None) -> list[CheckResult]:
     out.append(
         CheckResult(
             name="second difference positive on (0, 2]",
-            passed=margin > 0.0,
             margin=margin,
             detail=f"min {margin:.6g} at y={at:.4f}",
         )
@@ -69,7 +70,6 @@ def convexity_checks(cache=None) -> list[CheckResult]:
     out.append(
         CheckResult(
             name="witness value at y=2",
-            passed=dev <= 5e-3,
             margin=5e-3 - dev,
             detail=f"witness(2) = {w2:.6f}, expected 1.133 +/- 0.005",
         )
@@ -80,7 +80,6 @@ def convexity_checks(cache=None) -> list[CheckResult]:
     out.append(
         CheckResult(
             name="witness above 1 on [2, 60]",
-            passed=wmin > 1.0,
             margin=wmin - 1.0,
             detail=f"min witness {wmin:.6g}",
         )
@@ -104,7 +103,6 @@ def kkt_checks(cache=None) -> list[CheckResult]:
     out.append(
         CheckResult(
             name="support matches reference points",
-            passed=err <= 0.05,
             margin=0.05 - err,
             detail=detail,
         )
@@ -114,7 +112,6 @@ def kkt_checks(cache=None) -> list[CheckResult]:
     out.append(
         CheckResult(
             name="power multiplier near reference",
-            passed=gdev <= 0.02,
             margin=0.02 - gdev,
             detail=f"gamma = {result.gamma:.6f}, expected {_KKT_GAMMA} +/- 0.02",
         )
@@ -124,7 +121,6 @@ def kkt_checks(cache=None) -> list[CheckResult]:
     out.append(
         CheckResult(
             name="stationarity residual small",
-            passed=viol <= 5e-3,
             margin=5e-3 - viol,
             detail=f"max residual {viol:.3e}",
         )
@@ -135,14 +131,13 @@ def kkt_checks(cache=None) -> list[CheckResult]:
 def sandwich_checks(cache=None) -> list[CheckResult]:
     """Duality bound dominates the achieved rate at every probed SNR."""
     out = []
-    for db in _SANDWICH_DB:
+    for db in _TABLE_I_DB:
         mi = table_i_mutual_information(db, cache).capacity
         ub = table_i_upper_bound(db, cache)
         gap = ub - mi
         out.append(
             CheckResult(
                 name=f"bound >= rate at {db:g} dB",
-                passed=gap >= -1e-9,
                 margin=gap,
                 detail=f"rate {mi:.6f}, bound {ub:.6f}",
             )
@@ -150,25 +145,26 @@ def sandwich_checks(cache=None) -> list[CheckResult]:
     return out
 
 
+def _sign_capacity(snr_db: float, cache=None):
+    """The sign quantizer's capacity solve on the scan grid (not cached)."""
+    spec = ChannelSpec.from_snr_db(snr_db, Quantizer((0.0,)))
+    return optimize_input_cutting_plane(spec, grid=_SCAN_GRID)
+
+
 def cardinality_checks(cache=None) -> list[CheckResult]:
-    """Optimal support needs at most one more point than output levels."""
+    """Optimal support needs at most one more point than output levels: the
+    sign quantizer's solves (K=2) and Table I's (K=4), at Table I's SNRs."""
     out = []
-    for bins, db in _CARDINALITY_CASES:
-        if bins == 2:
-            quant = Quantizer((0.0,))
-        else:
-            quant = Quantizer((-2.0, 0.0, 2.0))
-        spec = ChannelSpec.from_snr_db(db, quant)
-        result = optimize_input_cutting_plane(spec, grid=_SCAN_GRID)
-        size = int(np.asarray(result.dist.locations).size)
-        out.append(
-            CheckResult(
-                name=f"support size at K={bins}, {db:g} dB",
-                passed=size <= bins + 1,
-                margin=float(bins + 1 - size),
-                detail=f"{size} points for {bins} output levels",
+    for bins, solve in ((2, _sign_capacity), (4, table_i_mutual_information)):
+        for db in _TABLE_I_DB:
+            size = int(np.asarray(solve(db, cache).dist.locations).size)
+            out.append(
+                CheckResult(
+                    name=f"support size at K={bins}, {db:g} dB",
+                    margin=float(bins + 1 - size),
+                    detail=f"{size} points for {bins} output levels",
+                )
             )
-        )
     return out
 
 

@@ -537,6 +537,20 @@ class TestSweepCommand:
             f"snr_db -5: 200 curve points, best q {best_q:.4f} with capacity {cap:.4f}\n"
         )
 
+    def test_curve_failure_names_its_snr(self, capsys, monkeypatch):
+        # the curve runs in the per-SNR loop, so a failed curve names its SNR
+        def curve(snr, sigma2):
+            if snr == 1.0:
+                raise ValueError("no curve")
+            return [(1.0, 0.5)]
+
+        monkeypatch.setattr(cli, "two_bit_threshold_curve", curve)
+        argv = ["sweep", "--snr-db=-5..5", "--step", "5", "--curve", "q"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "computation error: sweep at 0 dB: no curve" in err
+        assert out == ""
+
     @pytest.mark.parametrize("mode", [["--bits", "2"], ["--curve", "q"]], ids=["bits", "q"])
     @pytest.mark.parametrize("flags", [["--tol", "0.5"], ["--grid-points", "101"]])
     def test_solver_flags_without_dump_dist_are_usage_errors(self, capsys, mode, flags):
@@ -594,6 +608,35 @@ def test_manifest_has_no_sigma2_without_the_flag(capsys, argv):
     assert "sigma2" not in manifest["parameters"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--snr-db=-1..1", "--step", "2", "--sigma2", "2", "--thresholds=-1,0,1",
+         "--grid-points", "301", "--tol", "1e-5"],
+        ["capacity", "--snr-db", "0", "--bits", "2"],
+        ["optimize-quantizer", "--snr-db", "0", "--sigma2", "2", "--bits", "2", "--tol", "1e-5"],
+        ["sweep", "--snr-db", "0", "--curve", "q", "--sigma2", "2"],
+        ["reproduce", "--table", "I"],
+        ["verify", "kkt"],
+    ],
+    ids=["capacity-thresholds", "capacity-bits", "optimize-quantizer", "sweep-curve",
+         "reproduce", "verify"],
+)
+def test_manifest_records_every_flag_given(capsys, argv):
+    # the output flags never change the numbers, and the SNRs are recorded
+    # resolved, so --out, --format and --step stay out
+    code, out, _ = run_cli(argv + ["--out", "-", "--format", "json"], capsys)
+    assert code == 0
+    params = json.loads(out.splitlines()[0])["manifest"]["parameters"]
+    given = {tok[2:].split("=")[0].replace("-", "_") for tok in argv if tok.startswith("--")}
+    given = (given - {"step"}) | ({"suite"} if argv[0] == "verify" else set())
+    assert given <= set(params)
+    assert not {"out", "format", "step"} & set(params)
+    if "--thresholds=-1,0,1" in argv:
+        assert params["snr_db"] == [-1.0, 1.0]
+        assert params["thresholds"] == [-1.0, 0.0, 1.0]
+
+
 class TestVerifyCommand:
     def test_convexity_passes(self, capsys):
         code, out, _ = run_cli(["verify", "convexity"], capsys)
@@ -605,7 +648,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             cli,
             "run_suite",
-            lambda name, cache=None: [CheckResult("broken", False, -1.0, "")],
+            lambda name, cache=None: [CheckResult("broken", -1.0, "")],
         )
         code, out, _ = run_cli(["verify", "kkt"], capsys)
         assert code == 3

@@ -174,6 +174,39 @@ class TestVerifySuites:
         assert tail.margin == pytest.approx(-0.5, abs=1e-15)
         assert all(c.passed for name, c in checks.items() if name != tail.name)
 
+    def test_bound_below_rate_fails(self, monkeypatch, cell_cache):
+        # the certificate carries its own rounding allowance, so a bound
+        # below the rate fails by however little
+        from quantcap import verify
+
+        def bound(db, cache=None):
+            return tables.table_i_mutual_information(db, cache).capacity - 5e-10
+
+        monkeypatch.setattr(verify, "table_i_upper_bound", bound)
+        checks = run_suite("sandwich", cell_cache)
+        assert len(checks) == 6
+        assert not any(c.passed for c in checks)
+        assert all(c.margin == pytest.approx(-5e-10, rel=1e-5) for c in checks)
+
+    def test_cardinality_reads_table_i_solves_from_the_cache(self, monkeypatch, cell_cache):
+        # with Table I's solves cached, only the six sign-quantizer cases solve
+        from quantcap import verify
+
+        for db in REFERENCE_TABLES["I"].columns:
+            tables.table_i_mutual_information(db, cell_cache)
+        solved = []
+        real = verify.optimize_input_cutting_plane
+
+        def counted(spec, **kwargs):
+            solved.append(spec.quantizer.thresholds)
+            return real(spec, **kwargs)
+
+        for module in (verify, tables):
+            monkeypatch.setattr(module, "optimize_input_cutting_plane", counted)
+        checks = run_suite("cardinality", cell_cache)
+        assert all(c.passed for c in checks)
+        assert solved == [(0.0,)] * 6
+
     def test_single_suite_selection(self, cell_cache):
         names = {c.name for c in run_suite("cardinality", cell_cache)}
         assert len(names) == 12
@@ -184,6 +217,6 @@ class TestVerifySuites:
             run_suite("everything")
 
     def test_check_result_is_frozen(self):
-        check = CheckResult("x", True, 1.0)
+        check = CheckResult("x", 1.0)
         with pytest.raises(AttributeError):
             check.passed = False
