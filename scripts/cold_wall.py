@@ -1,16 +1,22 @@
 """Cold wall time of the CLI commands, each run in a fresh interpreter.
 
-    python3 scripts/cold_wall.py [--src SRC] [--repeat 5] > cold.txt
+    python3 scripts/cold_wall.py [--src SRC [--src SRC ...]] [--repeat 5] > cold.txt
 
-Runs each command of ``COMMANDS`` ``--repeat`` times, one process at a time,
-cycling through the commands so a drift of the machine's speed spreads over
-all of them.  Each process imports ``quantcap`` from ``SRC`` (default: the
-``src/`` next to this script), runs ``quantcap.cli.main`` and exits; BLAS is
-pinned to one thread.  Per command the output gives the median wall time
-from spawn to exit, the median process CPU (user + system, from
-``os.wait4``), the median peak RSS, and whether ``scipy.optimize`` was in
-``sys.modules`` when the command returned.  A command that exits nonzero
-stops the script.
+Runs each command of ``COMMANDS`` ``--repeat`` times in each source tree,
+one process at a time, cycling through the commands so a drift of the
+machine's speed spreads over all of them.  ``--src`` may be given more than
+once, to compare trees (say a parent checkout's ``src/`` and a change's):
+each command then runs once in every tree before the next command, and the
+order of the trees alternates between repetitions, as
+``scripts/bench_pairs.py`` alternates them per seed, so that a drift between
+repetitions reaches every tree alike.  Each process imports ``quantcap``
+from its tree (default: the ``src/`` next to this script), runs
+``quantcap.cli.main`` and exits; BLAS is pinned to one thread.  Per command
+and tree the output gives the median wall time from spawn to exit, the
+median process CPU (user + system, from ``os.wait4``), the median peak RSS,
+whether ``scipy.optimize`` was in ``sys.modules`` when the command returned,
+and the median wall time relative to the first tree's.  A command that exits
+nonzero stops the script.
 """
 
 from __future__ import annotations
@@ -65,25 +71,40 @@ def run_once(argv, env):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_src = Path(__file__).resolve().parent.parent / "src"
-    parser.add_argument("--src", type=Path, default=default_src, help="tree to import from")
-    parser.add_argument("--repeat", type=int, default=5, help="runs per command")
+    parser.add_argument(
+        "--src", type=Path, action="append", help="tree to import from; repeat to compare trees"
+    )
+    parser.add_argument("--repeat", type=int, default=5, help="runs per command and tree")
     args = parser.parse_args()
+    trees = args.src or [default_src]
 
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    runs = {name: [] for name, _ in COMMANDS}
-    for _ in range(args.repeat):
+    envs = []
+    for tree in trees:
+        env = dict(os.environ, PYTHONPATH=str(tree.resolve()))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        envs.append(env)
+    runs = {(name, k): [] for name, _ in COMMANDS for k in range(len(trees))}
+    for rep in range(args.repeat):
+        order = range(len(trees)) if rep % 2 == 0 else range(len(trees) - 1, -1, -1)
         for name, argv in COMMANDS:
-            runs[name].append(run_once(argv, env))
+            for k in order:
+                runs[name, k].append(run_once(argv, envs[k]))
 
-    print(f"{'command':<12}  {'wall_s':>7}  {'cpu_s':>7}  {'rss_mb':>7}  scipy.optimize")
-    for name, samples in runs.items():
-        wall, cpu, rss, loaded = zip(*samples)
-        print(
-            f"{name:<12}  {statistics.median(wall):7.3f}  {statistics.median(cpu):7.3f}  "
-            f"{statistics.median(rss):7.1f}  {'yes' if any(loaded) else 'no'}"
-        )
+    for k, tree in enumerate(trees):
+        print(f"tree {k}: {tree}")
+    print(
+        f"{'command':<12}  tree  {'wall_s':>7}  {'cpu_s':>7}  {'rss_mb':>7}  scipy.optimize  wall_vs_0"
+    )
+    for name, _ in COMMANDS:
+        first = statistics.median(s[0] for s in runs[name, 0])
+        for k in range(len(trees)):
+            *medians, loaded = zip(*runs[name, k])
+            wall, cpu, rss = map(statistics.median, medians)
+            print(
+                f"{name:<12}  {k:>4}  {wall:7.3f}  {cpu:7.3f}  {rss:7.1f}  "
+                f"{'yes' if any(loaded) else 'no':<14}  {wall / first - 1.0:+9.1%}"
+            )
     return 0
 
 

@@ -13,8 +13,9 @@ locating the breakpoint where the active slope changes sign
 
 The tightest R is the optimal input's output law, so the one bound path,
 `optimize.duality_upper_bound`, polishes the capacity solve's own support
-over continuous x; `_certified_bound` here certifies that input's output
-law, for any quantizer and any R.  It takes gamma from the envelope over a
+over continuous x, by Newton on its KKT system (`optimize._kkt_polish`);
+`_certified_bound` here certifies that input's output law, for any
+quantizer and any R.  It takes gamma from the envelope over a
 fixed grid, evaluating only the grid rows that can be active there, and
 proves the sup over continuous x at that gamma by branch and bound.  Each
 cell's bound is its chord plus a curvature term: the second derivative of

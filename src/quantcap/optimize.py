@@ -11,12 +11,17 @@ Two independent routes to the same optimum:
 * a tilted Blahut-Arimoto fixed point over the whole grid at a given
   multiplier gamma; at the cutting plane's gamma* its value equals C by
   strong duality.  This is the independent oracle used for cross-checks.
+
+The bound path, `duality_upper_bound`, moves the cutting plane's support
+over continuous x by Newton on the optimality conditions of a finite input
+(`_kkt_polish`) and certifies the output law it reaches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dposv
@@ -582,51 +587,233 @@ def optimize_input_cutting_plane(
     )
 
 
+# KKT polish settings.  The polish stops when the norm of the KKT residual
+# falls to _KKT_TOL, and hands its support to the mass solve when a step
+# halved _KKT_HALVINGS times does not lower that norm, or after
+# _KKT_MAX_STEPS steps.  It starts without the masses below
+# _KKT_MASS_FLOOR.  On Table I and the joint table cells it takes at most 4
+# steps; the flat high-SNR profiles, whose multiplier is near 0, converge
+# only linearly and use the step cap.
+_KKT_TOL = 1e-13
+_KKT_HALVINGS = 6
+_KKT_MAX_STEPS = 30
+_KKT_MASS_FLOOR = 1e-10
+
+
+class _Polished(NamedTuple):
+    """Outcome of `_kkt_polish`: the input, its output law p W, its mutual
+    information in bits and the norm of the scaled KKT residual there."""
+
+    dist: InputDistribution
+    law: np.ndarray
+    rate: float
+    residual: float
+
+
+class _Profile(NamedTuple):
+    """The divergence profile of a support x with masses p under their own
+    output law r = p W (floored at _R_FLOOR): the rows w, d(x_i) and the
+    flow matrix, whose row sums are d'(x_i)."""
+
+    x: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    d: np.ndarray
+    flow: np.ndarray
+
+
+def _profile(x, p, spec) -> _Profile:
+    thr, sigma = spec.quantizer.thresholds, spec.sigma
+    w = bin_probability_matrix(x, thr, sigma)
+    r = np.maximum(p @ w, _R_FLOOR)
+    flow = _flow_bits(x, thr, sigma, w, r)
+    return _Profile(x, p, w, r, _divergences_bits(w, _row_negentropy_bits(w), r), flow)
+
+
+def _kkt_residual(prof, gamma, info, root_p):
+    """The KKT conditions of `_kkt_polish` in the scaled unknowns u = x /
+    sqrt(P) and gamma P: d(x_i) + gamma (P - x_i^2) - I, sqrt(P) (d'(x_i) -
+    2 gamma x_i), sum(p) - 1 and (p @ x^2 - P) / P."""
+    u, p = prof.x / root_p, prof.p
+    return np.concatenate((
+        prof.d + gamma * (1.0 - u * u) - info,
+        root_p * prof.flow.sum(axis=1) - 2.0 * gamma * u,
+        (p.sum() - 1.0, p @ (u * u) - 1.0),
+    ))
+
+
+def _multipliers(prof, root_p):
+    """(gamma P, I) that minimize the residual of the 2n profile conditions
+    of `_kkt_residual` at a fixed support and masses."""
+    u = prof.x / root_p
+    n = u.size
+    a = np.zeros((2 * n, 2))
+    a[:n, 0], a[:n, 1], a[n:, 0] = 1.0 - u * u, -1.0, -2.0 * u
+    rhs = -np.concatenate((prof.d, root_p * prof.flow.sum(axis=1)))
+    gamma, info = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    return float(gamma), float(info)
+
+
+def _kkt_jacobian(prof, gamma, spec, root_p):
+    """Jacobian of `_kkt_residual` in (u, p, gamma P, I).
+
+    With W' = dW/dx, d' = sum_k W'_k log2(W_k / r_k) and d'' = sum_k W''_k
+    log2(W_k / r_k) + sum_k W'_k^2 / (W_k ln 2); summed by parts, the first
+    term of d'' is the flow matrix weighted by t_k / sigma, t_k = (q_k -
+    x) / sigma.  Moving p_j or x_j moves r by W_j or p_j W'_j, which moves
+    d(x_i) by -sum_k W_ik dr_k / (r_k ln 2) and d'(x_i) likewise with W'_i.
+    """
+    x, p, w, r, flow = prof.x, prof.p, prof.w, prof.r, prof.flow
+    sigma = spec.sigma
+    u = x / root_p
+    n = x.size
+    t = (np.asarray(spec.quantizer.thresholds)[None, :] - x[:, None]) / sigma
+    # raising x moves mass dens_k across threshold k from bin k to bin k + 1
+    dens = np.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * sigma)
+    wp = np.zeros_like(w)
+    wp[:, 1:] += dens
+    wp[:, :-1] -= dens
+    fisher = np.divide(wp * wp, w, out=np.zeros_like(w), where=w > 0.0).sum(axis=1)
+    curve = (t / sigma * flow).sum(axis=1) + fisher / LN2
+    a, b = w / (r * LN2), wp / (r * LN2)
+    diag = np.arange(n)
+    jac = np.zeros((2 * n + 2, 2 * n + 2))
+    jac[:n, :n] = -root_p * (a @ wp.T) * p
+    jac[diag, diag] += root_p * flow.sum(axis=1) - 2.0 * gamma * u
+    jac[:n, n : 2 * n] = -(a @ w.T)
+    jac[:n, 2 * n] = 1.0 - u * u
+    jac[:n, 2 * n + 1] = -1.0
+    jac[n : 2 * n, :n] = -root_p**2 * (b @ wp.T) * p
+    jac[n + diag, diag] += root_p**2 * curve - 2.0 * gamma
+    jac[n : 2 * n, n : 2 * n] = -root_p * (b @ w.T)
+    jac[n : 2 * n, 2 * n] = -2.0 * u
+    jac[2 * n, n : 2 * n] = 1.0
+    jac[2 * n + 1, :n] = 2.0 * p * u
+    jac[2 * n + 1, n : 2 * n] = u * u
+    return jac
+
+
+def _support_masses(x, p, spec):
+    """The mass solve on the support x, warm from p, with a point at 0 added
+    when no point of x lies within the budget: the profile of the masses
+    it keeps."""
+    if not np.any(x * x <= spec.power_constraint):
+        k = int(np.searchsorted(x, 0.0))
+        x, p = np.insert(x, k, 0.0), np.insert(p, k, 0.0)
+    w = bin_probability_matrix(x, spec.quantizer.thresholds, spec.sigma)
+    q, _ = _optimal_masses_rows(w, _row_negentropy_bits(w), x * x, spec.power_constraint, start=p)
+    keep = q > 0.0
+    return _profile(x[keep], q[keep], spec)
+
+
+def _kkt_polish(spec: ChannelSpec, result: CapacityResult) -> _Polished:
+    """Polish the support of the cutting-plane optimum `result` over
+    continuous x, by damped Newton on the optimality conditions of a finite
+    input (Smith; Huang & Meyn).  By the K+1 theorem an optimal input has
+    n <= K + 1 mass points, so with the power multiplier gamma and the rate
+    I they form a square system in the 2n + 2 unknowns (x, p, gamma, I):
+
+        d(x_i) + gamma (P - x_i^2) = I  and  d'(x_i) = 2 gamma x_i  at each x_i,
+        sum(p) = 1  and  p @ x^2 = P,
+
+    with d(x) = D(W(.|x) || p W) in bits.  `_kkt_jacobian` gives the
+    analytic Jacobian; `_kkt_residual` scales the conditions so that x is
+    in units of sqrt(P) and gamma in bits per P.
+
+    It starts from the points of `result` with mass above _KKT_MASS_FLOOR
+    and least-squares multipliers, and accepts a step, halved at most
+    _KKT_HALVINGS times, only if it lowers the residual's norm.  A full step
+    that takes a mass to 0 or below drops the first point to reach it, and
+    the polish restarts, after the mass solve re-solves the masses on the
+    rest of the support when some point lies strictly inside the budget.
+    This removes the grid-split clusters that the cutting plane's fusion
+    leaves (such as a point at 0 with a light pair near +/-0.14 in the
+    3-bit table cell at 10.939 dB): Newton sends the light masses through 0.
+    A step that would reorder two points is cut short.  Where no step
+    lowers the residual, or after _KKT_MAX_STEPS steps, the mass solve takes
+    the support as it stands.  The returned input is never below the
+    start's mutual information: if it would be, the start is returned.
+    """
+    root_p = math.sqrt(spec.power_constraint)
+    keep = result.dist.masses > _KKT_MASS_FLOOR
+    p = result.dist.masses[keep]
+    start = prof = _profile(result.dist.locations[keep], p / p.sum(), spec)
+    restart, norm = True, math.inf
+    for _ in range(_KKT_MAX_STEPS):
+        if restart:
+            gamma, info = _multipliers(prof, root_p)
+            res = _kkt_residual(prof, gamma, info, root_p)
+            norm = float(np.linalg.norm(res))
+            restart = False
+        if norm <= _KKT_TOL:
+            break
+        n = prof.x.size
+        try:
+            step = np.linalg.solve(_kkt_jacobian(prof, gamma, spec, root_p), -res)
+        except np.linalg.LinAlgError:
+            break
+        x, p = prof.x, prof.p
+        dx, dp = root_p * step[:n], step[n : 2 * n]
+        # a mass the full step takes to 0: drop the first point to reach it
+        hit = dp <= -p
+        if np.any(hit):
+            j = int(np.argmax(np.where(hit, -dp / p, 0.0)))
+            keep = np.arange(n) != j
+            x, p = x[keep], p[keep] / p[keep].sum()
+            # with no point strictly inside the budget the mass solve can
+            # only pin the masses, so Newton moves x instead
+            inside = np.any(x * x < (1.0 - _RANK_RTOL) * spec.power_constraint)
+            prof = _support_masses(x, p, spec) if inside else _profile(x, p, spec)
+            restart = True
+            continue
+        # a step that would reorder adjacent points stops halfway to the
+        # first meeting
+        gap, closing = np.diff(x), -np.diff(dx)
+        cross = closing >= gap
+        limit = 0.5 * float(np.min(gap[cross] / closing[cross])) if np.any(cross) else 1.0
+        for halving in range(_KKT_HALVINGS + 1):
+            t = limit * 0.5**halving
+            trial = _profile(x + t * dx, p + t * dp, spec)
+            trial_gamma, trial_info = gamma + t * step[2 * n], info + t * step[2 * n + 1]
+            trial_res = _kkt_residual(trial, trial_gamma, trial_info, root_p)
+            trial_norm = float(np.linalg.norm(trial_res))
+            if trial_norm < norm:
+                break
+        else:
+            break
+        prof, gamma, info, res, norm = trial, trial_gamma, trial_info, trial_res, trial_norm
+    if norm > _KKT_TOL:
+        # a capped step sequence can stop a flat profile over the budget:
+        # scale the support back onto it, or the mass solve would move mass
+        # inward to meet it and tilt the output law
+        p = prof.p / prof.p.sum()
+        scale = math.sqrt(spec.power_constraint / max(float(p @ prof.x**2), spec.power_constraint))
+        prof = _support_masses(prof.x * scale, p, spec)
+    rate = float(prof.p @ prof.d)
+    if rate < float(start.p @ start.d):
+        prof, rate = start, float(start.p @ start.d)
+    if norm > _KKT_TOL or prof is start:
+        norm = float(np.linalg.norm(_kkt_residual(prof, *_multipliers(prof, root_p), root_p)))
+    return _Polished(InputDistribution(prof.x, prof.p), prof.p @ prof.w, rate, norm)
+
+
 def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None):
     """Duality upper bound on capacity over continuous x, for any quantizer:
     (bound, output pmf R).  The tightest R is the optimal input's output law.
 
-    L-BFGS-B moves the nonzero support points of the cutting-plane optimum
-    `result` (solved here when None), re-solving the masses warm each step;
-    by the envelope theorem the gradient in x_i is p_i (d'(x_i) - 2 gamma
-    x_i), gamma being that solve's power multiplier.  A point fixed at 0 is
-    in every solve, as a feasibility anchor.  Each evaluation keeps its
-    output law, keyed by its x, so the law at L-BFGS-B's optimum is not
-    solved again.  `bounds._certified_bound` certifies that law over
-    continuous x: it proves the sup of the tilted divergence profile by
-    branch and bound, each cell bounded by its chord plus a curvature term
-    from the monotone log ratio of adjacent bins (the Fisher information
-    term dropped), with a rounding allowance, and bounds the tails past its
-    grid in closed form.
+    `_kkt_polish` moves the support of the cutting-plane optimum `result`
+    (solved here when None) to the optimality conditions over continuous x,
+    by Newton on their KKT system, and `bounds._certified_bound` certifies
+    its output law over continuous x: it proves the sup of the tilted
+    divergence profile by branch and bound, each cell bounded by its chord
+    plus a curvature term from the monotone log ratio of adjacent bins (the
+    Fisher information term dropped), with a rounding allowance, and bounds
+    the tails past its grid in closed form.
     """
     if result is None:
         result = optimize_input_cutting_plane(spec)
-    thr, sigma, power = spec.quantizer.thresholds, spec.sigma, spec.power_constraint
-    locs, masses = result.dist.locations, result.dist.masses
-    moving = locs != 0.0
-    p = np.append(masses[moving], masses[~moving].sum())
-    laws = {}  # the output law of every evaluation, keyed by its x
-
-    def negated(x):
-        nonlocal p
-        pts = np.append(x, 0.0)
-        w = bin_probability_matrix(pts, thr, sigma)
-        negent = _row_negentropy_bits(w)
-        p, mi = _optimal_masses_rows(w, negent, pts**2, power, start=p)
-        r = laws[x.tobytes()] = p @ w
-        gamma = minimize_max_affine(_divergences_bits(w, negent, r), power - pts**2).gamma
-        slope = _flow_bits(x, thr, sigma, w[:-1], r).sum(axis=1)
-        return -mi, -p[:-1] * (slope - 2.0 * gamma * x)
-
-    # imported here: the capacity path must not load scipy.optimize
-    from scipy.optimize import minimize
-
-    # stop at a gain below rounding or a location gradient below 1e-10 bits
-    options = {"ftol": _F_NOISE, "gtol": 1e-10, "maxiter": 100}
-    x = minimize(negated, locs[moving], jac=True, method="L-BFGS-B", options=options).x
-    if x.tobytes() not in laws:
-        negated(x)
-    r = np.maximum(laws[x.tobytes()], _R_FLOOR)
+    r = np.maximum(_kkt_polish(spec, result).law, _R_FLOOR)
     out = OutputPmf(r / r.sum())
     return _certified_bound(spec, out), out
 

@@ -40,6 +40,8 @@ from quantcap.bounds import (
     _rounded_up,
 )
 from quantcap.channel import _divergences_bits, _row_negentropy_bits, bin_probability_matrix
+from quantcap.optimize import _kkt_polish
+from quantcap.reference import REFERENCE_TABLES
 from quantcap.special import gaussian_q
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
@@ -586,6 +588,47 @@ class TestDualityUpperBound:
         bound, out = duality_upper_bound(spec)
         assert out.probs.size == 10
         assert bound >= optimize_input_cutting_plane(spec).capacity - 1e-9
+
+    @pytest.mark.parametrize("db", REFERENCE_TABLES["I"].columns)
+    def test_polish_solves_the_kkt_system(self, db):
+        # Table I's cells: Newton takes the solve's support to the optimality
+        # conditions over continuous x, and never below the solve's rate
+        spec = spec_db(db)
+        result = optimize_input_cutting_plane(spec)
+        polished = _kkt_polish(spec, result)
+        assert polished.residual <= 1e-12
+        assert polished.rate >= result.capacity
+
+    @pytest.mark.parametrize(
+        "db, half",
+        [
+            (10.939297, (1.267452701739492, 2.188406218397831, 4.916264154832414)),
+            (11.047867, (1.27991115376679, 2.197292976662626, 4.973265021898216)),
+        ],
+    )
+    def test_polish_drops_a_split_cluster(self, db, half):
+        # joint 3-bit table cells whose solve keeps a grid-split cluster, a
+        # point at 0 with a light pair near +/-0.14 (+/-0.25), which Newton
+        # without an active set stalls on at |F| ~ 1e-2
+        spec = spec_db(db, Quantizer(tuple(-h for h in half[::-1]) + (0.0,) + half))
+        result = optimize_input_cutting_plane(spec)
+        assert result.dist.locations.size == 7
+        polished = _kkt_polish(spec, result)
+        assert polished.dist.locations.size == 5
+        assert polished.residual <= 1e-12
+        assert polished.rate >= result.capacity
+        bound, _ = duality_upper_bound(spec, result)
+        assert bound - polished.rate <= 1e-6
+
+    def test_polish_of_a_flat_profile_is_no_worse(self):
+        # K=4 at 35 dB: the profile is flat and the multiplier near 0, so
+        # Newton cannot converge and the mass solve takes over its support
+        spec = spec_db(35.0, BenchmarkScheme.build(4, 10.0**3.5).quantizer)
+        result = optimize_input_cutting_plane(spec)
+        polished = _kkt_polish(spec, result)
+        assert polished.rate >= result.capacity
+        power = polished.dist.masses @ polished.dist.locations**2
+        assert power <= spec.power_constraint * (1 + 1e-12)
 
     @pytest.mark.parametrize("bins", [4, 8])
     @pytest.mark.parametrize("db", [30.0, 35.0, 40.0])

@@ -181,8 +181,8 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     assert sorted(unpassed) == []
 
 
-# scipy.optimize is for the bound polish and the joint searches only; the
-# bound at the end loads it on first use.
+# scipy.optimize serves only the joint searches and the mass solve's
+# `_join_step`; the capacity path, the bound path and `verify` never load it.
 _CAPACITY_PATH = textwrap.dedent(
     """
     import sys
@@ -201,10 +201,11 @@ _CAPACITY_PATH = textwrap.dedent(
     assert quantcap.benchmark_mutual_information(8, 10.0) > 0.0
     assert cli.main(["capacity", "--snr-db", "0..10", "--step", "10", "--bits", "2"]) == 0
     assert cli.main(["benchmark", "--snr-db", "0..10", "--step", "10", "--bits", "3"]) == 0
-    assert "scipy.optimize" not in sys.modules, "the capacity path loaded scipy.optimize"
-
+    assert cli.main(["bound", "--snr-db", "0..20", "--step", "5", "--bits", "2"]) == 0
+    assert cli.main(["verify", "all"]) == 0
     bound, _ = quantcap.duality_upper_bound(spec, result)
     assert bound >= result.capacity - 1e-9, (bound, result.capacity)
+    assert "scipy.optimize" not in sys.modules, "the capacity, bound or verify path loaded it"
     """
 )
 
