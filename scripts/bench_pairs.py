@@ -65,6 +65,16 @@ print(json.dumps(out))
 """
 
 
+def child_env(src: Path) -> dict:
+    """The environment of a child process that imports ``quantcap`` from
+    `src` alone, with BLAS on one thread and ``SOURCE_DATE_EPOCH=0``, so
+    every manifest carries the same timestamp."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), SOURCE_DATE_EPOCH="0")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in `tree`: its result line and environment record."""
     argv = [
@@ -176,8 +186,8 @@ def compare_fingerprints(parent: dict, change: dict) -> dict:
 
 def report(tree: Path, table: str) -> bytes:
     """One table's machine report from `tree`'s source, timestamp pinned."""
-    env = {**os.environ, "SOURCE_DATE_EPOCH": "0", "PYTHONPATH": str(tree / "src")}
     argv = [sys.executable, "-m", "quantcap.cli", "reproduce", "--table", table, "--out", "-"]
+    env = child_env(tree / "src")
     return subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True).stdout
 
 

@@ -9,9 +9,10 @@ once, to compare trees (say a parent checkout's ``src/`` and a change's):
 each command then runs once in every tree before the next command, and the
 order of the trees alternates between repetitions, as
 ``scripts/bench_pairs.py`` alternates them per seed, so that a drift between
-repetitions reaches every tree alike.  Each process imports ``quantcap``
-from its tree (default: the ``src/`` next to this script), runs
-``quantcap.cli.main`` and exits; BLAS is pinned to one thread.  Per command
+repetitions reaches every tree alike.  Each process runs in
+``bench_pairs.child_env`` (BLAS on one thread), imports ``quantcap`` from
+its tree (default: the ``src/`` next to this script), runs
+``quantcap.cli.main`` and exits.  Per command
 and tree the output gives the median wall time from spawn to exit, the
 median process CPU (user + system, from ``os.wait4``), the median peak RSS,
 whether ``scipy.optimize`` was in ``sys.modules`` when the command returned,
@@ -29,6 +30,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import child_env
 
 COMMANDS = (
     ("capacity", ["capacity", "--snr-db", "0..20", "--step", "5", "--bits", "2"]),
@@ -78,12 +81,7 @@ def main() -> int:
     args = parser.parse_args()
     trees = args.src or [default_src]
 
-    envs = []
-    for tree in trees:
-        env = dict(os.environ, PYTHONPATH=str(tree.resolve()))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        envs.append(env)
+    envs = [child_env(tree) for tree in trees]
     runs = {(name, k): [] for name, _ in COMMANDS for k in range(len(trees))}
     for rep in range(args.repeat):
         order = range(len(trees)) if rep % 2 == 0 else range(len(trees) - 1, -1, -1)

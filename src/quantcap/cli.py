@@ -16,8 +16,8 @@ Every command prints a human-readable summary to stdout; ``--out`` addition-
 ally writes a machine-format report (CSV or JSON-lines, manifest embedded),
 and ``--out -`` sends the machine format to stdout instead.  Exit codes:
 0 success, 1 usage error, 2 computation error, 3 verification failure.  A
-computation error names the command and SNR of the failed solve and, for
-`capacity` and `bound`, its thresholds.
+computation error names the command and SNR of the failed solve, with the
+thresholds for `capacity` and `bound` and the precision for `sweep`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 from .channel import ChannelSpec, Quantizer
 from .optimize import GridConfig, duality_upper_bound, optimize_input_cutting_plane
@@ -178,21 +179,26 @@ def _join(values) -> str:
     return " ".join(f"{float(v):.16e}" for v in values)
 
 
+@contextmanager
+def _named(args, db, detail=""):
+    """Re-raise what the block raises under the command, the SNR `db` and
+    `detail`, so a failed run names the solve that failed."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"{args.command} at {db:g} dB{detail}: {exc}") from exc
+
+
 def _per_snr(args, snrs, cell, head="", sep="\n", specs=None) -> int:
     """Emit the report rows and one human block per SNR, all from
     `cell(db) -> (rows, block)`.  Each row maps every report column to its
     value; the human text is `head`, then the blocks joined by `sep`.  A cell
-    that raises is re-raised under the command, its SNR and, given `specs`,
-    its thresholds, so a failed run names the solve that failed."""
+    that raises is named by `_named`, with its thresholds given `specs`."""
     rows, blocks = [], []
     for db in snrs:
-        try:
+        detail = "" if specs is None else f", thresholds {specs[db].quantizer.thresholds}"
+        with _named(args, db, detail):
             cell_rows, block = cell(db)
-        except Exception as exc:
-            where = f"{args.command} at {db:g} dB"
-            if specs is not None:
-                where += f", thresholds {specs[db].quantizer.thresholds}"
-            raise RuntimeError(f"{where}: {exc}") from exc
         rows.extend(list(row.values()) for row in cell_rows)
         blocks.append(block)
     header = list(cell_rows[-1])
@@ -312,7 +318,11 @@ def cmd_sweep(args) -> int:
         return _per_snr(args, snrs, cell, sep="")
 
     precisions = [args.bits] if args.bits is not None else list(_PRECISIONS)
-    records = [(p, db, capacity_and_gamma(p, db)[0]) for p in precisions for db in snrs]
+    records = []
+    for p in precisions:
+        for db in snrs:
+            with _named(args, db, f", precision {p}"):
+                records.append((p, db, capacity_and_gamma(p, db)[0]))
     rows = [[str(p), db, cap] for p, db, cap in records]
     by_cell = {(p, db): cap for p, db, cap in records}
     labels = [_PRECISION_LABELS[p] for p in precisions]

@@ -396,7 +396,8 @@ class TestCellBound:
 
 
 def fuzz_draw(index):
-    """(snr_db, quantizer) of draw `index` of scripts/fuzz_solves.py."""
+    """(snr_db, quantizer) of draw `index` of the `fuzz` set of
+    scripts/fingerprint.py."""
     rng = np.random.default_rng(0)
     for _ in range(index + 1):
         halves = np.sort(rng.uniform(0.2, 20.0, 3))

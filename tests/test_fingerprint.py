@@ -1,0 +1,66 @@
+"""Tests for the two-tree comparison of scripts/fingerprint.py.
+
+The child processes are faked, so no set is probed and no solve runs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import fingerprint  # noqa: E402
+
+TREES = ["--src", "old", "--src", "new"]
+
+
+def fake_children(monkeypatch, outputs):
+    """Run each child as `outputs[(set, tree)]`: its stdout, or an exception
+    message for a child that raised."""
+
+    def run(argv, cwd, env, capture_output, text):
+        name, tree = argv[-1], Path(env["PYTHONPATH"]).name
+        out = outputs.get((name, tree), "a 0x1.0p+0\nb 0x1.8p+0\n")
+        if isinstance(out, Exception):
+            err = f"Traceback (most recent call last):\n  ...\n{type(out).__name__}: {out}\n"
+            return subprocess.CompletedProcess(argv, 1, "a 0x1.0p+0\n", err)
+        return subprocess.CompletedProcess(argv, 0, out, "cpu_s 1.0\n")
+
+    monkeypatch.setattr(fingerprint.subprocess, "run", run)
+
+
+def test_identical_trees_exit_zero_with_one_line_per_set(monkeypatch, capsys):
+    fake_children(monkeypatch, {})
+    assert fingerprint.main(["all", *TREES]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"{name}: identical, 2 lines" for name in fingerprint.SETS]
+
+
+def test_moved_line_is_shown_under_its_set(monkeypatch, capsys):
+    fake_children(monkeypatch, {("certs", "new"): "a 0x1.0p+0\nb 0x1.8000000000001p+0\n"})
+    assert fingerprint.main(["solves", "certs", *TREES]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "solves: identical, 2 lines",
+        "--- certs old",
+        "+++ certs new",
+        "@@ -2 +2 @@",
+        "-b 0x1.8p+0",
+        "+b 0x1.8000000000001p+0",
+    ]
+
+
+def test_set_raising_in_one_tree_is_reported_with_its_error(monkeypatch, capsys):
+    fake_children(monkeypatch, {("fuzz", "new"): ValueError("masses do not sum to 1")})
+    assert fingerprint.main(["fuzz", "joint", *TREES]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "fuzz: raised in new: ValueError: masses do not sum to 1",
+        "joint: identical, 2 lines",
+    ]
+
+
+def test_unknown_set_is_a_usage_error(monkeypatch, capsys):
+    fake_children(monkeypatch, {})
+    with pytest.raises(SystemExit) as exit_:
+        fingerprint.main(["solves", "tables", *TREES])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'tables'" in capsys.readouterr().err

@@ -497,6 +497,17 @@ class TestSweepCommand:
         assert calls == [(r[0], float(r[1])) for r in rows]
         assert [float(r[2]) for r in rows] == [float(i) for i in range(1, len(rows) + 1)]
 
+    def test_failed_cell_names_its_snr_and_precision(self, capsys, monkeypatch):
+        def fails_second(precision, snr_db, cache=None):
+            if snr_db == 5.0:
+                raise ValueError("cell blew up")
+            return 1.0, 0.0
+
+        monkeypatch.setattr(cli, "capacity_and_gamma", fails_second)
+        code, _, err = run_cli(["sweep", "--snr-db", "0..5", "--step", "5"], capsys)
+        assert code == 2
+        assert "computation error: sweep at 5 dB, precision 1: cell blew up" in err
+
     def test_csv_deterministic(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         argv = ["sweep", "--snr-db=-5..5", "--step", "5", "--bits", "1"]
