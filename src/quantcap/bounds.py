@@ -72,15 +72,21 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
     vals = np.empty_like(d)
 
     def probe(g):
-        """Envelope value at g, the active lines' indices and their slopes."""
+        """Envelope value at g; the lines' values at g are left in vals."""
         np.multiply(s, g, out=vals)
         np.add(vals, d, out=vals)
-        m = float(vals.max())
-        atol = _ACTIVE_RTOL * max(1.0, abs(m)) + 1e-300
-        idx = (vals >= m - atol).nonzero()[0]
-        return m, idx, s[idx]
+        return float(vals.max())
 
-    m0, idx0, s0 = probe(0.0)
+    def active(values, m):
+        """Indices and slopes of the lines whose `values` are within
+        tolerance of the envelope value m."""
+        atol = _ACTIVE_RTOL * max(1.0, abs(m)) + 1e-300
+        idx = (values >= m - atol).nonzero()[0]
+        return idx, s[idx]
+
+    # at 0 the lines' values are their intercepts
+    m0 = float(d.max())
+    idx0, s0 = active(d, m0)
     steep = int(s0.argmax())  # steepest active line at 0
     if s0[steep] >= 0.0:
         return EnvelopeMinimum(0.0, m0)
@@ -94,7 +100,8 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
     line_lo = int(idx0[steep])
     line_hi = None
     for _ in range(200):
-        m_hi, idx, act = probe(hi)
+        m_hi = probe(hi)
+        idx, act = active(vals, m_hi)
         steep, flat = int(act.argmax()), int(act.argmin())
         if act[steep] < 0.0:  # still strictly decreasing at hi
             lo = hi
@@ -115,12 +122,13 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
             break  # degenerate; fall through to the probe result below
         g_x = (da - db) / (sb - sa)
         g_x = min(max(g_x, lo), hi)
-        m_x, idx, act = probe(g_x)
+        m_x = probe(g_x)
         pair_val = da + sa * g_x
         atol = _ACTIVE_RTOL * max(1.0, abs(m_x))
         if m_x <= pair_val + atol:
             return EnvelopeMinimum(float(g_x), m_x)
         # a third line is strictly above the candidate pair at g_x
+        idx, act = active(vals, m_x)
         steep, flat = int(act.argmax()), int(act.argmin())
         if act[flat] <= 0.0 <= act[steep]:
             return EnvelopeMinimum(float(g_x), m_x)
@@ -130,8 +138,7 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
         else:
             hi = g_x
             line_hi = int(idx[flat])
-    m_f, _, _ = probe(lo)
-    return EnvelopeMinimum(float(lo), m_f)
+    return EnvelopeMinimum(float(lo), probe(lo))
 
 
 def _degenerate_minimum(d, s, reason):

@@ -108,13 +108,13 @@ class InputDistribution:
         p = np.asarray(self.masses, dtype=float)
         if x.ndim != 1 or p.ndim != 1 or x.size != p.size or x.size == 0:
             raise ValueError("locations and masses must be 1-d arrays of equal size")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError("locations and masses must be finite")
-        if np.any(p <= 0.0):
+        if (p <= 0.0).any():
             raise ValueError("all masses must be strictly positive")
         if abs(float(p.sum()) - 1.0) > PROB_ATOL:
             raise ValueError(f"masses must sum to 1 (got {p.sum()!r})")
-        if np.any(np.diff(x) <= 0.0):
+        if (x[1:] <= x[:-1]).any():
             raise ValueError("locations must be strictly ascending")
         x = x.copy()
         p = p.copy()
@@ -133,20 +133,17 @@ class InputDistribution:
         """
         x = np.asarray(locations, dtype=float)
         p = np.asarray(masses, dtype=float)
-        order = np.argsort(x, kind="stable")
+        order = x.argsort(kind="stable")
+        order = order[p[order] > 0.0]
         x, p = x[order], p[order]
-        keep = p > 0.0
-        x, p = x[keep], p[keep]
         if x.size == 0:
             raise ValueError("no support points with positive mass")
         if merge_tol >= 0.0 and x.size > 1:
             new_group = np.diff(x) > merge_tol
             group = np.concatenate(([0], np.cumsum(new_group)))
-            n_groups = group[-1] + 1
-            pm = np.bincount(group, weights=p, minlength=n_groups)
-            xm = np.bincount(group, weights=p * x, minlength=n_groups) / pm
-            x, p = xm, pm
-            while x.size > 1 and np.any(np.diff(x) <= 0.0):
+            pm = np.bincount(group, weights=p)
+            x, p = np.bincount(group, weights=p * x) / pm, pm
+            while x.size > 1 and (x[1:] <= x[:-1]).any():
                 # p * x can underflow (subnormal x), so distinct groups may
                 # land on one centroid: merge those too
                 group = np.concatenate(([0], np.cumsum(np.diff(x) > 0.0)))
@@ -154,7 +151,7 @@ class InputDistribution:
                 x, p = np.bincount(group, weights=p * x) / pm, pm
         if prune_tol > 0.0:
             keep = p >= prune_tol
-            if not np.any(keep):
+            if not keep.any():
                 raise ValueError("pruning removed all support points")
             x, p = x[keep], p[keep]
         p = p / p.sum()

@@ -188,14 +188,20 @@ def _face_basis(xsq, power_row):
     """
     n = xsq.size
     if power_row:
-        a, b = int(xsq.argmin()), int(xsq.argmax())
-        span = float(xsq[b] - xsq[a])
-        if span > _RANK_RTOL * float(xsq[b]):
-            others = [k for k in range(n) if k != a and k != b]
-            z = np.eye(n)[:, others]
-            rest = xsq[others]
-            z[a] = (rest - xsq[b]) / span
-            z[b] = (xsq[a] - rest) / span
+        xl = xsq.tolist()
+        a, b = xl.index(min(xl)), xl.index(max(xl))
+        span = xl[b] - xl[a]
+        if span > _RANK_RTOL * xl[b]:
+            # Fortran order: the layout picks the BLAS path of wf.T @ z,
+            # and so the last bits of every step
+            z = np.zeros((n, n - 2), order="F")
+            col = 0
+            for k, xk in enumerate(xl):
+                if k != a and k != b:
+                    z[k, col] = 1.0
+                    z[a, col] = (xk - xl[b]) / span
+                    z[b, col] = (xl[a] - xk) / span
+                    col += 1
             return z, (a, b)
     z = np.eye(n, n - 1)
     z[-1] = -1.0
@@ -281,17 +287,18 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     if start is not None:
         # points without warm mass start off the face and join it only if
         # their reduced gradient asks for them
-        s = np.clip(np.asarray(start, dtype=float), 0.0, None)
-        if s.sum() > 0.0:
-            p = s / s.sum()
+        s = np.maximum(np.asarray(start, dtype=float), 0.0)
+        total = s.sum()
+        if total > 0.0:
+            p = s / total
     on_power = float(p @ xsq) >= power
     p = np.array(_feasible_start(p, xsq, power), dtype=float)
     free = p > 0.0
     added = -1
-    left_out = np.zeros(m, dtype=bool)
+    left_out = []
     steps = 0
     while True:
-        idx = np.flatnonzero(free)
+        idx = free.nonzero()[0]
         pf, wf, xf, negf = p[idx], w[idx], xsq[idx], negent[idx]
         z, pair = _face_basis(xf, on_power)
         wz = wf.T @ z
@@ -310,7 +317,8 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
             # The gradient is d - 1/ln2; the constant is orthogonal to every
             # face direction and only shifts nu.
             zg = g @ z
-            stationary = not zg.size or np.abs(zg).max() <= _FACE_TOL
+            # a NaN component is not stationary
+            stationary = all(abs(c) <= _FACE_TOL for c in zg.tolist())
             # A stationary face is optimal unless it has more free directions
             # than the K - 1 that R can take; such a face is degenerate.
             if stationary and zg.size < bins:
@@ -358,7 +366,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
                         continue
                     # leave the point out: a boundary step that drops it
                     v, hit = -np.eye(idx.size)[j], added
-                    left_out[added] = True
+                    left_out.append(added)
                     break
             added = -1
             # Ratio test against p >= 0, on Python floats: a tiny component of
@@ -382,7 +390,7 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
             gain = float(zg @ y)
             slack = _F_NOISE * max(1.0, abs(f))
             while True:
-                q = np.maximum(pf + t * v, 0.0)
+                q = np.maximum(pf + v if t == 1.0 else pf + t * v, 0.0)
                 r_new, g_new, f_new = _mass_point(q, wf, negf)
                 if f_new >= f + 1e-4 * t * gain - slack:
                     break
@@ -414,8 +422,9 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
             nu = float(g[a]) - gamma * float(xf[a])
         reduced = _divergences_bits(w, negent, r) - nu - gamma * xsq
         reduced[idx] = -np.inf
-        reduced[left_out] = -np.inf
-        j = int(np.argmax(reduced))
+        if left_out:
+            reduced[left_out] = -np.inf
+        j = int(reduced.argmax())
         if reduced[j] <= _ADD_TOL:
             return p, f
         free[j] = True
@@ -522,12 +531,11 @@ def optimize_input_cutting_plane(
     best_value, best_r = math.inf, None
     for iterations in range(1, _CUT_MAX_ITER + 1):
         idx = np.asarray(support, dtype=int)
-        p_cur, mi = _optimal_masses_rows(
-            w[idx], negent[idx], xs[idx] ** 2, power, start=start
-        )
-        warm = {int(j): float(pj) for j, pj in zip(idx, p_cur)}
+        w_sup = w[idx]
+        p_cur, mi = _optimal_masses_rows(w_sup, negent[idx], xs[idx] ** 2, power, start=start)
+        warm = dict(zip(idx.tolist(), p_cur.tolist()))
 
-        r = p_cur @ w[idx]
+        r = p_cur @ w_sup
         d_all = _divergences_bits(w, negent, r)
         env = minimize_max_affine(d_all, slopes)
         if env.value < best_value:
@@ -536,10 +544,9 @@ def optimize_input_cutting_plane(
             converged = True
             break
 
-        g = d_all + env.gamma * slopes
-        g_outside = g.copy()
+        g_outside = d_all + env.gamma * slopes
         g_outside[idx] = -np.inf
-        best = float(np.max(g_outside))
+        best = float(g_outside.max())
         if best - mi <= tol:
             # The certified gap sits on the support: new points cannot close it.
             break
@@ -547,11 +554,11 @@ def optimize_input_cutting_plane(
         # opposite power slopes (one point inside the power budget, one
         # outside); mass can only flow to the outer one together with the
         # inner one, so take the best near-tied cut from each sign.
-        near = np.flatnonzero(g_outside >= best - max(1e-12, 0.01 * tol))
+        near = (g_outside >= best - max(1e-12, 0.01 * tol)).nonzero()[0]
         cuts = set()
         for group in (near[slopes[near] > 0.0], near[slopes[near] <= 0.0]):
             if group.size:
-                top = float(np.max(g_outside[group]))
+                top = float(g_outside[group].max())
                 cand = group[g_outside[group] >= top - 1e-12]
                 cuts.add(int(cand[np.argmin(np.abs(xs[cand]))]))
         kept = set(idx[p_cur > 1e-12].tolist()) | fresh | {anchor}
@@ -559,8 +566,9 @@ def optimize_input_cutting_plane(
         support = sorted(kept | cuts)
         # The next round's whole input; checked before idx moves on, so the
         # result below keeps this round's support with its own masses.
-        start = np.array([warm.get(j, 1e-3) for j in support])
-        round_input = (tuple(support), tuple(start.tolist()), tuple(sorted(fresh)))
+        masses = [warm.get(j, 1e-3) for j in support]
+        start = np.array(masses)
+        round_input = (tuple(support), tuple(masses), tuple(sorted(fresh)))
         if round_input in seen:
             break
         seen.add(round_input)

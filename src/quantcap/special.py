@@ -18,7 +18,7 @@ _SQRT2 = math.sqrt(2.0)
 
 def _as_float_array(x, name):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: argument must be finite, got {x!r}")
     return arr
 
