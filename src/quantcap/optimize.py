@@ -269,11 +269,15 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
     the careful rank test of a join below.
 
     A point that joins F and alone reaches some bin sees R near 0 there, and
-    its 1/R curvature can shrink every Newton step below rounding.  A solve
-    that stalls so reruns `careful`: such a join (a reduced Hessian singular
-    to working precision) takes a _join_step, or is left out if that gains
-    nothing; RuntimeError if this stalls too.  In either mode, a join whose
-    Newton step would drop the point again takes the same way out.
+    its 1/R curvature can shrink every Newton step below rounding.  It can
+    also swamp B's small singular values, so that a direction along which R
+    moves looks null: no pivot is taken along a direction along which R
+    moves beyond _RANK_RTOL, and the Newton step keeps to the directions B
+    resolves.  A solve that stalls reruns `careful`: such a join (a reduced
+    Hessian singular to working precision) takes a _join_step, or is left
+    out if that gains nothing; RuntimeError if this stalls too.  In either
+    mode, a join whose Newton step would drop the point again takes the same
+    way out.
 
     Starts from `start` when given, else from uniform masses.  A start at
     or over the budget is blended onto it by _feasible_start and the solve
@@ -338,13 +342,22 @@ def _optimal_masses_rows(w, negent, xsq, power, start=None, careful=False):
                 _, sv, vt, info = dgesdd(wz / np.sqrt(rr * LN2)[:, None])
                 if info:
                     raise np.linalg.LinAlgError("SVD of the reduced Hessian did not converge")
-                pivot = sv.size < zg.size or sv[-1] <= _RANK_RTOL
+                null = sv.size < zg.size or sv[-1] <= _RANK_RTOL
+                # A null direction is a pivot only if R stays within
+                # _RANK_RTOL along it; else it is B's rounding (a row scaled
+                # by 1/sqrt(R) with R near 0 swamps the small singular values)
+                pivot = null and float(np.abs(wz @ vt[-1]).max()) <= _RANK_RTOL
                 if pivot:
                     # R is constant along this null direction, so the
                     # objective is linear there with slope g @ v (= negent @ v).
                     y = vt[-1] if zg @ vt[-1] >= 0.0 else -vt[-1]
                 elif stationary:
                     break
+                elif null:
+                    # Newton along the directions that B resolves
+                    live = sv > _RANK_RTOL
+                    resolved = vt[: sv.size][live]
+                    y = ((resolved @ zg) / sv[live] ** 2) @ resolved
                 else:
                     y = ((vt @ zg) / sv**2) @ vt
             v = z @ y

@@ -225,24 +225,41 @@ class TestOptimalMasses:
         assert p @ xs**2 <= power * (1.0 + 1e-12)
 
     def test_careful_rerun_joins_past_a_rounding_pivot(self):
-        # a warm start from fuzz draw 227 of 300 (11.1 dB): +/- 21.0 alone
-        # reach the outer bins.  When one joins at zero mass, its 1/R
-        # curvature leaves the SVD a null direction that is only rounding,
-        # and the Newton steps stall; the careful rerun takes the join step
-        # in place of that pivot and reaches the cold solve's optimum.
-        half = [5.958832341136689, 7.846845054073446, 19.344196661448674]
-        thr = [-t for t in reversed(half)] + [0.0] + half
-        outer, root_p, inner = 20.99862816588685, 3.5956555078573373, 0.5753048812571748
-        xs = np.array([-outer, -root_p, -inner, 0.0, inner, root_p, outer])
-        power = 12.928738531184807
-        start = [6.560322519414706e-10, 0.49999998366297516, 2.2288938142013917e-08, 0.0]
-        start += [1e-3, 0.49999999339205436, 1e-3]
-        w = bin_probability_matrix(xs, thr, 1.0)
-        negent = _row_negentropy_bits(w)
+        # the warm start of _rounding_pivot_face reaches the cold solve's
+        # optimum
+        w, negent, xs, power, start = _rounding_pivot_face()
         _, cold = _optimal_masses_rows(w, negent, xs**2, power)
         p, mi = _optimal_masses_rows(w, negent, xs**2, power, start=start)
         assert mi == pytest.approx(cold, abs=1e-12)
         assert p @ xs**2 <= power * (1.0 + 1e-12)
+
+    def test_no_pivot_along_a_direction_that_moves_r(self, monkeypatch):
+        # In _rounding_pivot_face the SVD's last singular value is 0.0, but
+        # R moves by 0.70 along its direction: a pivot there took I from
+        # 0.99773 to 1.1e-5 bits, and the Newton steps climbed back until
+        # the step cap forced the careful rerun.  No step may lower I, and
+        # no rerun is needed.
+        from quantcap import optimize
+
+        w, negent, xs, power, start = _rounding_pivot_face()
+        values, careful = [], []
+        point, solve = optimize._mass_point, optimize._optimal_masses_rows
+
+        def recorded(*args):
+            found = point(*args)
+            values.append(found[2])
+            return found
+
+        def rerun(*args):
+            careful.append(args[5:] == (True,))
+            return solve(*args)
+
+        monkeypatch.setattr(optimize, "_mass_point", recorded)
+        monkeypatch.setattr(optimize, "_optimal_masses_rows", rerun)
+        _, mi = solve(w, negent, xs**2, power, start=start)
+        assert min(values) >= values[0] - 1e-12
+        assert mi >= values[0]
+        assert not any(careful)
 
     def test_degenerate_face_terminates_at_antipodal_optimum(self):
         # One threshold (K = 2) and seven points: every face with more than
@@ -263,6 +280,21 @@ class TestOptimalMasses:
         w = bin_probability_matrix(xs, (0.0,), 1.0)
         with pytest.raises(RuntimeError, match="did not converge"):
             _optimal_masses_rows(w, _row_negentropy_bits(w), xs**2, 1.0)
+
+
+def _rounding_pivot_face():
+    """(w, negent, xs, power, start) of a warm mass solve from fuzz draw 227
+    of 300 (11.1 dB): +/- 21.0 alone reach the outer bins, so when one joins
+    at zero mass, R there is near 1e-56 and its row of B scales to 1e28."""
+    half = [5.958832341136689, 7.846845054073446, 19.344196661448674]
+    thr = [-t for t in reversed(half)] + [0.0] + half
+    outer, root_p, inner = 20.99862816588685, 3.5956555078573373, 0.5753048812571748
+    xs = np.array([-outer, -root_p, -inner, 0.0, inner, root_p, outer])
+    power = 12.928738531184807
+    start = [6.560322519414706e-10, 0.49999998366297516, 2.2288938142013917e-08, 0.0]
+    start += [1e-3, 0.49999999339205436, 1e-3]
+    w = bin_probability_matrix(xs, thr, 1.0)
+    return w, _row_negentropy_bits(w), xs, power, start
 
 
 def _fuzz_thresholds(bins, symmetric, half, signed):
