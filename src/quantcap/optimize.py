@@ -32,6 +32,7 @@ from .channel import (
     InputDistribution,
     OutputPmf,
     PRUNE_TOL,
+    Quantizer,
     _R_FLOOR,
     _divergences_bits,
     _flow_bits,
@@ -117,6 +118,27 @@ def onebit_capacity(snr: float) -> float:
     if not math.isfinite(snr) or snr <= 0.0:
         raise ValueError(f"snr must be finite and > 0, got {snr!r}")
     return 1.0 - binary_entropy(gaussian_q(math.sqrt(snr)))
+
+
+def _noise_units(spec):
+    """(s, the channel in units of s), with s the largest power of two not
+    above sigma: noise variance, power and thresholds divided by s^2, s^2
+    and s.  Dividing by a power of two is exact (short of underflow), so the
+    channel is the same, with sigma in [1, 2); at a tiny or huge sigma the
+    power slopes P - x^2 would otherwise sit near the limits of the double
+    range, where the envelope's bracket cannot find a rising line."""
+    s = math.ldexp(1.0, math.frexp(spec.sigma)[1] - 1)
+    if s == 1.0:
+        return s, spec
+    thresholds = tuple(t / s for t in spec.quantizer.thresholds)
+    unit = ChannelSpec(spec.noise_variance / (s * s), spec.power_constraint / (s * s),
+                       Quantizer(thresholds))
+    return s, unit
+
+
+def _scaled(dist, s):
+    """`dist` with its support multiplied by s."""
+    return dist if s == 1.0 else InputDistribution(dist.locations * s, dist.masses)
 
 
 def _feasible_start(p, xsq, power):
@@ -509,10 +531,13 @@ def optimize_input_cutting_plane(
     warm-start masses and previous cuts, repeats an earlier round's, so the
     deterministic loop would only cycle; or _CUT_MAX_ITER rounds.  For
     symmetric quantizers the returned distribution is symmetrized, which
-    never lowers the objective.  `grid` defaults to GridConfig().
+    never lowers the objective.  `grid` defaults to GridConfig().  The
+    solve runs in the units of `_noise_units`, and its support and gamma are
+    scaled back.
     """
     if not (tol > 0.0) or not math.isfinite(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    scale, spec = _noise_units(spec)
     power = spec.power_constraint
     xs = (grid or GridConfig()).points(power)
     w = bin_probability_matrix(xs, spec.quantizer.thresholds, spec.sigma)
@@ -524,7 +549,7 @@ def optimize_input_cutting_plane(
     seeds = (
         [-root_p, 0.0, root_p]
         if initial_support is None
-        else [float(s) for s in np.asarray(initial_support, dtype=float)]
+        else (np.asarray(initial_support, dtype=float) / scale).tolist()
     )
     # Feasibility anchor: neither seeding nor pruning may leave the working
     # set without a point inside the power budget (a warm-start support can
@@ -600,8 +625,8 @@ def optimize_input_cutting_plane(
                 gamma, bound = law_gamma, law_bound
     return CapacityResult(
         capacity=mi,
-        dist=dist,
-        gamma=gamma,
+        dist=_scaled(dist, scale),
+        gamma=gamma / (scale * scale),
         upper_bound=bound,
         iterations=iterations,
         converged=converged,
@@ -728,8 +753,8 @@ def _support_masses(x, p, spec):
     return _profile(x[keep], q[keep], spec)
 
 
-def _kkt_polish(spec: ChannelSpec, result: CapacityResult) -> _Polished:
-    """Polish the support of the cutting-plane optimum `result` over
+def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
+    """Polish the support of the cutting-plane optimum `dist` over
     continuous x, by damped Newton on the optimality conditions of a finite
     input (Smith; Huang & Meyn).  By the K+1 theorem an optimal input has
     n <= K + 1 mass points, so with the power multiplier gamma and the rate
@@ -742,7 +767,7 @@ def _kkt_polish(spec: ChannelSpec, result: CapacityResult) -> _Polished:
     analytic Jacobian; `_kkt_residual` scales the conditions so that x is
     in units of sqrt(P) and gamma in bits per P.
 
-    It starts from the points of `result` with mass above _KKT_MASS_FLOOR
+    It starts from the points of `dist` with mass above _KKT_MASS_FLOOR
     and least-squares multipliers, and accepts a step, halved at most
     _KKT_HALVINGS times, only if it lowers the residual's norm.  A full step
     that takes a mass to 0 or below drops the first point to reach it, and
@@ -757,9 +782,9 @@ def _kkt_polish(spec: ChannelSpec, result: CapacityResult) -> _Polished:
     start's mutual information: if it would be, the start is returned.
     """
     root_p = math.sqrt(spec.power_constraint)
-    keep = result.dist.masses > _KKT_MASS_FLOOR
-    p = result.dist.masses[keep]
-    start = prof = _profile(result.dist.locations[keep], p / p.sum(), spec)
+    keep = dist.masses > _KKT_MASS_FLOOR
+    p = dist.masses[keep]
+    start = prof = _profile(dist.locations[keep], p / p.sum(), spec)
     restart, norm = True, math.inf
     for _ in range(_KKT_MAX_STEPS):
         if restart:
@@ -830,11 +855,15 @@ def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None)
     divergence profile by branch and bound, each cell bounded by its chord
     plus a curvature term from the monotone log ratio of adjacent bins (the
     Fisher information term dropped), with a rounding allowance, and bounds
-    the tails past its grid in closed form.
+    the tails past its grid in closed form.  Both run in the units of
+    `_noise_units`.
     """
+    scale, spec = _noise_units(spec)
     if result is None:
-        result = optimize_input_cutting_plane(spec)
-    r = np.maximum(_kkt_polish(spec, result).law, _R_FLOOR)
+        dist = optimize_input_cutting_plane(spec).dist
+    else:
+        dist = _scaled(result.dist, 1.0 / scale)
+    r = np.maximum(_kkt_polish(spec, dist).law, _R_FLOOR)
     out = OutputPmf(r / r.sum())
     return _certified_bound(spec, out), out
 

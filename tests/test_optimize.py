@@ -480,6 +480,29 @@ class TestCuttingPlane:
             res = optimize_input_cutting_plane(scaled, grid=FAST, tol=1e-6)
             assert res.capacity == pytest.approx(base.capacity, abs=1e-8)
 
+    @pytest.mark.parametrize("noise_variance", [1e-300, 1e300])
+    def test_extreme_noise_variance_solves_the_unit_channel(self, noise_variance):
+        # The channel depends on x and the thresholds only through their
+        # ratio to sigma.  At sigma^2 = 1e-300 the slopes P - x^2 (about
+        # 1e-299) left the envelope's bracket without a rising line, and
+        # the solve stopped unconverged at 1.0447 bits.
+        sigma = math.sqrt(noise_variance)
+        quantizer = BenchmarkScheme.build(4, 10.0).quantizer
+        unit = ChannelSpec.from_snr_db(10.0, quantizer)
+        scaled = Quantizer(tuple(t * sigma for t in quantizer.thresholds))
+        spec = ChannelSpec.from_snr_db(10.0, scaled, noise_variance)
+        ref, res = (optimize_input_cutting_plane(s, grid=FAST) for s in (unit, spec))
+        assert res.converged
+        assert res.capacity == pytest.approx(ref.capacity, abs=1e-12)
+        assert res.upper_bound == pytest.approx(ref.upper_bound, abs=1e-12)
+        np.testing.assert_allclose(res.dist.locations / sigma, ref.dist.locations, rtol=1e-12)
+        np.testing.assert_allclose(res.dist.masses, ref.dist.masses, rtol=1e-12)
+        assert res.gamma * noise_variance == pytest.approx(ref.gamma, rel=1e-12)
+        bound, out = duality_upper_bound(spec, res)
+        ref_bound, ref_out = duality_upper_bound(unit, ref)
+        assert bound == pytest.approx(ref_bound, abs=1e-12)
+        np.testing.assert_allclose(out.probs, ref_out.probs, rtol=1e-12)
+
     def test_monotone_in_snr(self):
         caps = [
             optimize_input_cutting_plane(spec_db(db), grid=FAST).capacity
