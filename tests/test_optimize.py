@@ -224,24 +224,16 @@ class TestOptimalMasses:
         assert abs(p.sum() - 1.0) <= 1e-12
         assert p @ xs**2 <= power * (1.0 + 1e-12)
 
-    def test_careful_rerun_joins_past_a_rounding_pivot(self):
-        # the warm start of _rounding_pivot_face reaches the cold solve's
-        # optimum
-        w, negent, xs, power, start = _rounding_pivot_face()
-        _, cold = _optimal_masses_rows(w, negent, xs**2, power)
-        p, mi = _optimal_masses_rows(w, negent, xs**2, power, start=start)
-        assert mi == pytest.approx(cold, abs=1e-12)
-        assert p @ xs**2 <= power * (1.0 + 1e-12)
-
     def test_no_pivot_along_a_direction_that_moves_r(self, monkeypatch):
         # In _rounding_pivot_face the SVD's last singular value is 0.0, but
         # R moves by 0.70 along its direction: a pivot there took I from
         # 0.99773 to 1.1e-5 bits, and the Newton steps climbed back until
-        # the step cap forced the careful rerun.  No step may lower I, and
-        # no rerun is needed.
+        # the step cap forced the careful rerun.  No step may lower I, no
+        # rerun is needed, and the warm start reaches the cold optimum.
         from quantcap import optimize
 
         w, negent, xs, power, start = _rounding_pivot_face()
+        _, cold = _optimal_masses_rows(w, negent, xs**2, power)
         values, careful = [], []
         point, solve = optimize._mass_point, optimize._optimal_masses_rows
 
@@ -256,10 +248,11 @@ class TestOptimalMasses:
 
         monkeypatch.setattr(optimize, "_mass_point", recorded)
         monkeypatch.setattr(optimize, "_optimal_masses_rows", rerun)
-        _, mi = solve(w, negent, xs**2, power, start=start)
+        p, mi = solve(w, negent, xs**2, power, start=start)
         assert min(values) >= values[0] - 1e-12
-        assert mi >= values[0]
         assert not any(careful)
+        assert mi == pytest.approx(cold, abs=1e-12)
+        assert p @ xs**2 <= power * (1.0 + 1e-12)
 
     def test_degenerate_face_terminates_at_antipodal_optimum(self):
         # One threshold (K = 2) and seven points: every face with more than
