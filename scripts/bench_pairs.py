@@ -13,8 +13,13 @@ given.  Per workload and end-to-end metric of ``BENCHMARK.json`` the file
 records both sides' runs, medians and quartiles
 (``statistics.quantiles(n=4, method="inclusive")``), ``change_vs_parent``
 (change median / parent median - 1), ``parent_iqr``, the pairs the change
-wins in the metric's direction and the ties; per workload also
-``correct_runs``, ``fail_share_max`` and the worst certified gap.
+wins in the metric's direction and the ties, ``regressed`` (the change's
+median is worse than the parent's by more than the metric's ``bound``, a
+share of the parent's median) and ``resolved`` (the parent's IQR is within
+that bound); per workload also ``correct_runs``, ``fail_share_max`` and the
+worst certified gap.  With ``--claim``, ``claim.met`` says whether the
+change wins at least 9/10 of the untied pairs of that metric and its median
+is better than the parent's by more than the parent's IQR.
 
 Then each tree's workload pass functions run once (tables seed 1, verify
 seed 1, capacity_sweep seeds 11 and 21), and every fingerprint value (table
@@ -98,25 +103,42 @@ def side_stats(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def compare(metric: str, better: str, unit: str, parent: list, change: list) -> dict:
-    p_runs = [r["metrics"][metric]["value"] for r in parent]
-    c_runs = [r["metrics"][metric]["value"] for r in change]
+def compare(metric: dict, parent: list, change: list) -> dict:
+    """Both sides' runs of one end-to-end `metric` of BENCHMARK.json, their
+    statistics, and the verdicts of its bound."""
+    name, better, bound = metric["name"], metric["better"], metric["bound"]
+    p_runs = [r["metrics"][name]["value"] for r in parent]
+    c_runs = [r["metrics"][name]["value"] for r in change]
     p, c = side_stats(p_runs), side_stats(c_runs)
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (b - a) > 0.0 for a, b in zip(p_runs, c_runs))
     ties = sum(a == b for a, b in zip(p_runs, c_runs))
+    allowed = bound * abs(p["median"])
     return {
-        "unit": unit,
+        "unit": metric["unit"],
         "better": better,
+        "bound": bound,
         "parent": p,
         "change": c,
         "change_vs_parent": c["median"] / p["median"] - 1.0 if p["median"] else None,
         "parent_iqr": p["q3"] - p["q1"],
         "change_wins": wins,
         "ties": ties,
+        "regressed": sign * (p["median"] - c["median"]) > allowed,
+        "resolved": p["q3"] - p["q1"] <= allowed,
         "parent_runs": p_runs,
         "change_runs": c_runs,
     }
+
+
+def claim_met(stats: dict) -> bool:
+    """The claim rule on one metric's `compare` record: the change wins at
+    least 9/10 of the untied pairs, and its median is better than the
+    parent's by more than the parent's IQR."""
+    sign = -1.0 if stats["better"] == "lower" else 1.0
+    untied = len(stats["parent_runs"]) - stats["ties"]
+    gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+    return untied > 0 and 10 * stats["change_wins"] >= 9 * untied and gain > stats["parent_iqr"]
 
 
 def paired(trees: dict, workload: str, seeds: list, seconds: float, metrics: list) -> dict:
@@ -139,10 +161,7 @@ def paired(trees: dict, workload: str, seeds: list, seconds: float, metrics: lis
         "worst_certified_gap_bits": {
             s: max(r["shown"]["certified_gap_bits"] for r in runs[s]) for s in runs
         },
-        "metrics": {
-            m["name"]: compare(m["name"], m["better"], m["unit"], runs["parent"], runs["change"])
-            for m in metrics
-        },
+        "metrics": {m["name"]: compare(m, runs["parent"], runs["change"]) for m in metrics},
         "_env": {s: runs[s][0]["env"] for s in runs},
     }
 
@@ -247,6 +266,8 @@ def main(argv=None) -> int:
     record = {"change": args.note}
     if args.claim:
         workload, _, metric = args.claim.partition(":")
+        if workload not in dict(args.plan) or metric not in {m["name"] for m in spec["end_to_end"]}:
+            raise SystemExit(f"--claim wants a planned WORKLOAD:METRIC, got {args.claim!r}")
         record["claim"] = {
             "workload": workload,
             "metric": metric,
@@ -275,6 +296,9 @@ def main(argv=None) -> int:
     for res in results.values():
         del res["_env"]
     record["workloads"] = results
+    if args.claim:
+        claim = record["claim"]
+        claim["met"] = claim_met(results[claim["workload"]]["metrics"][claim["metric"]])
     seeds = {name: FINGERPRINT_SEEDS[name] for name, _ in args.plan}
     record["fingerprints"] = compare_fingerprints(
         fingerprints(trees["parent"], seeds), fingerprints(trees["change"], seeds)

@@ -3,7 +3,7 @@
     python3 scripts/fingerprint.py SET... [--src TREE [--src TREE]]
 
 SET is one of ``solves``, ``joint``, ``certs``, ``fuzz``, ``cli``, ``masses``,
-or ``all``; TREE is a directory holding the ``quantcap`` package (default: the
+``envelope`` or ``all``; TREE is a directory holding the ``quantcap`` package (default: the
 ``src/`` next to this script).  Each set runs in each tree in its own child
 process (``bench_pairs.child_env``: BLAS on one thread, ``SOURCE_DATE_EPOCH=0``)
 that imports only ``quantcap`` from the tree: the probe code, the benchmark
@@ -52,6 +52,10 @@ The sets, one line per item, floats as float hex:
   call), recorded in the first tree and replayed ``MASS_REPEAT`` times in
   each, each replay timed in thread CPU: the call, the bin count K, the
   support size, the mutual information and the masses; then the call count.
+* ``envelope``: every ``bounds.minimize_max_affine`` call of that pass (a
+  call from inside a call is part of it), recorded and replayed the same
+  way: the call, the line count, gamma and the envelope value; then the call
+  count.
 """
 
 from __future__ import annotations
@@ -92,8 +96,10 @@ FUZZ_POINTS = 501
 #: solves ``masses`` replays
 SWEEP_SEED = 11
 MASS_REPEAT = 15
-#: where ``masses`` keeps its recorded calls, in the shared working directory
+#: where ``masses`` and ``envelope`` keep their recorded calls, in the shared
+#: working directory
 MASS_CALLS = "mass_calls.pkl"
+ENVELOPE_CALLS = "envelope_calls.pkl"
 CLI_TABLES = ("I", "II", "III", "IV", "V")
 CLI_INVOCATIONS = (
     ["capacity", "--snr-db", "0..2", "--bits", "2"],
@@ -332,54 +338,83 @@ def cli():
         print(f"--- exit {done.returncode}")
 
 
-def recorded_mass_calls():
-    """The (w, negent, xsq, power, start) of every mass solve of one sweep pass."""
+def recorded_calls(module, name, copy):
+    """copy(*args) of every outermost call of ``module.name`` in one sweep
+    pass; a call made from inside a call is part of that call."""
     import workloads
-    from quantcap import optimize
 
-    original, calls, depth = optimize._optimal_masses_rows, [], 0
+    original, calls, depth = getattr(module, name), [], 0
 
-    def recorded(w, negent, xsq, power, start=None, careful=False):
+    def recorded(*args, **kwargs):
         nonlocal depth
         if depth == 0:
-            copied = None if start is None else np.array(start, dtype=float)
-            calls.append((w.copy(), negent.copy(), xsq.copy(), power, copied))
+            calls.append(copy(*args, **kwargs))
         depth += 1
         try:
-            return original(w, negent, xsq, power, start, careful)
+            return original(*args, **kwargs)
         finally:
             depth -= 1
 
-    with rebound(optimize, "_optimal_masses_rows", recorded):
+    with rebound(module, name, recorded):
         workloads.WORKLOADS["capacity_sweep"](SWEEP_SEED)
     return calls
+
+
+def replayed(path, record, call):
+    """The calls kept at `path`, recorded there by `record()` in this run's
+    first tree, and the results of `call` on each, replayed MASS_REPEAT
+    times; the replays' thread CPU goes to stderr."""
+    path = Path(path)
+    if not path.exists():
+        path.write_bytes(pickle.dumps(record()))
+    calls = pickle.loads(path.read_bytes())
+    seconds = []
+    for _ in range(MASS_REPEAT):
+        start = time.thread_time()
+        results = [call(*args) for args in calls]
+        seconds.append(time.thread_time() - start)
+    print(
+        f"cpu_s best {min(seconds):.4f} median {statistics.median(seconds):.4f}", file=sys.stderr
+    )
+    return calls, results
 
 
 def masses():
     from quantcap import optimize
 
-    path = Path(MASS_CALLS)
-    if not path.exists():
-        path.write_bytes(pickle.dumps(recorded_mass_calls()))
-    calls = pickle.loads(path.read_bytes())  # written by this run's first tree
-    seconds = []
-    for _ in range(MASS_REPEAT):
-        start = time.thread_time()
-        results = [
-            optimize._optimal_masses_rows(w, neg, xsq, power, start=s)
-            for w, neg, xsq, power, s in calls
-        ]
-        seconds.append(time.thread_time() - start)
+    def copy(w, negent, xsq, power, start=None, careful=False):
+        start = None if start is None else np.array(start, dtype=float)
+        return w.copy(), negent.copy(), xsq.copy(), power, start
+
+    calls, results = replayed(
+        MASS_CALLS,
+        lambda: recorded_calls(optimize, "_optimal_masses_rows", copy),
+        lambda w, neg, xsq, power, s: optimize._optimal_masses_rows(w, neg, xsq, power, start=s),
+    )
     for i, ((w, *_), (found, mi)) in enumerate(zip(calls, results)):
         print(f"{i} {w.shape[1]} {w.shape[0]} {float(mi).hex()} {hexes(found)}")
     print(f"calls {len(calls)}")
-    print(
-        f"cpu_s best {min(seconds):.4f} median {statistics.median(seconds):.4f}", file=sys.stderr
+
+
+def envelope():
+    from quantcap import bounds
+
+    def copy(intercepts, slopes):
+        return np.array(intercepts, dtype=float), np.array(slopes, dtype=float)
+
+    calls, results = replayed(
+        ENVELOPE_CALLS,
+        lambda: recorded_calls(bounds, "minimize_max_affine", copy),
+        bounds.minimize_max_affine,
     )
+    for i, ((d, _), found) in enumerate(zip(calls, results)):
+        print(f"{i} {d.size} {float(found.gamma).hex()} {float(found.value).hex()}")
+    print(f"calls {len(calls)}")
 
 
 PROBES = {
-    "solves": solves, "joint": joint, "certs": certs, "fuzz": fuzz, "cli": cli, "masses": masses
+    "solves": solves, "joint": joint, "certs": certs, "fuzz": fuzz, "cli": cli, "masses": masses,
+    "envelope": envelope,
 }
 SETS = tuple(PROBES)
 
