@@ -3,14 +3,14 @@
     python3 scripts/fingerprint.py SET... [--src TREE [--src TREE]]
 
 SET is one of ``solves``, ``joint``, ``certs``, ``fuzz``, ``cli``, ``masses``,
-``envelope`` or ``all``; TREE is a directory holding the ``quantcap`` package (default: the
-``src/`` next to this script).  Each set runs in each tree in its own child
-process (``bench_pairs.child_env``: BLAS on one thread, ``SOURCE_DATE_EPOCH=0``)
-that imports only ``quantcap`` from the tree: the probe code, the benchmark
-inputs of ``perfbench/workloads.py`` and the fuzz draws come from this
-script's checkout, so every tree is probed by the same code.  What a set
-prints on stdout does not depend on the machine; CPU times and row counts go
-to stderr, each line prefixed with the set and the tree.
+``envelope`` or ``all``; TREE is a directory holding the ``quantcap`` package
+(default: the ``src/`` next to this script).  Each set runs in each tree in
+its own child process (``bench_pairs.child_env``: BLAS on one thread,
+``SOURCE_DATE_EPOCH=0``) that imports only ``quantcap`` from the tree: the
+probe code, the benchmark inputs of ``perfbench/workloads.py`` and the fuzz
+draws come from this script's checkout, so every tree is probed by the same
+code.  What a set prints on stdout does not depend on the machine; CPU times
+and row counts go to stderr, each line prefixed with the set and the tree.
 
 With one tree, each set's stdout is passed through.  With two, each set
 prints ``<set>: identical, N lines``, or a unified diff of the lines that
