@@ -7,9 +7,10 @@ transition rows bin_probability_matrix, the mutual information, the one
 divergence kernel _divergences_bits, which every other module uses, and the
 one flow kernel _flow_bits, whose row sums are the divergence's input slope
 and whose weighted column sums are the threshold gradient of the mutual
-information, and the one log ratio of adjacent bins _log_ratios_bits, which
-the flow kernel and the bound certificate share; callers form the output pmf
-p W themselves, from the rows they already hold.
+information, the one log ratio of adjacent bins _log_ratios_bits, which the
+flow kernel and the bound certificate share, and the one rate kernel
+_mass_point, which forms the output law p W, the divergences and the mutual
+information from rows the caller already holds.
 
 All information quantities are in bits.
 """
@@ -276,15 +277,23 @@ def _flow_bits(x, thresholds, sigma, w, r):
     return flow * _log_ratios_bits(w, z, r)
 
 
+def _mass_point(p, w, negent):
+    """(R, d, I) at masses p on the rows w, in bits: the output law R = p W,
+    the divergence d_j = D(w_j || R) of every row and the mutual information
+    I = p @ d.  negent is _row_negentropy_bits(w)."""
+    r = p @ w
+    d = _divergences_bits(w, negent, r)
+    return r, d, float(p @ d)
+
+
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:
     """Mutual information in bits between the input and the quantized output."""
     w = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
-    r = dist.masses @ w
+    r, _, mi = _mass_point(dist.masses, w, _row_negentropy_bits(w))
     hit_zero = (r <= 0.0) & np.any(w > 0.0, axis=0)
     if np.any(hit_zero):
         bins = np.nonzero(hit_zero)[0].tolist()
         raise OutputBinZeroError(
             f"output bins {bins} have zero probability but are reachable"
         )
-    rows = _divergences_bits(w, _row_negentropy_bits(w), r)
-    return float(np.dot(dist.masses, rows))
+    return mi

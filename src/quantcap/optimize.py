@@ -36,6 +36,7 @@ from .channel import (
     _R_FLOOR,
     _divergences_bits,
     _flow_bits,
+    _mass_point,
     _row_negentropy_bits,
     bin_probability_matrix,
 )
@@ -43,6 +44,10 @@ from .special import LN2, binary_entropy, gaussian_q
 
 # Half-width of every input grid, in units of sqrt(P).
 _GRID_HALF_WIDTH = 10.0
+
+# The certified gap, in bits, at which a capacity solve stops by default;
+# the joint searches and the C(q) curve solve to it too.
+_DEFAULT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -188,15 +193,6 @@ _CHOL_RTOL = 1e-5
 _NEWTON_MAX_ITER = 200
 # Cap on the cutting-plane rounds; a solve that reaches it is unconverged.
 _CUT_MAX_ITER = 200
-
-
-def _mass_point(p, w, negent):
-    """(R, d, I) at masses p, in bits: the output law R = p W, the
-    divergence d_j = D(w_j || R) of every row and the mutual information
-    I = p @ d."""
-    r = p @ w
-    d = _divergences_bits(w, negent, r)
-    return r, d, float(p @ d)
 
 
 def _face_basis(xsq, power_row):
@@ -483,38 +479,43 @@ def _canonical_dist(locations, masses, spec, merge_tol):
     )
 
 
-def _certify(dist, spec, w_grid, negent_grid, slopes, r=None):
+def _certify(dist, spec, w_grid, negent_grid, slopes, tol, last, best):
     """Self-consistent numbers for a finished distribution.
 
     Returns (mi, gamma, bound): mi is the exact mutual information of `dist`,
     and bound = min over gamma of the max of d(x) + gamma (P - x^2) over the
-    grid plus dist's own (possibly off-grid) support, under the output law
-    `r`, by default dist's own.  Including the support keeps bound >= mi by
-    weak duality, for any r, even after cluster merging moves points off the
-    grid; under dist's own law bound - mi is the worst KKT violation at the
-    minimax gamma.
+    grid plus dist's own (possibly off-grid) support, under dist's own
+    output law; bound - mi is then the worst KKT violation at the minimax
+    gamma.  Including the support keeps bound >= mi by weak duality, for any
+    output law, even after cluster merging moves points off the grid.
+    Pruning and fusion can leave dist's law far from the loop's, and an
+    unconverged loop's last law depends on where its cycle stopped, so when
+    bound - mi exceeds `tol` the loop's `last` law and its `best` (that of
+    the round with the lowest envelope) are certified too, and the smallest
+    bound is kept.  The support's rows are built once for all three.
     """
     w_sup = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
     negent_sup = _row_negentropy_bits(w_sup)
-    own = dist.masses @ w_sup
-    d_sup = _divergences_bits(w_sup, negent_sup, own)
-    mi = float(dist.masses @ d_sup)
-    if r is None:
-        r = own
-    else:
-        d_sup = _divergences_bits(w_sup, negent_sup, r)
-    d_grid = _divergences_bits(w_grid, negent_grid, r)
-    env = minimize_max_affine(
-        np.concatenate([d_grid, d_sup]),
-        np.concatenate([slopes, spec.power_constraint - dist.locations**2]),
-    )
-    return mi, env.gamma, env.value
+    own, d_sup, mi = _mass_point(dist.masses, w_sup, negent_sup)
+    lines = np.concatenate([slopes, spec.power_constraint - dist.locations**2])
+
+    def envelope(law, d_law):
+        d_grid = _divergences_bits(w_grid, negent_grid, law)
+        return minimize_max_affine(np.concatenate([d_grid, d_law]), lines)
+
+    gamma, bound = envelope(own, d_sup)
+    if bound - mi > tol:
+        for law in (last,) if best is last else (last, best):
+            env = envelope(law, _divergences_bits(w_sup, negent_sup, law))
+            if env.value < bound:
+                gamma, bound = env
+    return mi, gamma, bound
 
 
 def optimize_input_cutting_plane(
     spec: ChannelSpec,
     grid: GridConfig | None = None,
-    tol: float = 1e-4,
+    tol: float = _DEFAULT_TOL,
     initial_support=None,
 ) -> CapacityResult:
     """Capacity and an optimal input for a fixed quantizer via cutting planes.
@@ -612,17 +613,7 @@ def optimize_input_cutting_plane(
         seen.add(round_input)
 
     dist = _canonical_dist(xs[idx], p_cur, spec, 2.5 * spacing)
-    mi, gamma, bound = _certify(dist, spec, w, negent, slopes)
-    if bound - mi > tol:
-        # Pruning and fusion can leave dist's output law far from the loop's,
-        # and an unconverged loop's last law depends on where its cycle
-        # stopped; weak duality holds for any output law, so also certify
-        # the last round's law and that of the round with the lowest
-        # envelope, over the grid and dist's support, and keep the smallest.
-        for law in (r,) if best_r is r else (r, best_r):
-            _, law_gamma, law_bound = _certify(dist, spec, w, negent, slopes, r=law)
-            if law_bound < bound:
-                gamma, bound = law_gamma, law_bound
+    mi, gamma, bound = _certify(dist, spec, w, negent, slopes, tol, r, best_r)
     return CapacityResult(
         capacity=mi,
         dist=_scaled(dist, scale),
@@ -647,8 +638,9 @@ _KKT_MASS_FLOOR = 1e-10
 
 
 class _Polished(NamedTuple):
-    """Outcome of `_kkt_polish`: the input, its output law p W, its mutual
-    information in bits and the norm of the scaled KKT residual there."""
+    """Outcome of `_kkt_polish`: the input, its output law p W (floored at
+    _R_FLOOR), its mutual information in bits and the norm of the scaled KKT
+    residual there."""
 
     dist: InputDistribution
     law: np.ndarray
@@ -658,8 +650,9 @@ class _Polished(NamedTuple):
 
 class _Profile(NamedTuple):
     """The divergence profile of a support x with masses p under their own
-    output law r = p W (floored at _R_FLOOR): the rows w, d(x_i) and the
-    flow matrix, whose row sums are d'(x_i)."""
+    output law r = p W (floored at _R_FLOOR): the rows w, d(x_i), the flow
+    matrix, u = x / sqrt(P), the flow's row sums d'(x_i) and the rate
+    p @ d."""
 
     x: np.ndarray
     p: np.ndarray
@@ -667,24 +660,29 @@ class _Profile(NamedTuple):
     r: np.ndarray
     d: np.ndarray
     flow: np.ndarray
+    u: np.ndarray
+    slope: np.ndarray
+    rate: float
 
 
 def _profile(x, p, spec) -> _Profile:
     thr, sigma = spec.quantizer.thresholds, spec.sigma
     w = bin_probability_matrix(x, thr, sigma)
-    r = np.maximum(p @ w, _R_FLOOR)
+    law, d, rate = _mass_point(p, w, _row_negentropy_bits(w))
+    r = np.maximum(law, _R_FLOOR)
     flow = _flow_bits(x, thr, sigma, w, r)
-    return _Profile(x, p, w, r, _divergences_bits(w, _row_negentropy_bits(w), r), flow)
+    u = x / math.sqrt(spec.power_constraint)
+    return _Profile(x, p, w, r, d, flow, u, flow.sum(axis=1), rate)
 
 
 def _kkt_residual(prof, gamma, info, root_p):
     """The KKT conditions of `_kkt_polish` in the scaled unknowns u = x /
     sqrt(P) and gamma P: d(x_i) + gamma (P - x_i^2) - I, sqrt(P) (d'(x_i) -
     2 gamma x_i), sum(p) - 1 and (p @ x^2 - P) / P."""
-    u, p = prof.x / root_p, prof.p
+    u, p = prof.u, prof.p
     return np.concatenate((
         prof.d + gamma * (1.0 - u * u) - info,
-        root_p * prof.flow.sum(axis=1) - 2.0 * gamma * u,
+        root_p * prof.slope - 2.0 * gamma * u,
         (p.sum() - 1.0, p @ (u * u) - 1.0),
     ))
 
@@ -692,11 +690,11 @@ def _kkt_residual(prof, gamma, info, root_p):
 def _multipliers(prof, root_p):
     """(gamma P, I) that minimize the residual of the 2n profile conditions
     of `_kkt_residual` at a fixed support and masses."""
-    u = prof.x / root_p
+    u = prof.u
     n = u.size
     a = np.zeros((2 * n, 2))
     a[:n, 0], a[:n, 1], a[n:, 0] = 1.0 - u * u, -1.0, -2.0 * u
-    rhs = -np.concatenate((prof.d, root_p * prof.flow.sum(axis=1)))
+    rhs = -np.concatenate((prof.d, root_p * prof.slope))
     gamma, info = np.linalg.lstsq(a, rhs, rcond=None)[0]
     return float(gamma), float(info)
 
@@ -710,9 +708,8 @@ def _kkt_jacobian(prof, gamma, spec, root_p):
     x) / sigma.  Moving p_j or x_j moves r by W_j or p_j W'_j, which moves
     d(x_i) by -sum_k W_ik dr_k / (r_k ln 2) and d'(x_i) likewise with W'_i.
     """
-    x, p, w, r, flow = prof.x, prof.p, prof.w, prof.r, prof.flow
+    x, p, w, r, flow, u = prof.x, prof.p, prof.w, prof.r, prof.flow, prof.u
     sigma = spec.sigma
-    u = x / root_p
     n = x.size
     t = (np.asarray(spec.quantizer.thresholds)[None, :] - x[:, None]) / sigma
     # raising x moves mass dens_k across threshold k from bin k to bin k + 1
@@ -726,7 +723,7 @@ def _kkt_jacobian(prof, gamma, spec, root_p):
     diag = np.arange(n)
     jac = np.zeros((2 * n + 2, 2 * n + 2))
     jac[:n, :n] = -root_p * (a @ wp.T) * p
-    jac[diag, diag] += root_p * flow.sum(axis=1) - 2.0 * gamma * u
+    jac[diag, diag] += root_p * prof.slope - 2.0 * gamma * u
     jac[:n, n : 2 * n] = -(a @ w.T)
     jac[:n, 2 * n] = 1.0 - u * u
     jac[:n, 2 * n + 1] = -1.0
@@ -836,12 +833,11 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
         p = prof.p / prof.p.sum()
         scale = math.sqrt(spec.power_constraint / max(float(p @ prof.x**2), spec.power_constraint))
         prof = _support_masses(prof.x * scale, p, spec)
-    rate = float(prof.p @ prof.d)
-    if rate < float(start.p @ start.d):
-        prof, rate = start, float(start.p @ start.d)
+    if prof.rate < start.rate:
+        prof = start
     if norm > _KKT_TOL or prof is start:
         norm = float(np.linalg.norm(_kkt_residual(prof, *_multipliers(prof, root_p), root_p)))
-    return _Polished(InputDistribution(prof.x, prof.p), prof.p @ prof.w, rate, norm)
+    return _Polished(InputDistribution(prof.x, prof.p), prof.r, prof.rate, norm)
 
 
 def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None):
@@ -863,7 +859,7 @@ def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None)
         dist = optimize_input_cutting_plane(spec).dist
     else:
         dist = _scaled(result.dist, 1.0 / scale)
-    r = np.maximum(_kkt_polish(spec, dist).law, _R_FLOOR)
+    r = _kkt_polish(spec, dist).law
     out = OutputPmf(r / r.sum())
     return _certified_bound(spec, out), out
 

@@ -27,13 +27,14 @@ from .channel import (
     Quantizer,
     bin_probability_matrix,
     mutual_information,
-    _divergences_bits,
     _flow_bits,
+    _mass_point,
     _row_negentropy_bits,
 )
 from .optimize import (
     CapacityResult,
     GridConfig,
+    _DEFAULT_TOL,
     optimize_input_cutting_plane,
 )
 from .special import binary_entropy, gaussian_q
@@ -190,7 +191,7 @@ def optimize_quantizer_2bit(
     snr: float,
     *,
     noise_variance: float = 1.0,
-    tol: float = 1e-4,
+    tol: float = _DEFAULT_TOL,
 ) -> JointResult:
     """Best symmetric 2-bit quantizer {-q, 0, q} by threshold scan.
 
@@ -255,13 +256,13 @@ def two_bit_threshold_curve(snr: float, noise_variance: float) -> list:
 
     200 equispaced q over (0, 4 max(sqrt(P), sigma)], with no extension
     and no refinement; each input solve runs on the scan grid at the
-    optimizers' default tolerance 1e-4, seeded with the previous support.
+    optimizers' default tolerance, seeded with the previous support.
     """
     _check_snr(snr)
     power = snr * noise_variance
     scale = max(math.sqrt(power), math.sqrt(noise_variance))
     qs = np.linspace(0.0, _CURVE_SPAN * scale, _CURVE_POINTS + 1)[1:].tolist()
-    solves = _warm_solves(qs, power, noise_variance, 1e-4)
+    solves = _warm_solves(qs, power, noise_variance, _DEFAULT_TOL)
     return [(q, res.capacity) for q, res in zip(qs, solves)]
 
 
@@ -283,8 +284,7 @@ def _threshold_step(dist: InputDistribution, halves, sigma):
     def mi_and_grad(h):
         thr = np.concatenate([-h[::-1], [0.0], h])
         w = bin_probability_matrix(locs, thr, sigma)
-        r = masses @ w
-        mi = float(masses @ _divergences_bits(w, _row_negentropy_bits(w), r))
+        r, _, mi = _mass_point(masses, w, _row_negentropy_bits(w))
         grad = -(masses @ _flow_bits(locs, thr, sigma, w, r))
         # q_{+i} = h_i and q_{-i} = -h_i
         return mi, grad[n + 1:] - grad[n - 1::-1]
@@ -315,7 +315,7 @@ def optimize_quantizer_3bit_iterative(
     snr: float,
     *,
     noise_variance: float = 1.0,
-    tol: float = 1e-4,
+    tol: float = _DEFAULT_TOL,
 ) -> JointResult:
     """Alternating input/threshold optimization for symmetric 3-bit quantizers.
 
