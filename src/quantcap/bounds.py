@@ -115,11 +115,10 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
     if line_hi is None:
         return _degenerate_minimum(d, s, "failed to bracket the envelope minimum")
 
+    # line_lo always has a negative slope and line_hi a positive one
     for _ in range(_MAX_ROUNDS):
         sa, sb = s[line_lo], s[line_hi]
         da, db = d[line_lo], d[line_hi]
-        if sb <= sa:
-            break  # degenerate; fall through to the probe result below
         g_x = (da - db) / (sb - sa)
         g_x = min(max(g_x, lo), hi)
         m_x = probe(g_x)
@@ -144,11 +143,19 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
 def _degenerate_minimum(d, s, reason):
     """Envelope minimum when no line rises, or when bracketing fails.
 
-    A slope this small moves its line by less than a rounding unit of the
-    intercepts for every gamma up to 1/eps, so such slopes are taken as flat
-    and the search reruns.  With no rising line, the envelope falls until
-    every falling line is below the highest flat one, and stays there.
+    The slopes are first divided by the largest power of two not above their
+    largest magnitude, which is exact, and the search reruns, with gamma
+    scaled back: tiny slopes put the minimum beyond the bracket's reach of
+    4^200.  Then a slope that moves its line by less than a rounding unit of
+    the intercepts for every gamma up to 1/eps is taken as flat and the
+    search reruns.  With no rising line, the envelope falls until every
+    falling line is below the highest flat one, and stays there.
     """
+    top = float(np.max(np.abs(s)))
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+    if unit != 1.0:
+        found = minimize_max_affine(d, s / unit)
+        return EnvelopeMinimum(found.gamma / unit, found.value)
     tiny = (s != 0.0) & (np.abs(s) <= _FLAT_SLOPE * max(1.0, float(np.max(np.abs(d)))))
     if np.any(tiny):
         return minimize_max_affine(d, np.where(tiny, 0.0, s))

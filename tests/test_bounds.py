@@ -40,7 +40,7 @@ from quantcap.bounds import (
     _rounded_up,
 )
 from quantcap.channel import _divergences_bits, _row_negentropy_bits, bin_probability_matrix
-from quantcap.optimize import _kkt_polish
+from quantcap.optimize import _kkt_polish, _support_masses
 from quantcap.reference import REFERENCE_TABLES
 from quantcap.special import gaussian_q
 
@@ -133,6 +133,22 @@ class TestMinimizeMaxAffine:
         env = minimize_max_affine([0.0, 1.0], [0.0, -1.0])
         assert env.gamma == pytest.approx(1.0, abs=1e-12)
         assert env.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_first_probe_with_zero_in_the_subgradient_is_the_minimum(self):
+        # at gamma = 1 the falling line meets the flat one above the rising one
+        assert minimize_max_affine([1.0, 0.0, -5.0], [-1.0, 0.0, 1.0]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-150, 1e-300])
+    def test_tiny_slopes_are_rescaled_not_flattened(self, scale):
+        # past scale ~1e-121 the minimum lies beyond the bracket's 4^200, and
+        # the slopes used to be taken as flat: gamma 0, value 1.0
+        env = minimize_max_affine([1.0, 0.5, 0.2], [-scale, 0.0, 2.0 * scale])
+        assert env.gamma == pytest.approx(0.8 / 3.0 / scale, rel=1e-12)
+        assert env.value == pytest.approx(1.0 - 0.8 / 3.0, rel=1e-12)
+        # with no rising line the envelope falls until it meets the flat one
+        env = minimize_max_affine([1.0, 0.5], [-scale, 0.0])
+        assert env.gamma == pytest.approx(0.5 / scale, rel=1e-12)
+        assert env.value == pytest.approx(0.5, rel=1e-12)
 
     def test_rejects_nonincreasing_envelope(self):
         with pytest.raises(ValueError):
@@ -620,6 +636,14 @@ class TestDualityUpperBound:
         assert polished.rate >= result.capacity
         bound, _ = duality_upper_bound(spec, result)
         assert bound - polished.rate <= 1e-6
+
+    def test_support_outside_the_budget_gains_a_point_at_zero(self):
+        # +/-2 alone cannot meet P = 1, so the mass solve adds 0 and spends
+        # the budget with 1/8 at each of +/-2
+        spec = ChannelSpec(1.0, 1.0, Quantizer((-1.0, 0.0, 1.0)))
+        prof = _support_masses(np.array([-2.0, 2.0]), np.array([0.5, 0.5]), spec)
+        assert prof.x.tolist() == [-2.0, 0.0, 2.0]
+        np.testing.assert_allclose(prof.p, [0.125, 0.75, 0.125], atol=1e-12)
 
     def test_polish_of_a_flat_profile_is_no_worse(self):
         # K=4 at 35 dB: the profile is flat and the multiplier near 0, so

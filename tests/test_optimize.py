@@ -30,7 +30,7 @@ from quantcap import (
     optimize_input_cutting_plane,
 )
 from quantcap.channel import _row_negentropy_bits, bin_probability_matrix
-from quantcap.optimize import _optimal_masses_rows
+from quantcap.optimize import _feasible_start, _optimal_masses_rows
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 ONEBIT = Quantizer((0.0,))
@@ -264,6 +264,21 @@ class TestOptimalMasses:
         assert mi == pytest.approx(onebit_capacity(1.0), abs=1e-12)
         np.testing.assert_allclose(p, [0, 0, 0.5, 0, 0.5, 0, 0], atol=1e-12)
         assert p @ xs**2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_point_carries_all_mass_and_no_information(self):
+        w = bin_probability_matrix(np.array([0.5]), (0.0,), 1.0)
+        p, mi = _optimal_masses_rows(w, _row_negentropy_bits(w), np.array([0.25]), 1.0)
+        assert p.tolist() == [1.0] and mi == 0.0
+
+    def test_start_over_the_budget_by_rounding_alone_is_renormalized(self):
+        # both points sit within the budget, yet their masses spend it
+        # 1.8e-15 over, so the blend toward the points inside has no slope
+        # to follow and the restriction itself is the start
+        power, x = 13.981072187915954, 3.73912719600657
+        p = np.array([0.4449245312028365, 0.5550754687971636])
+        xsq = np.array([x * x, x * x])
+        assert np.all(xsq <= power) and p @ xsq > power
+        assert np.array_equal(_feasible_start(p, xsq, power), p / p.sum())
 
     def test_iteration_cap_raises(self, monkeypatch):
         from quantcap import optimize

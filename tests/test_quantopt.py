@@ -516,6 +516,16 @@ class TestSnrForSpectralEfficiency:
         assert len(curve.calls) == 30
         assert np.allclose(np.diff(curve.calls), 1.0)
 
+    def test_zero_slope_above_the_target_steps_down_one_db(self):
+        # the start already reaches the target, and with no slope to step
+        # by, the lower end is sought 1 dB down; bisection then closes on
+        # the step where the curve crosses the target, at start - 0.4 dB
+        start = round(10.0 * math.log10(3.0), 6)
+        curve = _Counted(lambda db: (1.1 if db >= start - 0.4 else 0.9, 0.0))
+        root = snr_for_spectral_efficiency(1.0, curve)
+        assert curve.calls[:2] == [start, round(start - 1.0, 6)]
+        assert start - 0.4 <= root < start - 0.39
+
     def test_one_bit_full_rate_infeasible(self):
         # the 1-bit ceiling is approached but never attained at finite SNR
         def never(db):
