@@ -33,16 +33,17 @@ The sets, one line per item, floats as float hex:
   output laws: those ``duality_upper_bound`` certifies for the Table I
   quantizer at -5 to 30 dB in 5-dB steps, the K=8 benchmark quantizer at
   -10, 0, 10 and 20 dB and the K=4 one at 30, 35 and 40 dB; and those of the
-  600 seed-11 ``capacity_sweep`` solves and of the ``fuzz`` draws, floored
-  and renormalized as ``duality_upper_bound`` does.  The law's label, the
-  last gamma ``minimize_max_affine`` returned inside the certificate, and
-  the certificate.
+  600 seed-11 ``capacity_sweep`` solves, floored and renormalized as
+  ``duality_upper_bound`` does.  The law's label, the last gamma
+  ``minimize_max_affine`` returned inside the certificate, and the
+  certificate.
 * ``fuzz``: 300 draws from ``numpy.random.default_rng(0)``, each three sorted
   half-thresholds from U(0.2, 20) and then an SNR from U(-5, 20) dB, solved
   for the symmetric 8-bin quantizer (-h3, -h2, -h1, 0, h1, h2, h3) at unit
   noise variance on a 501-point grid: the draw, its capacity and upper bound,
-  ``converged`` and the rounds, or the exception it raised; then the raised
-  and unconverged counts.
+  ``converged``, the rounds and the certificate of its law (as ``certs``
+  takes it), or the exception it raised; then the raised and unconverged
+  counts.  So a change that moves only the fuzz moves no ``certs`` line.
 * ``cli``: a fixed set of ``python -m quantcap.cli`` invocations covering
   every subcommand, its human text, ``--out -`` in CSV and in JSON-lines,
   the solver flags and usage errors: the arguments, stdout, stderr and the
@@ -225,33 +226,51 @@ def fuzz_specs():
         yield i, ChannelSpec.from_snr_db(snr_db, Quantizer(thresholds))
 
 
-def fuzz():
-    from quantcap import GridConfig, optimize_input_cutting_plane
+def own_law(spec, result):
+    """The output law of `result`'s input, floored and renormalized as
+    ``duality_upper_bound`` does."""
+    from quantcap import OutputPmf
+    from quantcap.channel import _R_FLOOR, bin_probability_matrix
 
-    start, grid = time.process_time(), GridConfig(point_count=FUZZ_POINTS)
+    w = bin_probability_matrix(result.dist.locations, spec.quantizer.thresholds, spec.sigma)
+    r = np.maximum(result.dist.masses @ w, _R_FLOOR)
+    return OutputPmf(r / r.sum())
+
+
+def fuzz():
+    from quantcap import GridConfig, bounds, optimize_input_cutting_plane
+
+    grid = GridConfig(point_count=FUZZ_POINTS)
     raised = unconverged = 0
+    solve_cpu = cert_cpu = 0.0
     for i, spec in fuzz_specs():
+        start = time.process_time()
         try:
             res = optimize_input_cutting_plane(spec, grid=grid)
         except Exception as exc:  # a raising draw is counted, not fatal
             raised += 1
             print(f"{i} raised {type(exc).__name__}: {exc}")
             continue
+        finally:
+            solve_cpu += time.process_time() - start
+        start = time.process_time()
+        cert = bounds._certified_bound(spec, own_law(spec, res))
+        cert_cpu += time.process_time() - start
         unconverged += not res.converged
         print(
             f"{i} {res.capacity.hex()} {res.upper_bound.hex()} "
-            f"{str(res.converged).lower()} {res.iterations}"
+            f"{str(res.converged).lower()} {res.iterations} {cert.hex()}"
         )
     print(f"raised {raised}")
     print(f"unconverged {unconverged}")
-    print(f"cpu_s {time.process_time() - start:.1f}", file=sys.stderr)
+    print(f"cpu_s {solve_cpu:.1f}", file=sys.stderr)
+    print(f"certificate cpu_s {cert_cpu:.2f}", file=sys.stderr)
 
 
 def certified_laws():
     """(group, label, spec, law) of every law the ``certs`` set certifies."""
     import workloads
-    from quantcap import BenchmarkScheme, ChannelSpec, GridConfig, OutputPmf, Quantizer, optimize
-    from quantcap.channel import _R_FLOOR, bin_probability_matrix
+    from quantcap import BenchmarkScheme, ChannelSpec, Quantizer, optimize
 
     table_i = Quantizer((-2.0, 0.0, 2.0))
     specs = [(f"tableI {db}", ChannelSpec.from_snr_db(db, table_i)) for db in range(-5, 31, 5)]
@@ -269,21 +288,10 @@ def certified_laws():
         for label, spec in specs:
             optimize.duality_upper_bound(spec)
 
-    def solved(group, label, spec, result):
-        w = bin_probability_matrix(result.dist.locations, spec.quantizer.thresholds, spec.sigma)
-        r = np.maximum(result.dist.masses @ w, _R_FLOOR)
-        laws.append((group, label, spec, OutputPmf(r / r.sum())))
-
     for i, (_, db, thr) in enumerate(workloads.sweep_inputs(SWEEP_SEED)):
         spec = ChannelSpec(1.0, 10.0 ** (db / 10.0), Quantizer(thr))
-        solved("sweep", f"sweep {i}", spec, optimize.optimize_input_cutting_plane(spec))
-    grid = GridConfig(point_count=FUZZ_POINTS)
-    for i, spec in fuzz_specs():
-        try:
-            result = optimize.optimize_input_cutting_plane(spec, grid=grid)
-        except Exception:  # a raising draw has no law; the fuzz set lists it
-            continue
-        solved("fuzz", f"fuzz {i}", spec, result)
+        law = own_law(spec, optimize.optimize_input_cutting_plane(spec))
+        laws.append(("sweep", f"sweep {i}", spec, law))
     return laws
 
 

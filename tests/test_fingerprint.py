@@ -1,10 +1,12 @@
-"""Tests for the two-tree comparison of scripts/fingerprint.py.
+"""Tests for scripts/fingerprint.py: the two-tree comparison, and which
+certificates the ``certs`` and ``fuzz`` sets print.
 
-The child processes are faked, so no set is probed and no solve runs."""
+The child processes and the solves are faked, so no solve runs."""
 
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,3 +66,47 @@ def test_unknown_set_is_a_usage_error(monkeypatch, capsys):
         fingerprint.main(["solves", "tables", *TREES])
     assert exit_.value.code == 2
     assert "invalid choice: 'tables'" in capsys.readouterr().err
+
+
+def test_certs_takes_no_fuzz_law(monkeypatch):
+    # the fuzz draws' certificates are on their fuzz lines, so a change that
+    # moves only the fuzz moves no certs line
+    from quantcap import optimize
+
+    def unreached():
+        raise AssertionError("certs must not solve the fuzz draws")
+
+    sweep = SimpleNamespace(sweep_inputs=lambda seed: [(None, 0.0, (0.0,))] * 2)
+    monkeypatch.setitem(sys.modules, "workloads", sweep)
+    monkeypatch.setattr(fingerprint, "fuzz_specs", unreached)
+    monkeypatch.setattr(fingerprint, "own_law", lambda spec, result: "law")
+    monkeypatch.setattr(optimize, "optimize_input_cutting_plane", lambda spec: None)
+    monkeypatch.setattr(
+        optimize, "duality_upper_bound", lambda spec: optimize._certified_bound(spec, "law")
+    )
+    groups = [group for group, *_ in fingerprint.certified_laws()]
+    assert groups == ["polished"] * 15 + ["sweep"] * 2
+
+
+def test_fuzz_line_carries_the_draws_certificate(monkeypatch, capsys):
+    import quantcap
+    from quantcap import bounds
+
+    solved = SimpleNamespace(capacity=1.0, upper_bound=1.5, converged=False, iterations=200)
+
+    def solve(spec, grid):
+        if spec == "bad":
+            raise ValueError("no feasible start")
+        return solved
+
+    monkeypatch.setattr(fingerprint, "fuzz_specs", lambda: enumerate(["good", "bad"]))
+    monkeypatch.setattr(fingerprint, "own_law", lambda spec, result: "law")
+    monkeypatch.setattr(quantcap, "optimize_input_cutting_plane", solve)
+    monkeypatch.setattr(bounds, "_certified_bound", lambda spec, law: 1.25)
+    fingerprint.fuzz()
+    assert capsys.readouterr().out.splitlines() == [
+        "0 0x1.0000000000000p+0 0x1.8000000000000p+0 false 200 0x1.4000000000000p+0",
+        "1 raised ValueError: no feasible start",
+        "raised 1",
+        "unconverged 1",
+    ]
