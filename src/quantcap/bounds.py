@@ -144,15 +144,14 @@ def _degenerate_minimum(d, s, reason):
     """Envelope minimum when no line rises, or when bracketing fails.
 
     The slopes are first divided by the largest power of two not above their
-    largest magnitude, which is exact, and the search reruns, with gamma
-    scaled back: tiny slopes put the minimum beyond the bracket's reach of
-    4^200.  Then a slope that moves its line by less than a rounding unit of
-    the intercepts for every gamma up to 1/eps is taken as flat and the
-    search reruns.  With no rising line, the envelope falls until every
-    falling line is below the highest flat one, and stays there.
+    largest magnitude, exactly short of underflow, and the search reruns
+    with gamma scaled back: tiny slopes put the minimum beyond the bracket's
+    reach of 4^200.  Only then is a slope that moves its line by less than a
+    rounding unit of the intercepts for every gamma up to 1/eps taken as
+    flat, and the search reruns.  With no rising line, the envelope falls
+    until every falling line is below the highest flat one, and stays there.
     """
-    top = float(np.max(np.abs(s)))
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(s))))[1] - 1)
     if unit != 1.0:
         found = minimize_max_affine(d, s / unit)
         return EnvelopeMinimum(found.gamma / unit, found.value)

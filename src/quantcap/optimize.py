@@ -484,15 +484,13 @@ def _certify(dist, spec, w_grid, negent_grid, slopes, tol, last, best):
 
     Returns (mi, gamma, bound): mi is the exact mutual information of `dist`,
     and bound = min over gamma of the max of d(x) + gamma (P - x^2) over the
-    grid plus dist's own (possibly off-grid) support, under dist's own
-    output law; bound - mi is then the worst KKT violation at the minimax
-    gamma.  Including the support keeps bound >= mi by weak duality, for any
-    output law, even after cluster merging moves points off the grid.
-    Pruning and fusion can leave dist's law far from the loop's, and an
-    unconverged loop's last law depends on where its cycle stopped, so when
-    bound - mi exceeds `tol` the loop's `last` law and its `best` (that of
-    the round with the lowest envelope) are certified too, and the smallest
-    bound is kept.  The support's rows are built once for all three.
+    grid plus dist's own (possibly off-grid) support, under dist's own law,
+    so that bound - mi is the worst KKT violation at the minimax gamma.  The
+    support keeps bound >= mi by weak duality, for any output law, even
+    after cluster merging moves points off the grid.  Pruning and fusion can
+    leave dist's law far from the loop's, so when bound - mi exceeds `tol`
+    the loop's `last` law and its `best` (of the round with the lowest
+    envelope) are certified too, and the smallest bound is kept.
     """
     w_sup = bin_probability_matrix(dist.locations, spec.quantizer.thresholds, spec.sigma)
     negent_sup = _row_negentropy_bits(w_sup)
