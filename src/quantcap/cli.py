@@ -28,7 +28,7 @@ import sys
 from contextlib import contextmanager
 
 from .channel import ChannelSpec, Quantizer
-from .optimize import GridConfig, duality_upper_bound, optimize_input_cutting_plane
+from .optimize import _DEFAULT_TOL, GridConfig, duality_upper_bound, optimize_input_cutting_plane
 from .quantopt import (
     BenchmarkScheme,
     benchmark_error_probability,
@@ -132,18 +132,6 @@ def _quantizer_for(args, snr_db: float) -> Quantizer:
     raise UsageError("a quantizer is required: --thresholds or --bits")
 
 
-def _solver_kwargs(args):
-    kw = {}
-    if args.grid_points is not None:
-        try:
-            kw["grid"] = GridConfig(point_count=args.grid_points)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    return kw
-
-
 #: what the manifest leaves out of the parsed arguments: the output
 #: destination and format never change the numbers, so reports stay
 #: byte-identical across them, and the SNRs are recorded resolved, not as
@@ -214,11 +202,14 @@ def _specs(args, snrs) -> dict:
 
 def cmd_capacity(args) -> int:
     snrs = _snr_values(args.snr_db, args.step)
-    kw = _solver_kwargs(args)
+    try:
+        grid = GridConfig(point_count=args.grid_points)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     specs = _specs(args, snrs)
 
     def cell(db):
-        res = optimize_input_cutting_plane(specs[db], **kw)
+        res = optimize_input_cutting_plane(specs[db], grid=grid, tol=args.tol)
         row = {
             "snr_db": db,
             "capacity": res.capacity,
@@ -270,12 +261,8 @@ def cmd_benchmark(args) -> int:
 def cmd_optimize_quantizer(args) -> int:
     def cell(db):
         snr = 10.0 ** (db / 10.0)
-        jr = (
-            optimize_quantizer_2bit if args.bits == 2 else optimize_quantizer_3bit_iterative
-        )(
-            snr,
-            noise_variance=args.sigma2,
-            **({"tol": args.tol} if args.tol is not None else {}),
+        jr = (optimize_quantizer_2bit if args.bits == 2 else optimize_quantizer_3bit_iterative)(
+            snr, noise_variance=args.sigma2, tol=args.tol
         )
         cr = jr.capacity_result
         row = {
@@ -404,8 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_snr_flags(sp)
     _add_sigma2_flag(sp)
     _add_quantizer_flags(sp)
-    sp.add_argument("--grid-points", type=int, help="input search grid size (odd)")
-    sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
+    sp.add_argument(
+        "--grid-points", type=int, default=GridConfig().point_count, help="input grid size (odd)"
+    )
+    sp.add_argument("--tol", type=_positive, default=_DEFAULT_TOL, help="convergence tolerance")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_capacity)
 
@@ -430,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_snr_flags(sp)
     _add_sigma2_flag(sp)
     sp.add_argument("--bits", type=int, choices=(2, 3), required=True)
-    sp.add_argument("--tol", type=_positive, help="optimizer convergence tolerance")
+    sp.add_argument("--tol", type=_positive, default=_DEFAULT_TOL, help="convergence tolerance")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_optimize_quantizer)
 

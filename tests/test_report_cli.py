@@ -648,6 +648,23 @@ def test_manifest_records_every_flag_given(capsys, argv):
         assert params["thresholds"] == [-1.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "argv, settings",
+    [
+        (["capacity", "--snr-db", "0", "--bits", "2"], {"tol": 1e-4, "grid_points": 2001}),
+        (["optimize-quantizer", "--snr-db", "0", "--bits", "2"], {"tol": 1e-4}),
+    ],
+    ids=["capacity", "optimize-quantizer"],
+)
+def test_manifest_records_the_solver_defaults(capsys, argv, settings):
+    # the defaults are the library's, so a manifest reruns the run exactly
+    # even where no solver flag is given
+    code, out, _ = run_cli(argv + ["--out", "-", "--format", "json"], capsys)
+    assert code == 0
+    params = json.loads(out.splitlines()[0])["manifest"]["parameters"]
+    assert {k: params[k] for k in settings} == settings
+
+
 class TestVerifyCommand:
     def test_convexity_passes(self, capsys):
         code, out, _ = run_cli(["verify", "convexity"], capsys)
