@@ -7,7 +7,8 @@ transition rows bin_probability_matrix, the mutual information, the one
 divergence kernel _divergences_bits, which every other module uses, and the
 one flow kernel _flow_bits, whose row sums are the divergence's input slope
 and whose weighted column sums are the threshold gradient of the mutual
-information, the one log ratio of adjacent bins _log_ratios_bits, which the
+information, the threshold Hessian _threshold_hessian_bits beside it, the
+one log ratio of adjacent bins _log_ratios_bits, which the
 flow kernel and the bound certificate share, and the one rate kernel
 _mass_point, which forms the output law p W, the divergences and the mutual
 information from rows the caller already holds.
@@ -275,6 +276,39 @@ def _flow_bits(x, thresholds, sigma, w, r):
     z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
     flow = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
     return flow * _log_ratios_bits(w, z, r)
+
+
+def _threshold_hessian_bits(x, p, thresholds, sigma, w, r, flow):
+    """Hessian in bits of the mutual information over the thresholds at the
+    fixed input (x, p), given its rows w, the output pmf r = p w and the
+    flow matrix of `_flow_bits`.
+
+    With t_ik = (q_k - x_i)/sigma, phi_ik = phi(t_ik)/sigma and g_k = sum_i
+    p_i phi_ik, the mass that q_k moves from bin k + 1 to bin k: raising q_k
+    scales phi_ik by -t_ik/sigma and moves Delta_ik through bins k and k + 1
+    of w and r, so H_kk = sum_i p_i [t_ik flow_ik/sigma + phi_ik^2 (1/w_ik +
+    1/w_i,k+1)/ln 2] - g_k^2 (1/r_k + 1/r_k+1)/ln 2, and q_k+1 moves it
+    through bin k + 1 alone, so H_k,k+1 = [g_k g_k+1/r_k+1 - sum_i p_i phi_ik
+    phi_i,k+1/w_i,k+1]/ln 2.  Thresholds further apart share no bin, so H is
+    tridiagonal.  1/w and 1/r are taken as 0 where w or r is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    t = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
+    phi = np.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * sigma)
+    # phi_ik / w_ik, phi_ik / w_i,k+1 and g_k / r_k, g_k / r_k+1 (0 where w or
+    # r is 0); as ratios they stay finite where w and r are subnormal
+    lo = np.divide(phi, w[:, :-1], out=np.zeros_like(phi), where=w[:, :-1] > 0.0)
+    hi = np.divide(phi, w[:, 1:], out=np.zeros_like(phi), where=w[:, 1:] > 0.0)
+    g = p @ phi
+    g_lo = np.divide(g, r[:-1], out=np.zeros_like(g), where=r[:-1] > 0.0)
+    g_hi = np.divide(g, r[1:], out=np.zeros_like(g), where=r[1:] > 0.0)
+    diag = p @ (t * flow) / sigma + (p @ (phi * (lo + hi)) - g * (g_lo + g_hi)) / LN2
+    off = (g[:-1] * g_lo[1:] - p @ (phi[:, :-1] * lo[:, 1:])) / LN2
+    m = diag.size
+    hess = np.zeros((m, m))
+    hess.flat[:: m + 1] = diag
+    hess.flat[1 :: m + 1] = hess.flat[m :: m + 1] = off
+    return hess
 
 
 def _mass_point(p, w, negent):

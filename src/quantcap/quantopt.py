@@ -9,7 +9,8 @@ Three layers:
   threshold q of a symmetric 2-bit quantizer, refined at its near-best
   peaks by scipy's bounded Brent search, the capacity curve C(q) over
   twice that span, and for 3-bit an alternation of input solves with a
-  quasi-Newton threshold step on the exact gradient at the fixed input;
+  damped Newton threshold step on the exact gradient and Hessian at the
+  fixed input;
 * the unquantized baseline, and the SNR at which a capacity reaches a
   target spectral efficiency, by Newton's method on the power multiplier.
 """
@@ -30,6 +31,7 @@ from .channel import (
     _flow_bits,
     _mass_point,
     _row_negentropy_bits,
+    _threshold_hessian_bits,
 )
 from .optimize import (
     CapacityResult,
@@ -60,9 +62,14 @@ _MIN_ROUND_GAIN = 1e-4
 _MAX_OUTER = 50
 
 # The threshold step's smallest gap between neighbouring half-thresholds,
-# in units of sigma, and its L-BFGS-B settings.
+# in units of sigma; its stop on |dMI/d gap|, in bits per sigma; its step
+# cap; how often it may halve one step; and MI's rounding error in bits.
 _MIN_GAP = 1e-6
-_STEP_OPTIONS = {"ftol": 0.0, "gtol": 1e-9, "maxiter": 200}
+_STEP_GTOL = 1e-9
+_STEP_MAX_ITER = 50
+_STEP_HALVINGS = 30
+_STEP_ROUNDING = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_k(k):
@@ -266,49 +273,89 @@ def two_bit_threshold_curve(snr: float, noise_variance: float) -> list:
     return [(q, res.capacity) for q, res in zip(qs, solves)]
 
 
-def _threshold_step(dist: InputDistribution, halves, sigma):
-    """Quasi-Newton ascent of MI over the positive half-thresholds h.
+def _newton_step(grad, hess, held, at_floor):
+    """Newton step of ascent on the gaps from MI's gradient and Hessian
+    there, zero on the `held` gaps and on each gap `at_floor` that it would
+    shrink.  Where minus the Hessian over the m other gaps is not positive
+    definite past rounding (lambda_min <= m eps |lambda_max|), it is shifted
+    by -lambda_min + 1e-3 |lambda_max|, relative to its own scale: far in
+    the tails (40 dB) the curvature is below 1e-3 bits per sigma^2."""
+    while True:
+        free = ~held
+        a = -hess[np.ix_(free, free)]
+        lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
+        if lo <= a.shape[0] * _EPS * abs(hi):
+            a[np.diag_indices_from(a)] += 1e-3 * abs(hi) - lo
+        step = np.zeros(grad.size)
+        step[free] = np.linalg.solve(a, grad[free])
+        shrink = at_floor & (step < 0.0)
+        if not np.any(shrink):
+            return step
+        held = held | shrink
 
-    The input is fixed.  L-BFGS-B runs on the gaps h_1, h_2 - h_1, ... in
-    units of sigma, bounded below by _MIN_GAP, so every iterate keeps the
-    order 0 < h_1 < h_2 < ...; each evaluation builds the transition rows
-    on the support once and takes the exact gradient, minus the
-    mass-weighted column sums of _flow_bits.  A result below the start
-    returns the start.
+
+def _threshold_step(dist: InputDistribution, halves, sigma):
+    """Damped Newton ascent of MI over the positive half-thresholds h.
+
+    The input is fixed.  Newton runs on the gaps h_1, h_2 - h_1, ... in
+    units of sigma, each kept >= _MIN_GAP, so every iterate keeps the order
+    0 < h_1 < h_2 < ....  Each evaluation builds the transition rows on the
+    support once, for MI and its exact gradient (minus the mass-weighted
+    column sums of _flow_bits) and Hessian (_threshold_hessian_bits),
+    carried onto the gaps by q_{+i} = h_i and q_{-i} = -h_i.  A gap at its
+    floor is held there where the gradient or the Newton step would shrink
+    it (`_newton_step`).
+    The step is cut to keep every gap at or above its floor, then halved, at
+    most _STEP_HALVINGS times, until it gains 1e-4 of its predicted gain; a
+    step whose predicted gain is below MI's rounding, _STEP_ROUNDING bits,
+    is taken if it loses no more than that.  The ascent stops when no free
+    gap has |dMI/d gap| above _STEP_GTOL bits per sigma, when no halving
+    gains, or after _STEP_MAX_ITER steps.  A result below the start returns
+    the start.
     """
     locs = dist.locations
     masses = dist.masses
     halves = np.asarray(halves, dtype=float)
     n = halves.size
+    # dq/d gaps: q_{+i} = h_i, q_{-i} = -h_i and h = sigma * cumsum(gaps)
+    fold = np.zeros((2 * n + 1, n))
+    fold[n + 1:] = sigma * np.tri(n)
+    fold[:n] = -fold[:n:-1]
 
-    def mi_and_grad(h):
+    def evaluate(h):
+        """(MI, dMI/d gaps, d2MI/d gaps2) at the half-thresholds h."""
         thr = np.concatenate([-h[::-1], [0.0], h])
         w = bin_probability_matrix(locs, thr, sigma)
         r, _, mi = _mass_point(masses, w, _row_negentropy_bits(w))
-        grad = -(masses @ _flow_bits(locs, thr, sigma, w, r))
-        # q_{+i} = h_i and q_{-i} = -h_i
-        return mi, grad[n + 1:] - grad[n - 1::-1]
+        flow = _flow_bits(locs, thr, sigma, w, r)
+        hess = _threshold_hessian_bits(locs, masses, thr, sigma, w, r, flow)
+        return mi, -(masses @ flow) @ fold, fold.T @ hess @ fold
 
-    def neg_mi(gaps):
-        # h_i is the sum of the first i gaps
-        mi, dh = mi_and_grad(sigma * np.cumsum(gaps))
-        return -mi, -sigma * np.cumsum(dh[::-1])[::-1]
-
-    # imported here: the capacity path must not load scipy.optimize
-    from scipy.optimize import minimize
-
-    res = minimize(
-        neg_mi,
-        np.diff(halves, prepend=0.0) / sigma,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(_MIN_GAP, None)] * n,
-        options=_STEP_OPTIONS,
-    )
-    # res.fun was evaluated at exactly these thresholds
-    if not -res.fun >= mi_and_grad(halves)[0]:
+    h, gaps = halves, np.diff(halves, prepend=0.0) / sigma
+    mi, grad, hess = start = evaluate(h)
+    for _ in range(_STEP_MAX_ITER):
+        at_floor = gaps <= _MIN_GAP
+        held = at_floor & (grad <= 0.0)
+        if np.all(np.abs(grad[~held]) <= _STEP_GTOL):
+            break
+        step = _newton_step(grad, hess, held, at_floor)
+        falling = step < 0.0
+        cut = float(np.min((gaps[falling] - _MIN_GAP) / -step[falling], initial=1.0))
+        gain = float(grad @ step)
+        for halving in range(_STEP_HALVINGS + 1):
+            t = cut * 0.5**halving
+            trial_gaps = np.maximum(gaps + t * step, _MIN_GAP)
+            trial_h = sigma * np.cumsum(trial_gaps)
+            trial = evaluate(trial_h)
+            rise = trial[0] - mi
+            if rise >= 1e-4 * t * gain or (t * gain <= _STEP_ROUNDING and rise >= -_STEP_ROUNDING):
+                break
+        else:
+            break
+        h, gaps, (mi, grad, hess) = trial_h, trial_gaps, trial
+    if not mi >= start[0]:
         return halves
-    return sigma * np.cumsum(res.x)
+    return h
 
 
 def optimize_quantizer_3bit_iterative(
@@ -321,9 +368,10 @@ def optimize_quantizer_3bit_iterative(
 
     Starting from the benchmark quantizer, repeats: optimize the input at the
     current quantizer, then raise the mutual information at that fixed input
-    over the three positive thresholds by L-BFGS-B on their ordered gaps,
-    with the exact threshold gradient, until its projected gradient is below
-    1e-9 bits per sigma (`_threshold_step`).  Stops when one round gains
+    over the three positive thresholds by damped Newton on their ordered
+    gaps, with the exact threshold gradient and Hessian, until its gradient
+    over the gaps not held at their floor is at most 1e-9 bits per sigma
+    (`_threshold_step`).  Stops when one round gains
     less than 1e-4 bits.  Each input solve is seeded with the previous
     support.  A round whose capacity falls below
     the previous round's is discarded with its quantizer and ends the

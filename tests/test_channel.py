@@ -26,6 +26,7 @@ from quantcap.channel import (
     _divergences_bits,
     _flow_bits,
     _row_negentropy_bits,
+    _threshold_hessian_bits,
     bin_probability_matrix,
 )
 from quantcap.optimize import _canonical_dist
@@ -388,6 +389,37 @@ class TestThresholdGradient:
                     2.0 * step
                 )
                 assert abs(got[k] - diff) <= 1e-8
+
+
+class TestThresholdHessian:
+    @pytest.mark.parametrize("bins", [2, 4, 5, 8])
+    def test_matches_central_differences_of_the_gradient(self, bins):
+        # random asymmetric thresholds and supports, sigma != 1
+        rng = _rng()
+        for _ in range(20):
+            sigma = rng.uniform(0.3, 3.0)
+            thr = np.sort(rng.normal(0.0, 2.0 * sigma, size=bins - 1))
+            while np.any(np.diff(thr) < 1e-2 * sigma):
+                thr = np.sort(rng.normal(0.0, 2.0 * sigma, size=bins - 1))
+            n = int(rng.integers(1, 12))
+            x = np.sort(rng.normal(0.0, 3.0 * sigma, size=n))
+            p = rng.dirichlet(np.ones(n))
+
+            def grad(q):
+                w = bin_probability_matrix(x, q, sigma)
+                return -(p @ _flow_bits(x, q, sigma, w, p @ w))
+
+            w = bin_probability_matrix(x, thr, sigma)
+            r = p @ w
+            got = _threshold_hessian_bits(x, p, thr, sigma, w, r, _flow_bits(x, thr, sigma, w, r))
+            step = 1e-5 * sigma
+            for k in range(bins - 1):
+                e = np.zeros(bins - 1)
+                e[k] = step
+                diff = (grad(thr + e) - grad(thr - e)) / (2.0 * step)
+                np.testing.assert_allclose(got[:, k], diff, rtol=0.0, atol=1e-8)
+            # thresholds that share no bin do not interact
+            assert np.array_equal(got, np.triu(np.tril(got, 1), -1))
 
 
 class TestDivergenceSlope:

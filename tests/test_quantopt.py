@@ -31,7 +31,13 @@ from quantcap import (
     unquantized_capacity,
 )
 from quantcap import quantopt
-from quantcap.channel import _divergences_bits, _row_negentropy_bits, bin_probability_matrix
+from quantcap.channel import (
+    _divergences_bits,
+    _flow_bits,
+    _row_negentropy_bits,
+    _threshold_hessian_bits,
+    bin_probability_matrix,
+)
 from quantcap.quantopt import _SCAN_GRID, _threshold_step
 from quantcap.tables import build_table, capacity_and_gamma
 
@@ -400,6 +406,105 @@ class TestThresholdStep:
                     assert best >= self._mi(dist, cand, sigma) - 1e-12
         # restarted at its own result, the step cannot lose either
         assert self._mi(dist, _threshold_step(dist, halves, sigma), sigma) >= best
+
+
+class TestThresholdStepBranches:
+    """Branches of the threshold step that the tables never take: a start
+    where MI is not concave in the gaps, an optimum that holds a gap at its
+    floor, and a Hessian singular to rounding.  The first two start from the
+    optimal input at the 0-dB benchmark quantizer with sigma = 1.5."""
+
+    SIGMA = 1.5
+
+    @pytest.fixture(scope="class")
+    def start(self):
+        quant = BenchmarkScheme.build(8, 1.0, self.SIGMA**2).quantizer
+        spec = ChannelSpec(self.SIGMA**2, self.SIGMA**2, quant)
+        dist = optimize_input_cutting_plane(spec, grid=_SCAN_GRID).dist
+        return dist, np.asarray(quant.thresholds[4:])
+
+    @staticmethod
+    def _half_hessian(dist, halves, sigma):
+        """d2MI/dh2, with q_{+i} = h_i and q_{-i} = -h_i; it has the inertia
+        of the Hessian over the gaps, a congruent matrix."""
+        thr = np.concatenate([-halves[::-1], [0.0], halves])
+        x, p = dist.locations, dist.masses
+        w = bin_probability_matrix(x, thr, sigma)
+        r = p @ w
+        hess = _threshold_hessian_bits(x, p, thr, sigma, w, r, _flow_bits(x, thr, sigma, w, r))
+        n = halves.size
+        up, dn = n + 1 + np.arange(n), n - 1 - np.arange(n)
+        return (
+            hess[np.ix_(up, up)] + hess[np.ix_(dn, dn)]
+            - hess[np.ix_(up, dn)] - hess[np.ix_(dn, up)]
+        )
+
+    @staticmethod
+    def _counted_step(monkeypatch, *args):
+        """The step's result and its evaluations, one row build each."""
+        calls = []
+        monkeypatch.setattr(
+            quantopt,
+            "bin_probability_matrix",
+            lambda *a: calls.append(None) or bin_probability_matrix(*a),
+        )
+        return _threshold_step(*args), len(calls)
+
+    def test_indefinite_start_reaches_the_benchmark_starts_optimum(self, start, monkeypatch):
+        dist, bench = start
+        far = 3.0 * bench
+        # MI is convex along some direction of the gaps at this start, so
+        # only the shifted Newton step ascends from it
+        assert np.linalg.eigvalsh(-self._half_hessian(dist, far, self.SIGMA))[0] < 0.0
+        expected = _threshold_step(dist, bench, self.SIGMA)
+        halves, evaluations = self._counted_step(monkeypatch, dist, far, self.SIGMA)
+        assert evaluations < quantopt._STEP_MAX_ITER
+        np.testing.assert_allclose(halves, expected, rtol=0.0, atol=1e-6 * self.SIGMA)
+        mi = TestThresholdStep._mi
+        assert mi(dist, halves, self.SIGMA) >= mi(dist, far, self.SIGMA)
+
+    def test_optimum_on_the_gap_floor_stops_with_the_held_gaps(self, start, monkeypatch):
+        dist, _ = start
+        floor = 0.5
+        monkeypatch.setattr(quantopt, "_MIN_GAP", floor)
+        first = np.array([1.0, 2.0, 3.0]) * 0.75 * self.SIGMA
+        halves, evaluations = self._counted_step(monkeypatch, dist, first, self.SIGMA)
+        gaps = np.diff(halves, prepend=0.0) / self.SIGMA
+        # the first two gaps would shrink below the floor, and the third is
+        # free; without projecting the held gaps out, the stop never comes
+        np.testing.assert_allclose(gaps[:2], floor, rtol=1e-12)
+        assert gaps[2] > 1.1 * floor
+        assert evaluations < quantopt._STEP_MAX_ITER
+        # no move of one gap by 1e-4 sigma that keeps the floor gains
+        mi = TestThresholdStep._mi
+        best = mi(dist, halves, self.SIGMA)
+        for i in range(gaps.size):
+            for delta in (1e-4, -1e-4):
+                cand = gaps.copy()
+                cand[i] += delta
+                if cand[i] >= floor:
+                    assert best >= mi(dist, self.SIGMA * np.cumsum(cand), self.SIGMA) - 1e-12
+
+    def test_singular_hessian_far_in_the_tails_converges(self):
+        # at 40 dB only the outermost threshold still moves MI, so minus the
+        # Hessian over the gaps has rank 1 and an eigenvalue of 0 to rounding
+        snr = 1e4
+        quant = BenchmarkScheme.build(8, snr).quantizer
+        dist = optimize_input_cutting_plane(ChannelSpec(1.0, snr, quant), grid=_SCAN_GRID).dist
+        start = np.asarray(quant.thresholds[4:])
+        eig = np.linalg.eigvalsh(-self._half_hessian(dist, start, 1.0))
+        assert abs(eig[0]) <= 1e-12 * eig[-1]
+        halves = _threshold_step(dist, start, 1.0)
+        mi = TestThresholdStep._mi
+        best = mi(dist, halves, 1.0)
+        assert best > mi(dist, start, 1.0)
+        # no move of one threshold by 1e-4 sigma that keeps the order gains
+        for i in range(halves.size):
+            for delta in (1e-4, -1e-4):
+                cand = halves.copy()
+                cand[i] += delta
+                if cand[0] > 0.0 and np.all(np.diff(cand) > 0.0):
+                    assert best >= mi(dist, cand, 1.0) - 1e-12
 
 
 class TestJointResultValidation:
