@@ -140,21 +140,33 @@ def minimize_max_affine(intercepts, slopes) -> EnvelopeMinimum:
     return EnvelopeMinimum(float(lo), probe(lo))
 
 
+def _power_of_two_below(v):
+    """The largest power of two not above max |v|, or 1 where v is all 0."""
+    top = float(np.max(np.abs(v)))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+
+
 def _degenerate_minimum(d, s, reason):
     """Envelope minimum when no line rises, or when bracketing fails.
 
     The slopes are first divided by the largest power of two not above their
-    largest magnitude, exactly short of underflow, and the search reruns
-    with gamma scaled back: tiny slopes put the minimum beyond the bracket's
-    reach of 4^200.  Only then is a slope that moves its line by less than a
-    rounding unit of the intercepts for every gamma up to 1/eps taken as
-    flat, and the search reruns.  With no rising line, the envelope falls
-    until every falling line is below the highest flat one, and stays there.
+    largest magnitude, and the search reruns with gamma scaled back; then
+    the intercepts likewise, with gamma and the value scaled back.  Both
+    divisions are exact short of underflow: tiny slopes, or intercepts far
+    larger than the slopes, put the minimum beyond the bracket's reach of
+    4^200.  Only then is a slope that moves its line by less than a rounding
+    unit of the intercepts for every gamma up to 1/eps taken as flat, and
+    the search reruns.  With no rising line, the envelope falls until every
+    falling line is below the highest flat one, and stays there.
     """
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(s))))[1] - 1)
+    unit = _power_of_two_below(s)
     if unit != 1.0:
         found = minimize_max_affine(d, s / unit)
         return EnvelopeMinimum(found.gamma / unit, found.value)
+    unit = _power_of_two_below(d)
+    if unit != 1.0:
+        found = minimize_max_affine(d / unit, s)
+        return EnvelopeMinimum(found.gamma * unit, found.value * unit)
     tiny = (s != 0.0) & (np.abs(s) <= _FLAT_SLOPE * max(1.0, float(np.max(np.abs(d)))))
     if np.any(tiny):
         return minimize_max_affine(d, np.where(tiny, 0.0, s))

@@ -150,6 +150,14 @@ class TestMinimizeMaxAffine:
         assert env.gamma == pytest.approx(0.5 / scale, rel=1e-12)
         assert env.value == pytest.approx(0.5, rel=1e-12)
 
+    def test_huge_intercepts_are_rescaled_not_flattened(self):
+        # the minimum at 5e129 lies beyond the bracket's 4^200, and against
+        # intercepts of 1e130 both slopes used to be taken as flat: gamma 0,
+        # value 1e130
+        env = minimize_max_affine([1e130, 0.0], [-1.0, 1.0])
+        assert env.gamma == pytest.approx(5e129, rel=1e-12)
+        assert env.value == pytest.approx(5e129, rel=1e-12)
+
     def test_rejects_nonincreasing_envelope(self):
         with pytest.raises(ValueError):
             minimize_max_affine([1.0, 2.0], [-1.0, -0.5])
