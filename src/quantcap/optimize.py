@@ -663,9 +663,11 @@ class _Profile(NamedTuple):
     rate: float
 
 
-def _profile(x, p, spec) -> _Profile:
+def _profile(x, p, spec, w=None) -> _Profile:
+    """The profile of x with masses p; w, when given, is x's rows."""
     thr, sigma = spec.quantizer.thresholds, spec.sigma
-    w = bin_probability_matrix(x, thr, sigma)
+    if w is None:
+        w = bin_probability_matrix(x, thr, sigma)
     law, d, rate = _mass_point(p, w, _row_negentropy_bits(w))
     r = np.maximum(law, _R_FLOOR)
     flow = _flow_bits(x, thr, sigma, w, r)
@@ -745,7 +747,8 @@ def _support_masses(x, p, spec):
     w = bin_probability_matrix(x, spec.quantizer.thresholds, spec.sigma)
     q, _ = _optimal_masses_rows(w, _row_negentropy_bits(w), x * x, spec.power_constraint, start=p)
     keep = q > 0.0
-    return _profile(x[keep], q[keep], spec)
+    # rows are elementwise in x, so the kept points' rows are those of w
+    return _profile(x[keep], q[keep], spec, w[keep])
 
 
 def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
