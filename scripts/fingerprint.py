@@ -3,13 +3,13 @@
     python3 scripts/fingerprint.py SET... [--src TREE [--src TREE]]
 
 SET is one of ``solves``, ``joint``, ``certs``, ``fuzz``, ``cli``, ``masses``,
-``envelope`` or ``all``; TREE is a directory holding the ``quantcap`` package
-(default: the ``src/`` next to this script).  Each set runs in each tree in
-its own child process (``bench_pairs.child_env``: BLAS on one thread,
-``SOURCE_DATE_EPOCH=0``) that imports only ``quantcap`` from the tree: the
-probe code, the benchmark inputs of ``perfbench/workloads.py`` and the fuzz
-draws come from this script's checkout, so every tree is probed by the same
-code.  What a set prints on stdout does not depend on the machine; CPU times
+``envelope``, ``steps`` or ``all``; TREE is a directory holding the
+``quantcap`` package (default: the ``src/`` next to this script).  Each set
+runs in each tree in its own child process (``bench_pairs.child_env``: BLAS
+on one thread, ``SOURCE_DATE_EPOCH=0``) that imports only ``quantcap`` from
+the tree: the probe code, the benchmark inputs of ``perfbench/workloads.py``
+and the fuzz draws come from this script's checkout, so every tree is probed
+by the same code.  What a set prints on stdout does not depend on the machine; CPU times
 and row counts go to stderr, each line prefixed with the set and the tree.
 
 With one tree, each set's stdout is passed through.  With two, each set
@@ -57,6 +57,10 @@ The sets, one line per item, floats as float hex:
   call from inside a call is part of it), recorded and replayed the same
   way: the call, the line count, gamma and the envelope value; then the call
   count.
+* ``steps``: every ``quantopt._threshold_step`` call of the benchmark's
+  fingerprint ``tables`` pass, recorded and replayed the same way: the call,
+  the half-thresholds it returns and their mutual information at the call's
+  input; then the call count.
 """
 
 from __future__ import annotations
@@ -97,10 +101,13 @@ FUZZ_POINTS = 501
 #: solves ``masses`` replays
 SWEEP_SEED = 11
 MASS_REPEAT = 15
-#: where ``masses`` and ``envelope`` keep their recorded calls, in the shared
-#: working directory
+#: the tables pass whose threshold steps ``steps`` replays
+TABLES_SEED = FINGERPRINT_SEEDS["tables"][0]
+#: where ``masses``, ``envelope`` and ``steps`` keep their recorded calls, in
+#: the shared working directory
 MASS_CALLS = "mass_calls.pkl"
 ENVELOPE_CALLS = "envelope_calls.pkl"
+STEP_CALLS = "step_calls.pkl"
 CLI_TABLES = ("I", "II", "III", "IV", "V")
 CLI_INVOCATIONS = (
     ["capacity", "--snr-db", "0..2", "--bits", "2"],
@@ -346,9 +353,9 @@ def cli():
         print(f"--- exit {done.returncode}")
 
 
-def recorded_calls(module, name, copy):
-    """copy(*args) of every outermost call of ``module.name`` in one sweep
-    pass; a call made from inside a call is part of that call."""
+def recorded_calls(module, name, copy, workload="capacity_sweep", seed=SWEEP_SEED):
+    """copy(*args) of every outermost call of ``module.name`` in one pass of
+    `workload`; a call made from inside a call is part of that call."""
     import workloads
 
     original, calls, depth = getattr(module, name), [], 0
@@ -364,7 +371,7 @@ def recorded_calls(module, name, copy):
             depth -= 1
 
     with rebound(module, name, recorded):
-        workloads.WORKLOADS["capacity_sweep"](SWEEP_SEED)
+        workloads.WORKLOADS[workload](seed)
     return calls
 
 
@@ -420,9 +427,27 @@ def envelope():
     print(f"calls {len(calls)}")
 
 
+def steps():
+    from quantcap import ChannelSpec, Quantizer, mutual_information, quantopt
+
+    calls, results = replayed(
+        STEP_CALLS,
+        lambda: recorded_calls(
+            quantopt, "_threshold_step", lambda dist, halves, sigma: (dist, np.array(halves), sigma),
+            "tables", TABLES_SEED,
+        ),
+        quantopt._threshold_step,
+    )
+    for i, ((dist, _, sigma), halves) in enumerate(zip(calls, results)):
+        thresholds = np.concatenate([-halves[::-1], [0.0], halves])
+        mi = mutual_information(dist, ChannelSpec(sigma * sigma, 1.0, Quantizer(thresholds)))
+        print(f"{i} {hexes(halves)} {float(mi).hex()}")
+    print(f"calls {len(calls)}")
+
+
 PROBES = {
     "solves": solves, "joint": joint, "certs": certs, "fuzz": fuzz, "cli": cli, "masses": masses,
-    "envelope": envelope,
+    "envelope": envelope, "steps": steps,
 }
 SETS = tuple(PROBES)
 

@@ -1,13 +1,16 @@
-"""Tests for scripts/fingerprint.py: the two-tree comparison, and which
-certificates the ``certs`` and ``fuzz`` sets print.
+"""Tests for scripts/fingerprint.py: the two-tree comparison, which
+certificates the ``certs`` and ``fuzz`` sets print, and what the ``steps``
+set replays.
 
-The child processes and the solves are faked, so no solve runs."""
+The child processes, the solves and the threshold steps are faked, so no
+solve runs."""
 
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -109,4 +112,28 @@ def test_fuzz_line_carries_the_draws_certificate(monkeypatch, capsys):
         "1 raised ValueError: no feasible start",
         "raised 1",
         "unconverged 1",
+    ]
+
+
+def test_steps_replays_the_tables_pass_threshold_steps(monkeypatch, tmp_path, capsys):
+    from quantcap import ChannelSpec, InputDistribution, Quantizer, mutual_information, quantopt
+
+    dist = InputDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    recorded = []
+
+    def record(module, name, copy, workload, seed):
+        recorded.append((module, name, workload, seed))
+        return [copy(dist, [0.5, 1.0, 1.5], 2.0)]
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fingerprint, "MASS_REPEAT", 2)
+    monkeypatch.setattr(fingerprint, "recorded_calls", record)
+    monkeypatch.setattr(quantopt, "_threshold_step", lambda d, halves, sigma: halves * 2.0)
+    fingerprint.steps()
+    thresholds = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+    mi = mutual_information(dist, ChannelSpec(4.0, 1.0, Quantizer(thresholds)))
+    assert recorded == [(quantopt, "_threshold_step", "tables", fingerprint.TABLES_SEED)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"0 0x1.0000000000000p+0,0x1.0000000000000p+1,0x1.8000000000000p+1 {mi.hex()}",
+        "calls 1",
     ]
