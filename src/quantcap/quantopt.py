@@ -277,15 +277,17 @@ def _newton_step(grad, hess, held, at_floor):
     """Newton step of ascent on the gaps from MI's gradient and Hessian
     there, zero on the `held` gaps and on each gap `at_floor` that it would
     shrink.  Where minus the Hessian over the m other gaps is not positive
-    definite past rounding (lambda_min <= m eps |lambda_max|), it is shifted
-    by -lambda_min + 1e-3 |lambda_max|, relative to its own scale: far in
-    the tails (40 dB) the curvature is below 1e-3 bits per sigma^2."""
+    definite past rounding (lambda_min <= m eps rho, with rho its largest
+    |lambda|), it is shifted by -lambda_min + 1e-3 rho, relative to its own
+    scale: far in the tails (40 dB) the curvature is below 1e-3 bits per
+    sigma^2."""
     while True:
         free = ~held
         a = -hess[np.ix_(free, free)]
         lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
-        if lo <= a.shape[0] * _EPS * abs(hi):
-            a[np.diag_indices_from(a)] += 1e-3 * abs(hi) - lo
+        scale = max(-lo, hi)
+        if lo <= a.shape[0] * _EPS * scale:
+            a[np.diag_indices_from(a)] += 1e-3 * scale - lo
         step = np.zeros(grad.size)
         step[free] = np.linalg.solve(a, grad[free])
         shrink = at_floor & (step < 0.0)
