@@ -409,10 +409,10 @@ class TestThresholdStep:
 
 
 class TestThresholdStepBranches:
-    """Branches of the threshold step that the tables never take: a start
-    where MI is not concave in the gaps, an optimum that holds a gap at its
-    floor, and a Hessian singular to rounding.  The first two start from the
-    optimal input at the 0-dB benchmark quantizer with sigma = 1.5."""
+    """Branches of the threshold step that the tables never take: starts
+    where MI is not concave, or convex, in the gaps, an optimum that holds a
+    gap at its floor, and a Hessian singular to rounding.  The fixture is
+    the optimal input at the 0-dB benchmark quantizer with sigma = 1.5."""
 
     SIGMA = 1.5
 
@@ -462,6 +462,21 @@ class TestThresholdStepBranches:
         np.testing.assert_allclose(halves, expected, rtol=0.0, atol=1e-6 * self.SIGMA)
         mi = TestThresholdStep._mi
         assert mi(dist, halves, self.SIGMA) >= mi(dist, far, self.SIGMA)
+
+    def test_convex_start_takes_bounded_steps(self):
+        # at five times the 10-dB benchmark thresholds MI is convex in the
+        # gaps, and minus the Hessian's eigenvalue nearest 0 is about -3e-64:
+        # a shift relative to it, not to the largest |eigenvalue|, sends the
+        # thresholds to where the flow's log ratios are not finite
+        quant = BenchmarkScheme.build(8, 10.0, self.SIGMA**2).quantizer
+        spec = ChannelSpec(self.SIGMA**2, 10.0 * self.SIGMA**2, quant)
+        dist = optimize_input_cutting_plane(spec, grid=_SCAN_GRID).dist
+        far = 5.0 * np.asarray(quant.thresholds[4:])
+        assert np.linalg.eigvalsh(-self._half_hessian(dist, far, self.SIGMA))[-1] <= 0.0
+        halves = _threshold_step(dist, far, self.SIGMA)
+        mi = TestThresholdStep._mi
+        assert np.all(np.diff(halves, prepend=0.0) >= quantopt._MIN_GAP * self.SIGMA)
+        assert mi(dist, halves, self.SIGMA) > mi(dist, far, self.SIGMA)
 
     def test_optimum_on_the_gap_floor_stops_with_the_held_gaps(self, start, monkeypatch):
         dist, _ = start
