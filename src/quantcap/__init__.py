@@ -25,8 +25,7 @@ from .quantopt import (
     benchmark_error_probability,
     benchmark_fano_lower_bound,
     benchmark_mutual_information,
-    optimize_quantizer_2bit,
-    optimize_quantizer_3bit_iterative,
+    optimize_quantizer,
     snr_for_spectral_efficiency,
     unquantized_capacity,
 )
@@ -64,8 +63,7 @@ __all__ = [
     "benchmark_mutual_information",
     "benchmark_error_probability",
     "benchmark_fano_lower_bound",
-    "optimize_quantizer_2bit",
-    "optimize_quantizer_3bit_iterative",
+    "optimize_quantizer",
     "unquantized_capacity",
     "snr_for_spectral_efficiency",
     "RunManifest",

@@ -4,14 +4,15 @@ The channel is Y = quantize(X + N) with N ~ Normal(0, noise_variance) and a
 quantizer described by its K-1 ascending thresholds.  Everything downstream
 (optimizers, bounds, reports) works through the types and kernels here: the
 transition rows bin_probability_matrix, the mutual information, the one
-divergence kernel _divergences_bits, which every other module uses, and the
-one flow kernel _flow_bits, whose row sums are the divergence's input slope
-and whose weighted column sums are the threshold gradient of the mutual
-information, the threshold Hessian _threshold_hessian_bits beside it, the
-one log ratio of adjacent bins _log_ratios_bits, which the
-flow kernel and the bound certificate share, and the one rate kernel
-_mass_point, which forms the output law p W, the divergences and the mutual
-information from rows the caller already holds.
+divergence kernel _divergences_bits, which every other module uses, the one
+log ratio of adjacent bins _log_ratios_bits, which the profile and the bound
+certificate share, the one rate kernel _mass_point, which forms the output
+law p W, the divergences and the mutual information from rows the caller
+already holds, and the one profile kernel _profile, the only place where a
+support's standardized thresholds, densities and flow are formed: the flow's
+row sums are the divergence's input slope and its weighted column sums the
+threshold gradient of the mutual information, and the threshold Hessian
+_threshold_hessian_bits and the KKT polish's Jacobian read the profile.
 
 All information quantities are in bits.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, xlogy
@@ -260,28 +262,58 @@ def _log_ratios_bits(w, t, r):
     return np.diff(log_w - np.log2(np.maximum(r, _R_FLOOR)), axis=1)
 
 
-def _flow_bits(x, thresholds, sigma, w, r):
-    """Flow matrix in bits per unit shift: entry (i, k) is
-    phi((q_k - x_i)/sigma)/sigma Delta_k(x_i), with Delta_k the log ratio of
-    adjacent bins of `_log_ratios_bits`, given the rows w of the inputs x and
-    an output pmf r.
+def _mass_point(p, w, negent):
+    """(R, d, I) at masses p on the rows w, in bits: the output law R = p W,
+    the divergence d_j = D(w_j || R) of every row and the mutual information
+    I = p @ d.  negent is _row_negentropy_bits(w)."""
+    r = p @ w
+    d = _divergences_bits(w, negent, r)
+    return r, d, float(p @ d)
 
-    Raising x_i by dx moves mass phi((q_k - x_i)/sigma)/sigma dx from bin k
-    to bin k+1 across each threshold q_k, so row i sums to
+
+class _Profile(NamedTuple):
+    """The divergence profile of a support x with masses p under their own
+    output law r = p W (floored at _R_FLOOR), in bits: the rows w, d(x_i),
+    the standardized thresholds t_ik = (q_k - x_i)/sigma, the densities
+    phi_ik = phi(t_ik)/sigma, the flow matrix phi_ik Delta_ik, its row sums
+    d'(x_i) and the rate p @ d."""
+
+    x: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    d: np.ndarray
+    t: np.ndarray
+    phi: np.ndarray
+    flow: np.ndarray
+    slope: np.ndarray
+    rate: float
+
+
+def _profile(x, p, thresholds, sigma, w=None) -> _Profile:
+    """The profile of the inputs x with masses p; w, when given, is x's rows.
+
+    Raising x_i by dx moves mass phi_ik dx from bin k to bin k+1 across each
+    threshold q_k, so the flow phi_ik Delta_ik, with Delta_ik the log ratio
+    of adjacent bins of `_log_ratios_bits`, has row sums
     d'(x_i) = dD(W(.|x_i) || r)/dx.  Raising q_k moves the same mass the
     other way, and at r = p w the terms from the change in r sum to zero, so
     -(p @ flow) is dI/dq_k at the input (x, p).
     """
     x = np.asarray(x, dtype=float)
-    z = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
-    flow = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sigma)
-    return flow * _log_ratios_bits(w, z, r)
+    if w is None:
+        w = bin_probability_matrix(x, thresholds, sigma)
+    law, d, rate = _mass_point(p, w, _row_negentropy_bits(w))
+    r = np.maximum(law, _R_FLOOR)
+    t = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
+    phi = np.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * sigma)
+    flow = phi * _log_ratios_bits(w, t, r)
+    return _Profile(x, p, w, r, d, t, phi, flow, flow.sum(axis=1), rate)
 
 
-def _threshold_hessian_bits(x, p, thresholds, sigma, w, r, flow):
+def _threshold_hessian_bits(prof, sigma):
     """Hessian in bits of the mutual information over the thresholds at the
-    fixed input (x, p), given its rows w, the output pmf r = p w and the
-    flow matrix of `_flow_bits`.
+    fixed input of the profile `prof` (see `_profile`).
 
     With t_ik = (q_k - x_i)/sigma, phi_ik = phi(t_ik)/sigma and g_k = sum_i
     p_i phi_ik, the mass that q_k moves from bin k + 1 to bin k: raising q_k
@@ -290,34 +322,22 @@ def _threshold_hessian_bits(x, p, thresholds, sigma, w, r, flow):
     1/w_i,k+1)/ln 2] - g_k^2 (1/r_k + 1/r_k+1)/ln 2, and q_k+1 moves it
     through bin k + 1 alone, so H_k,k+1 = [g_k g_k+1/r_k+1 - sum_i p_i phi_ik
     phi_i,k+1/w_i,k+1]/ln 2.  Thresholds further apart share no bin, so H is
-    tridiagonal.  1/w and 1/r are taken as 0 where w or r is 0.
+    tridiagonal.  1/w is taken as 0 where w is 0.
     """
-    x = np.asarray(x, dtype=float)
-    t = (np.asarray(thresholds, dtype=float)[None, :] - x[:, None]) / sigma
-    phi = np.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * sigma)
-    # phi_ik / w_ik, phi_ik / w_i,k+1 and g_k / r_k, g_k / r_k+1 (0 where w or
-    # r is 0); as ratios they stay finite where w and r are subnormal
+    p, w, r, t, phi = prof.p, prof.w, prof.r, prof.t, prof.phi
+    # phi_ik / w_ik and phi_ik / w_i,k+1 (0 where w is 0), and g_k / r_k and
+    # g_k / r_k+1; as ratios they stay finite where w is subnormal
     lo = np.divide(phi, w[:, :-1], out=np.zeros_like(phi), where=w[:, :-1] > 0.0)
     hi = np.divide(phi, w[:, 1:], out=np.zeros_like(phi), where=w[:, 1:] > 0.0)
     g = p @ phi
-    g_lo = np.divide(g, r[:-1], out=np.zeros_like(g), where=r[:-1] > 0.0)
-    g_hi = np.divide(g, r[1:], out=np.zeros_like(g), where=r[1:] > 0.0)
-    diag = p @ (t * flow) / sigma + (p @ (phi * (lo + hi)) - g * (g_lo + g_hi)) / LN2
+    g_lo, g_hi = g / r[:-1], g / r[1:]
+    diag = p @ (t * prof.flow) / sigma + (p @ (phi * (lo + hi)) - g * (g_lo + g_hi)) / LN2
     off = (g[:-1] * g_lo[1:] - p @ (phi[:, :-1] * lo[:, 1:])) / LN2
     m = diag.size
     hess = np.zeros((m, m))
     hess.flat[:: m + 1] = diag
     hess.flat[1 :: m + 1] = hess.flat[m :: m + 1] = off
     return hess
-
-
-def _mass_point(p, w, negent):
-    """(R, d, I) at masses p on the rows w, in bits: the output law R = p W,
-    the divergence d_j = D(w_j || R) of every row and the mutual information
-    I = p @ d.  negent is _row_negentropy_bits(w)."""
-    r = p @ w
-    d = _divergences_bits(w, negent, r)
-    return r, d, float(p @ d)
 
 
 def mutual_information(dist: InputDistribution, spec: ChannelSpec) -> float:

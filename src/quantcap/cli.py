@@ -34,8 +34,7 @@ from .quantopt import (
     benchmark_error_probability,
     benchmark_fano_lower_bound,
     benchmark_mutual_information,
-    optimize_quantizer_2bit,
-    optimize_quantizer_3bit_iterative,
+    optimize_quantizer,
     two_bit_threshold_curve,
 )
 from .report import RunManifest, render_report
@@ -261,9 +260,7 @@ def cmd_benchmark(args) -> int:
 def cmd_optimize_quantizer(args) -> int:
     def cell(db):
         snr = 10.0 ** (db / 10.0)
-        jr = (optimize_quantizer_2bit if args.bits == 2 else optimize_quantizer_3bit_iterative)(
-            snr, noise_variance=args.sigma2, tol=args.tol
-        )
+        jr = optimize_quantizer(snr, 2**args.bits, noise_variance=args.sigma2, tol=args.tol)
         cr = jr.capacity_result
         row = {
             "snr_db": db,

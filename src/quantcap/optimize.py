@@ -14,14 +14,15 @@ Two independent routes to the same optimum:
 
 The bound path, `duality_upper_bound`, moves the cutting plane's support
 over continuous x by Newton on the optimality conditions of a finite input
-(`_kkt_polish`) and certifies the output law it reaches.
+(`_kkt_polish`) and certifies the output law it reaches.  Each polish step
+evaluates `channel._profile`, whose densities and flow give both the
+conditions and their Jacobian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dposv
@@ -35,8 +36,8 @@ from .channel import (
     Quantizer,
     _R_FLOOR,
     _divergences_bits,
-    _flow_bits,
     _mass_point,
+    _profile,
     _row_negentropy_bits,
     bin_probability_matrix,
 )
@@ -635,51 +636,11 @@ _KKT_MAX_STEPS = 30
 _KKT_MASS_FLOOR = 1e-10
 
 
-class _Polished(NamedTuple):
-    """Outcome of `_kkt_polish`: the input, its output law p W (floored at
-    _R_FLOOR), its mutual information in bits and the norm of the scaled KKT
-    residual there."""
-
-    dist: InputDistribution
-    law: np.ndarray
-    rate: float
-    residual: float
-
-
-class _Profile(NamedTuple):
-    """The divergence profile of a support x with masses p under their own
-    output law r = p W (floored at _R_FLOOR): the rows w, d(x_i), the flow
-    matrix, u = x / sqrt(P), the flow's row sums d'(x_i) and the rate
-    p @ d."""
-
-    x: np.ndarray
-    p: np.ndarray
-    w: np.ndarray
-    r: np.ndarray
-    d: np.ndarray
-    flow: np.ndarray
-    u: np.ndarray
-    slope: np.ndarray
-    rate: float
-
-
-def _profile(x, p, spec, w=None) -> _Profile:
-    """The profile of x with masses p; w, when given, is x's rows."""
-    thr, sigma = spec.quantizer.thresholds, spec.sigma
-    if w is None:
-        w = bin_probability_matrix(x, thr, sigma)
-    law, d, rate = _mass_point(p, w, _row_negentropy_bits(w))
-    r = np.maximum(law, _R_FLOOR)
-    flow = _flow_bits(x, thr, sigma, w, r)
-    u = x / math.sqrt(spec.power_constraint)
-    return _Profile(x, p, w, r, d, flow, u, flow.sum(axis=1), rate)
-
-
 def _kkt_residual(prof, gamma, info, root_p):
     """The KKT conditions of `_kkt_polish` in the scaled unknowns u = x /
     sqrt(P) and gamma P: d(x_i) + gamma (P - x_i^2) - I, sqrt(P) (d'(x_i) -
     2 gamma x_i), sum(p) - 1 and (p @ x^2 - P) / P."""
-    u, p = prof.u, prof.p
+    u, p = prof.x / root_p, prof.p
     return np.concatenate((
         prof.d + gamma * (1.0 - u * u) - info,
         root_p * prof.slope - 2.0 * gamma * u,
@@ -690,7 +651,7 @@ def _kkt_residual(prof, gamma, info, root_p):
 def _multipliers(prof, root_p):
     """(gamma P, I) that minimize the residual of the 2n profile conditions
     of `_kkt_residual` at a fixed support and masses."""
-    u = prof.u
+    u = prof.x / root_p
     n = u.size
     a = np.zeros((2 * n, 2))
     a[:n, 0], a[:n, 1], a[n:, 0] = 1.0 - u * u, -1.0, -2.0 * u
@@ -699,24 +660,23 @@ def _multipliers(prof, root_p):
     return float(gamma), float(info)
 
 
-def _kkt_jacobian(prof, gamma, spec, root_p):
-    """Jacobian of `_kkt_residual` in (u, p, gamma P, I).
+def _kkt_jacobian(prof, gamma, sigma, root_p):
+    """Jacobian of `_kkt_residual` in (u, p, gamma P, I), from the profile's
+    standardized thresholds t and densities phi.
 
     With W' = dW/dx, d' = sum_k W'_k log2(W_k / r_k) and d'' = sum_k W''_k
     log2(W_k / r_k) + sum_k W'_k^2 / (W_k ln 2); summed by parts, the first
-    term of d'' is the flow matrix weighted by t_k / sigma, t_k = (q_k -
-    x) / sigma.  Moving p_j or x_j moves r by W_j or p_j W'_j, which moves
-    d(x_i) by -sum_k W_ik dr_k / (r_k ln 2) and d'(x_i) likewise with W'_i.
+    term of d'' is the flow matrix weighted by t_k / sigma.  Moving p_j or
+    x_j moves r by W_j or p_j W'_j, which moves d(x_i) by -sum_k W_ik dr_k /
+    (r_k ln 2) and d'(x_i) likewise with W'_i.
     """
-    x, p, w, r, flow, u = prof.x, prof.p, prof.w, prof.r, prof.flow, prof.u
-    sigma = spec.sigma
+    x, p, w, r, t, flow = prof.x, prof.p, prof.w, prof.r, prof.t, prof.flow
     n = x.size
-    t = (np.asarray(spec.quantizer.thresholds)[None, :] - x[:, None]) / sigma
-    # raising x moves mass dens_k across threshold k from bin k to bin k + 1
-    dens = np.exp(-0.5 * t * t) / (math.sqrt(2.0 * math.pi) * sigma)
+    u = x / root_p
+    # raising x moves mass phi_k across threshold k from bin k to bin k + 1
     wp = np.zeros_like(w)
-    wp[:, 1:] += dens
-    wp[:, :-1] -= dens
+    wp[:, 1:] += prof.phi
+    wp[:, :-1] -= prof.phi
     fisher = np.divide(wp * wp, w, out=np.zeros_like(w), where=w > 0.0).sum(axis=1)
     curve = (t / sigma * flow).sum(axis=1) + fisher / LN2
     a, b = w / (r * LN2), wp / (r * LN2)
@@ -748,10 +708,10 @@ def _support_masses(x, p, spec):
     q, _ = _optimal_masses_rows(w, _row_negentropy_bits(w), x * x, spec.power_constraint, start=p)
     keep = q > 0.0
     # rows are elementwise in x, so the kept points' rows are those of w
-    return _profile(x[keep], q[keep], spec, w[keep])
+    return _profile(x[keep], q[keep], spec.quantizer.thresholds, spec.sigma, w[keep])
 
 
-def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
+def _kkt_polish(spec: ChannelSpec, dist: InputDistribution):
     """Polish the support of the cutting-plane optimum `dist` over
     continuous x, by damped Newton on the optimality conditions of a finite
     input (Smith; Huang & Meyn).  By the K+1 theorem an optimal input has
@@ -778,11 +738,15 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
     lowers the residual, or after _KKT_MAX_STEPS steps, the mass solve takes
     the support as it stands.  The returned input is never below the
     start's mutual information: if it would be, the start is returned.
+
+    Returns the `channel._profile` of the input it reaches and the norm of
+    the scaled KKT residual there.
     """
     root_p = math.sqrt(spec.power_constraint)
+    thr, sigma = spec.quantizer.thresholds, spec.sigma
     keep = dist.masses > _KKT_MASS_FLOOR
     p = dist.masses[keep]
-    start = prof = _profile(dist.locations[keep], p / p.sum(), spec)
+    start = prof = _profile(dist.locations[keep], p / p.sum(), thr, sigma)
     restart, norm = True, math.inf
     for _ in range(_KKT_MAX_STEPS):
         if restart:
@@ -794,7 +758,7 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
             break
         n = prof.x.size
         try:
-            step = np.linalg.solve(_kkt_jacobian(prof, gamma, spec, root_p), -res)
+            step = np.linalg.solve(_kkt_jacobian(prof, gamma, sigma, root_p), -res)
         except np.linalg.LinAlgError:
             break
         x, p = prof.x, prof.p
@@ -808,7 +772,7 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
             # with no point strictly inside the budget the mass solve can
             # only pin the masses, so Newton moves x instead
             inside = np.any(x * x < (1.0 - _RANK_RTOL) * spec.power_constraint)
-            prof = _support_masses(x, p, spec) if inside else _profile(x, p, spec)
+            prof = _support_masses(x, p, spec) if inside else _profile(x, p, thr, sigma)
             restart = True
             continue
         # a step that would reorder adjacent points stops halfway to the
@@ -818,7 +782,7 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
         limit = 0.5 * float(np.min(gap[cross] / closing[cross])) if np.any(cross) else 1.0
         for halving in range(_KKT_HALVINGS + 1):
             t = limit * 0.5**halving
-            trial = _profile(x + t * dx, p + t * dp, spec)
+            trial = _profile(x + t * dx, p + t * dp, thr, sigma)
             trial_gamma, trial_info = gamma + t * step[2 * n], info + t * step[2 * n + 1]
             trial_res = _kkt_residual(trial, trial_gamma, trial_info, root_p)
             trial_norm = float(np.linalg.norm(trial_res))
@@ -838,7 +802,7 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution) -> _Polished:
         prof = start
     if norm > _KKT_TOL or prof is start:
         norm = float(np.linalg.norm(_kkt_residual(prof, *_multipliers(prof, root_p), root_p)))
-    return _Polished(InputDistribution(prof.x, prof.p), prof.r, prof.rate, norm)
+    return prof, norm
 
 
 def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None):
@@ -860,7 +824,7 @@ def duality_upper_bound(spec: ChannelSpec, result: CapacityResult | None = None)
         dist = optimize_input_cutting_plane(spec).dist
     else:
         dist = _scaled(result.dist, 1.0 / scale)
-    r = _kkt_polish(spec, dist).law
+    r = _kkt_polish(spec, dist)[0].r
     out = OutputPmf(r / r.sum())
     return _certified_bound(spec, out), out
 

@@ -10,7 +10,9 @@ Three layers:
   peaks by scipy's bounded Brent search, the capacity curve C(q) over
   twice that span, and for 3-bit an alternation of input solves with a
   damped Newton threshold step on the exact gradient and Hessian at the
-  fixed input;
+  fixed input, read from `channel._profile`; `optimize_quantizer(snr,
+  bins)` is the one entry that picks the search by bin count, and one
+  `_solve` runs every input solve of both searches;
 * the unquantized baseline, and the SNR at which a capacity reaches a
   target spectral efficiency, by Newton's method on the power multiplier.
 """
@@ -26,11 +28,8 @@ from .channel import (
     ChannelSpec,
     InputDistribution,
     Quantizer,
-    bin_probability_matrix,
     mutual_information,
-    _flow_bits,
-    _mass_point,
-    _row_negentropy_bits,
+    _profile,
     _threshold_hessian_bits,
 )
 from .optimize import (
@@ -178,18 +177,26 @@ class JointResult:
         return "\n".join(lines) + "\n" + self.capacity_result.to_text()
 
 
-def _solve_q(q, power, noise_variance, tol, seed):
-    """Input solve of the symmetric 2-bit quantizer {-q, 0, q} on the scan grid."""
-    spec = ChannelSpec(noise_variance, power, Quantizer((-q, 0.0, q)))
-    return optimize_input_cutting_plane(
-        spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
-    )
+def _thresholds(halves):
+    """The symmetric thresholds -h[::-1], 0, h of the positive
+    half-thresholds h, as an array."""
+    h = np.asarray(halves, dtype=float)
+    return np.concatenate([-h[::-1], [0.0], h])
+
+
+def _solve(halves, power, noise_variance, tol, seed, grid=_SCAN_GRID):
+    """Input solve of the symmetric quantizer with the positive
+    half-thresholds `halves`, seeded with the support `seed`; a grid of
+    None is the default grid."""
+    spec = ChannelSpec(noise_variance, power, Quantizer(tuple(_thresholds(halves))))
+    return optimize_input_cutting_plane(spec, grid=grid, tol=tol, initial_support=seed)
 
 
 def _warm_solves(qs, power, noise_variance, tol, seed=None):
-    """_solve_q at each q in turn, each seeded with the previous support."""
+    """The solve of {-q, 0, q} at each q in turn, each seeded with the
+    previous support."""
     for q in qs:
-        res = _solve_q(q, power, noise_variance, tol, seed)
+        res = _solve([q], power, noise_variance, tol, seed)
         seed = res.dist.locations
         yield res
 
@@ -240,7 +247,7 @@ def optimize_quantizer_2bit(
         lo = qs[i - 1] if i > 0 else 0.5 * qs[0]
         hi = qs[i + 1] if i + 1 < len(qs) else qs[i] + step
         peak = minimize_scalar(
-            lambda q: -_solve_q(q, power, noise_variance, tol, seeds[i]).capacity,
+            lambda q: -_solve([q], power, noise_variance, tol, seeds[i]).capacity,
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": 1e-3 * scale},
@@ -251,11 +258,9 @@ def optimize_quantizer_2bit(
         if cap_peak > cap_star:
             q_star, cap_star, best_seed = q_peak, cap_peak, seeds[i]
 
-    spec = ChannelSpec(noise_variance, power, Quantizer((-q_star, 0.0, q_star)))
-    final = optimize_input_cutting_plane(spec, tol=tol, initial_support=best_seed)
-    return JointResult(
-        quantizer=spec.quantizer, capacity_result=final, trace=(final.capacity,)
-    )
+    final = _solve([q_star], power, noise_variance, tol, best_seed, grid=None)
+    quant = Quantizer(tuple(_thresholds([q_star])))
+    return JointResult(quantizer=quant, capacity_result=final, trace=(final.capacity,))
 
 
 def two_bit_threshold_curve(snr: float, noise_variance: float) -> list:
@@ -301,12 +306,12 @@ def _threshold_step(dist: InputDistribution, halves, sigma):
 
     The input is fixed.  Newton runs on the gaps h_1, h_2 - h_1, ... in
     units of sigma, each kept >= _MIN_GAP, so every iterate keeps the order
-    0 < h_1 < h_2 < ....  Each evaluation builds the transition rows on the
-    support once, for MI and its exact gradient (minus the mass-weighted
-    column sums of _flow_bits) and Hessian (_threshold_hessian_bits),
-    carried onto the gaps by q_{+i} = h_i and q_{-i} = -h_i.  A gap at its
-    floor is held there where the gradient or the Newton step would shrink
-    it (`_newton_step`).
+    0 < h_1 < h_2 < ....  Each evaluation forms the support's profile once
+    (`channel._profile`), for MI and its exact gradient (minus the
+    mass-weighted column sums of the profile's flow) and Hessian
+    (`_threshold_hessian_bits`), carried onto the gaps by q_{+i} = h_i and
+    q_{-i} = -h_i.  A gap at its floor is held there where the gradient or
+    the Newton step would shrink it (`_newton_step`).
     The step is cut to keep every gap at or above its floor, then halved, at
     most _STEP_HALVINGS times, until it gains 1e-4 of its predicted gain; a
     step whose predicted gain is below MI's rounding, _STEP_ROUNDING bits,
@@ -326,12 +331,9 @@ def _threshold_step(dist: InputDistribution, halves, sigma):
 
     def evaluate(h):
         """(MI, dMI/d gaps, d2MI/d gaps2) at the half-thresholds h."""
-        thr = np.concatenate([-h[::-1], [0.0], h])
-        w = bin_probability_matrix(locs, thr, sigma)
-        r, _, mi = _mass_point(masses, w, _row_negentropy_bits(w))
-        flow = _flow_bits(locs, thr, sigma, w, r)
-        hess = _threshold_hessian_bits(locs, masses, thr, sigma, w, r, flow)
-        return mi, -(masses @ flow) @ fold, fold.T @ hess @ fold
+        prof = _profile(locs, masses, _thresholds(h), sigma)
+        hess = _threshold_hessian_bits(prof, sigma)
+        return prof.rate, -(masses @ prof.flow) @ fold, fold.T @ hess @ fold
 
     h, gaps = halves, np.diff(halves, prepend=0.0) / sigma
     mi, grad, hess = start = evaluate(h)
@@ -383,33 +385,49 @@ def optimize_quantizer_3bit_iterative(
     _check_snr(snr)
     sigma = math.sqrt(noise_variance)
     power = snr * noise_variance
-    quant = BenchmarkScheme.build(8, snr, noise_variance).quantizer
-    halves = np.asarray(quant.thresholds[4:])
+    halves = np.asarray(BenchmarkScheme.build(8, snr, noise_variance).quantizer.thresholds[4:])
 
     trace = []
     seed = None
     for _ in range(_MAX_OUTER):
-        spec = ChannelSpec(noise_variance, power, quant)
-        res = optimize_input_cutting_plane(
-            spec, grid=_SCAN_GRID, tol=tol, initial_support=seed
-        )
+        res = _solve(halves, power, noise_variance, tol, seed)
         if trace and res.capacity < trace[-1]:
             # Each inner solve is certified only to `tol` and is seeded with a
             # grid-snapped support, so a round can lose up to about `tol`:
             # discard it and keep the previous round's quantizer and seed.
-            quant, seed = prev_quant, prev_seed
+            halves, seed = prev_halves, prev_seed
             break
         trace.append(res.capacity)
         seed = res.dist.locations
         if len(trace) >= 2 and trace[-1] - trace[-2] < _MIN_ROUND_GAIN:
             break
-        prev_quant, prev_seed = quant, seed
+        prev_halves, prev_seed = halves, seed
         halves = _threshold_step(res.dist, halves, sigma)
-        quant = Quantizer(tuple(np.concatenate([-halves[::-1], [0.0], halves])))
 
-    spec = ChannelSpec(noise_variance, power, quant)
-    final = optimize_input_cutting_plane(spec, tol=tol, initial_support=seed)
+    final = _solve(halves, power, noise_variance, tol, seed, grid=None)
+    quant = Quantizer(tuple(_thresholds(halves)))
     return JointResult(quantizer=quant, capacity_result=final, trace=tuple(trace))
+
+
+def optimize_quantizer(
+    snr: float,
+    bins: int,
+    *,
+    noise_variance: float = 1.0,
+    tol: float = _DEFAULT_TOL,
+) -> JointResult:
+    """Jointly optimized symmetric quantizer with `bins` bins, 4 or 8, and
+    its optimized input at one SNR: the 2-bit threshold scan
+    (`optimize_quantizer_2bit`) or the 3-bit alternation
+    (`optimize_quantizer_3bit_iterative`).  Each search is looked up by its
+    module name when called, so a wrapper set on that name is used."""
+    if bins == 4:
+        search = optimize_quantizer_2bit
+    elif bins == 8:
+        search = optimize_quantizer_3bit_iterative
+    else:
+        raise ValueError(f"joint search bin count must be 4 or 8, got {bins!r}")
+    return search(snr, noise_variance=noise_variance, tol=tol)
 
 
 def unquantized_capacity(snr: float) -> float:

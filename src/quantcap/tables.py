@@ -17,8 +17,7 @@ from .channel import ChannelSpec, Quantizer
 from .optimize import duality_upper_bound, onebit_capacity, optimize_input_cutting_plane
 from .quantopt import (
     benchmark_mutual_information,
-    optimize_quantizer_2bit,
-    optimize_quantizer_3bit_iterative,
+    optimize_quantizer,
     snr_for_spectral_efficiency,
     unquantized_capacity,
 )
@@ -42,12 +41,10 @@ def _cached(cache, key, compute):
 
 
 def joint_cell(bits: int, snr_db: float, cache=None):
-    """Joint-optimal 2-bit or iteratively optimized 3-bit result at one SNR,
+    """`quantopt.optimize_quantizer`'s joint 2- or 3-bit result at one SNR,
     rounded to 1e-6 dB (cached under ("2bit", db) or ("3bit", db))."""
     db = round(snr_db, 6)
-    # read at call time, so that a wrapper set on this module's name is used
-    optimize = optimize_quantizer_2bit if bits == 2 else optimize_quantizer_3bit_iterative
-    return _cached(cache, (f"{bits}bit", db), lambda: optimize(_snr(db)))
+    return _cached(cache, (f"{bits}bit", db), lambda: optimize_quantizer(_snr(db), 2**bits))
 
 
 def capacity_and_gamma(precision, snr_db: float, cache=None):

@@ -24,7 +24,7 @@ from quantcap import (
 )
 from quantcap.channel import (
     _divergences_bits,
-    _flow_bits,
+    _profile,
     _row_negentropy_bits,
     _threshold_hessian_bits,
     bin_probability_matrix,
@@ -379,9 +379,8 @@ class TestThresholdGradient:
             n = int(rng.integers(1, 12))
             x = np.sort(rng.normal(0.0, 3.0 * sigma, size=n))
             p = rng.dirichlet(np.ones(n))
-            w = bin_probability_matrix(x, thr, sigma)
             # dI/dq_k is minus the p-weighted column sum of the flow
-            got = -(p @ _flow_bits(x, thr, sigma, w, p @ w))
+            got = -(p @ _profile(x, p, thr, sigma).flow)
             for k in range(bins - 1):
                 e = np.zeros(bins - 1)
                 e[k] = step
@@ -406,12 +405,9 @@ class TestThresholdHessian:
             p = rng.dirichlet(np.ones(n))
 
             def grad(q):
-                w = bin_probability_matrix(x, q, sigma)
-                return -(p @ _flow_bits(x, q, sigma, w, p @ w))
+                return -(p @ _profile(x, p, q, sigma).flow)
 
-            w = bin_probability_matrix(x, thr, sigma)
-            r = p @ w
-            got = _threshold_hessian_bits(x, p, thr, sigma, w, r, _flow_bits(x, thr, sigma, w, r))
+            got = _threshold_hessian_bits(_profile(x, p, thr, sigma), sigma)
             step = 1e-5 * sigma
             for k in range(bins - 1):
                 e = np.zeros(bins - 1)
@@ -425,23 +421,23 @@ class TestThresholdHessian:
 class TestDivergenceSlope:
     @pytest.mark.parametrize("bins", [2, 4, 5, 8])
     def test_matches_central_differences(self, bins):
-        # d'(x) of D(W(.|x) || r) against a fixed random r, asymmetric
-        # thresholds, sigma != 1
+        # d'(x) of D(W(.|x) || r) against the output law r = p W of random
+        # masses p on x, held fixed, asymmetric thresholds, sigma != 1
         rng = _rng()
         step = 1e-6
         for _ in range(20):
             sigma = rng.uniform(0.3, 3.0)
             thr = np.sort(rng.normal(0.0, 2.0 * sigma, size=bins - 1))
-            r = rng.dirichlet(np.ones(bins))
             x = rng.normal(0.0, 3.0 * sigma, size=8)
+            p = rng.dirichlet(np.ones(8))
+            prof = _profile(x, p, thr, sigma)
 
             def d(at):
                 w = bin_probability_matrix(at, thr, sigma)
-                return _divergences_bits(w, _row_negentropy_bits(w), r)
+                return _divergences_bits(w, _row_negentropy_bits(w), prof.r)
 
-            w = bin_probability_matrix(x, thr, sigma)
             # d'(x) is the row sum of the flow
-            got = _flow_bits(x, thr, sigma, w, r).sum(axis=1)
+            got = prof.slope
             diff = (d(x + step) - d(x - step)) / (2.0 * step)
             np.testing.assert_allclose(got, diff, atol=1e-7)
 

@@ -25,20 +25,24 @@ from quantcap import (
     mutual_information,
     onebit_capacity,
     optimize_input_cutting_plane,
-    optimize_quantizer_2bit,
-    optimize_quantizer_3bit_iterative,
     snr_for_spectral_efficiency,
     unquantized_capacity,
 )
-from quantcap import quantopt
+from quantcap import channel, quantopt
 from quantcap.channel import (
     _divergences_bits,
-    _flow_bits,
+    _profile,
     _row_negentropy_bits,
     _threshold_hessian_bits,
     bin_probability_matrix,
 )
-from quantcap.quantopt import _SCAN_GRID, _threshold_step
+from quantcap.quantopt import (
+    _SCAN_GRID,
+    _threshold_step,
+    optimize_quantizer,
+    optimize_quantizer_2bit,
+    optimize_quantizer_3bit_iterative,
+)
 from quantcap.tables import build_table, capacity_and_gamma
 
 # Frozen against the gaussian_q quadrature oracle: 2*(K-1)/K * Q(sqrt(3*snr/(K^2-1)))
@@ -322,6 +326,12 @@ class TestOptimizeQuantizer2bit:
             optimize_quantizer_2bit(-1.0)
 
 
+@pytest.mark.parametrize("bins", [2, 16])
+def test_joint_search_takes_four_or_eight_bins(bins):
+    with pytest.raises(ValueError, match="4 or 8"):
+        optimize_quantizer(1.0, bins)
+
+
 class TestOptimizeQuantizer3bitIterative:
     def test_published_capacity_0db(self, three_bit_0db):
         assert three_bit_0db.capacity_result.capacity == pytest.approx(0.4817, abs=6e-3)
@@ -428,10 +438,7 @@ class TestThresholdStepBranches:
         """d2MI/dh2, with q_{+i} = h_i and q_{-i} = -h_i; it has the inertia
         of the Hessian over the gaps, a congruent matrix."""
         thr = np.concatenate([-halves[::-1], [0.0], halves])
-        x, p = dist.locations, dist.masses
-        w = bin_probability_matrix(x, thr, sigma)
-        r = p @ w
-        hess = _threshold_hessian_bits(x, p, thr, sigma, w, r, _flow_bits(x, thr, sigma, w, r))
+        hess = _threshold_hessian_bits(_profile(dist.locations, dist.masses, thr, sigma), sigma)
         n = halves.size
         up, dn = n + 1 + np.arange(n), n - 1 - np.arange(n)
         return (
@@ -444,7 +451,7 @@ class TestThresholdStepBranches:
         """The step's result and its evaluations, one row build each."""
         calls = []
         monkeypatch.setattr(
-            quantopt,
+            channel,
             "bin_probability_matrix",
             lambda *a: calls.append(None) or bin_probability_matrix(*a),
         )

@@ -540,7 +540,7 @@ class TestSweepCommand:
     def test_threshold_curve_summary_is_its_best_row(self, capsys, monkeypatch):
         # the summary solves nothing beyond the curve
         monkeypatch.setattr(cli, "optimize_input_cutting_plane", None)
-        monkeypatch.setattr(cli, "optimize_quantizer_2bit", None)
+        monkeypatch.setattr(cli, "optimize_quantizer", None)
         code, out, _ = run_cli(["sweep", "--curve", "q", "--snr-db", "-5"], capsys)
         assert code == 0
         best_q, cap = max(two_bit_threshold_curve(10.0**-0.5, 1.0), key=lambda p: p[1])

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from quantcap.optimize import CapacityResult, onebit_capacity
+from quantcap.channel import ChannelSpec, Quantizer
+from quantcap.optimize import CapacityResult, onebit_capacity, optimize_input_cutting_plane
 from quantcap.quantopt import JointResult, unquantized_capacity
 from quantcap.reference import REFERENCE_TABLES
-from quantcap import tables
+from quantcap import cli, quantopt, tables
 from quantcap.tables import build_table, capacity_and_gamma, joint_cell
 from quantcap.verify import CheckResult, all_passed, run_suite
 
@@ -22,12 +23,31 @@ class TestCells:
         assert again is first
         assert ("2bit", 0.0) in cell_cache
 
-    def test_joint_cells_call_the_optimizers_this_module_binds(self, monkeypatch):
-        # the benchmark's tracer times a layer by replacing the module's name
-        names = {2: "optimize_quantizer_2bit", 3: "optimize_quantizer_3bit_iterative"}
-        for bits, name in names.items():
-            monkeypatch.setattr(tables, name, lambda snr, bits=bits: (bits, snr))
-            assert joint_cell(bits, 10.0) == (bits, 10.0)
+    def test_joint_cells_and_the_cli_run_the_searches_quantopt_binds(self, monkeypatch, capsys):
+        # the benchmark's tracer times a joint search by replacing its name in
+        # quantopt, so the search must be looked up there at call time
+        spec = ChannelSpec(1.0, 10.0, Quantizer((-1.0, 0.0, 1.0)))
+        result = optimize_input_cutting_plane(spec)
+        calls = []
+        for name in ("optimize_quantizer_2bit", "optimize_quantizer_3bit_iterative"):
+
+            def fake(snr, *, noise_variance, tol, name=name):
+                calls.append((name, snr, noise_variance))
+                return JointResult(spec.quantizer, result, (result.capacity,))
+
+            monkeypatch.setattr(quantopt, name, fake)
+        for bits in (2, 3):
+            assert joint_cell(bits, 10.0).capacity_result is result
+        for bits in ("2", "3"):
+            argv = ["optimize-quantizer", "--bits", bits, "--snr-db", "10", "--sigma2", "2"]
+            assert cli.main(argv) == 0
+        assert calls == [
+            ("optimize_quantizer_2bit", 10.0, 1.0),
+            ("optimize_quantizer_3bit_iterative", 10.0, 1.0),
+            ("optimize_quantizer_2bit", 10.0, 2.0),
+            ("optimize_quantizer_3bit_iterative", 10.0, 2.0),
+        ]
+        assert capsys.readouterr().out.count("threshold -1.0000000000000000e+00") == 2
 
     def test_three_bit_cell_dominates_two_bit(self, cell_cache):
         two = joint_cell(2, 0.0, cell_cache).capacity_result.capacity
