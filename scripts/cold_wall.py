@@ -15,9 +15,11 @@ its tree (default: the ``src/`` next to this script), runs
 ``quantcap.cli.main`` and exits.  Per command
 and tree the output gives the median wall time from spawn to exit, the
 median process CPU (user + system, from ``os.wait4``), the median peak RSS,
-whether ``scipy.optimize`` was in ``sys.modules`` when the command returned,
-and the median wall time relative to the first tree's.  A command that exits
-nonzero stops the script.
+whether ``scipy.optimize`` was in ``sys.modules`` when the command returned
+(no module of ``quantcap`` imports it: both Brent searches are the
+package's own, so a ``yes`` means a new import crept in), and the median
+wall time relative to the first tree's.  The ``reproduce`` commands time
+Tables I-V one at a time.  A command that exits nonzero stops the script.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ COMMANDS = (
     ("benchmark", ["benchmark", "--snr-db", "0..20", "--step", "5", "--bits", "3"]),
     ("bound", ["bound", "--snr-db", "0..20", "--step", "5", "--bits", "2"]),
     ("reproduce I", ["reproduce", "--table", "I"]),
+    ("reproduce II", ["reproduce", "--table", "II"]),
+    ("reproduce III", ["reproduce", "--table", "III"]),
+    ("reproduce IV", ["reproduce", "--table", "IV"]),
     ("reproduce V", ["reproduce", "--table", "V"]),
     ("verify all", ["verify", "all"]),
 )
@@ -92,7 +97,7 @@ def main() -> int:
     for k, tree in enumerate(trees):
         print(f"tree {k}: {tree}")
     print(
-        f"{'command':<12}  tree  {'wall_s':>7}  {'cpu_s':>7}  {'rss_mb':>7}  scipy.optimize  wall_vs_0"
+        f"{'command':<13}  tree  {'wall_s':>7}  {'cpu_s':>7}  {'rss_mb':>7}  scipy.optimize  wall_vs_0"
     )
     for name, _ in COMMANDS:
         first = statistics.median(s[0] for s in runs[name, 0])
@@ -100,7 +105,7 @@ def main() -> int:
             *medians, loaded = zip(*runs[name, k])
             wall, cpu, rss = map(statistics.median, medians)
             print(
-                f"{name:<12}  {k:>4}  {wall:7.3f}  {cpu:7.3f}  {rss:7.1f}  "
+                f"{name:<13}  {k:>4}  {wall:7.3f}  {cpu:7.3f}  {rss:7.1f}  "
                 f"{'yes' if any(loaded) else 'no':<14}  {wall / first - 1.0:+9.1%}"
             )
     return 0

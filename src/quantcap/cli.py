@@ -229,6 +229,9 @@ def cmd_bound(args) -> int:
 
     def cell(db):
         bound, out_pmf = duality_upper_bound(specs[db])
+        if not math.isfinite(bound):
+            # an output bin too far out or too thin for its log ratios
+            raise ArithmeticError(f"the certificate is not finite: bound {bound!r}")
         pmf = _join(out_pmf.probs)
         row = {"snr_db": db, "bound": bound, "output_pmf": pmf}
         return [row], f"snr_db {db:g}\nbound {bound:.16e}\noutput_pmf {pmf}\n"

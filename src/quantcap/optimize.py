@@ -227,6 +227,52 @@ def _face_basis(xsq, power_row):
     return z, None
 
 
+def _brent_root(f, a, b, xtol):
+    """Root of f between a and b, where f(a) and f(b) differ in sign, by
+    Brent's method (Algorithms for Minimization without Derivatives, 1973):
+    inverse quadratic or secant steps that fall back to bisection.  It
+    stops at the root within xtol + 4 eps |x|, and after 100 steps returns
+    its last iterate.  It repeats scipy's C brentq operation for
+    operation, so every iterate is the same double."""
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    rtol = 4.0 * 2.0**-52
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    return xcur
+
+
 def _join_step(pf, wf, negf, xf, power, j, f):
     """Masses moved from pf, whose objective is f, toward the vertex that
     mixes point j at exactly the power level with the face point of most
@@ -247,12 +293,9 @@ def _join_step(pf, wf, negf, xf, power, j, f):
 
     t = 1.0
     if slope(1.0) < 0.0:
-        # imported here: the capacity path must not load scipy.optimize
-        from scipy.optimize import brentq
-
-        # a root near 0 can need more than brentq's 100 iterations to
-        # reach xtol; its last iterate is still a point of the segment
-        t = brentq(slope, 0.0, 1.0, xtol=1e-300, disp=False) if slope(0.0) > 0.0 else 0.0
+        # a root near 0 can need more than the root search's 100 iterations
+        # to reach xtol; its last iterate is still a point of the segment
+        t = _brent_root(slope, 0.0, 1.0, 1e-300) if slope(0.0) > 0.0 else 0.0
     q = np.maximum(pf + t * v, 0.0)
     point = _mass_point(q, wf, negf)
     return (q, *point) if point[2] > f + _F_NOISE * max(1.0, abs(f)) else None
@@ -734,9 +777,10 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution):
     This removes the grid-split clusters that the cutting plane's fusion
     leaves (such as a point at 0 with a light pair near +/-0.14 in the
     3-bit table cell at 10.939 dB): Newton sends the light masses through 0.
-    A step that would reorder two points is cut short.  Where no step
-    lowers the residual, or after _KKT_MAX_STEPS steps, the mass solve takes
-    the support as it stands.  The returned input is never below the
+    A step that would reorder two points is cut short.  Where the Newton
+    step is singular or not finite, where no step lowers the residual, or
+    after _KKT_MAX_STEPS steps, the mass solve takes the support as it
+    stands.  The returned input is never below the
     start's mutual information: if it would be, the start is returned.
 
     Returns the `channel._profile` of the input it reaches and the norm of
@@ -760,6 +804,9 @@ def _kkt_polish(spec: ChannelSpec, dist: InputDistribution):
         try:
             step = np.linalg.solve(_kkt_jacobian(prof, gamma, sigma, root_p), -res)
         except np.linalg.LinAlgError:
+            break
+        # a bin too thin or far out for its log ratios makes the flow NaN
+        if not np.isfinite(step).all():
             break
         x, p = prof.x, prof.p
         dx, dp = root_p * step[:n], step[n : 2 * n]

@@ -7,7 +7,7 @@ Three layers:
   have closed or near-closed forms;
 * a 12-point scan over (0, 2 max(sqrt(P), sigma)] of the single free
   threshold q of a symmetric 2-bit quantizer, refined at its near-best
-  peaks by scipy's bounded Brent search, the capacity curve C(q) over
+  peaks by a bounded Brent search, the capacity curve C(q) over
   twice that span, and for 3-bit an alternation of input solves with a
   damped Newton threshold step on the exact gradient and Hessian at the
   fixed input, read from `channel._profile`; `optimize_quantizer(snr,
@@ -201,6 +201,74 @@ def _warm_solves(qs, power, noise_variance, tol, seed=None):
         yield res
 
 
+def _bounded_brent(f, lo, hi, xatol):
+    """(x, f(x)) of Brent's bounded minimization of f on [lo, hi]: golden
+    section with parabolic steps (Brent, Algorithms for Minimization without
+    Derivatives, 1973), stopping once x is known within about xatol or
+    after 500 evaluations.  It repeats scipy's minimize_scalar(method=
+    "bounded") operation for operation, so every iterate is the same
+    double."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def optimize_quantizer_2bit(
     snr: float,
     *,
@@ -215,8 +283,8 @@ def optimize_quantizer_2bit(
     the same step, so the winner is never on the scan edge.  The capacity is
     multimodal in q, and the optimum jumps between branches as the SNR
     moves, so every local maximum of the scan within 2e-3 bits of the best
-    is refined by scipy's bounded Brent search (golden section with
-    parabolic steps) on its bracket of scan neighbours, with xatol
+    is refined by `_bounded_brent` (golden section with parabolic steps)
+    on its bracket of scan neighbours, with xatol
     1e-3 max(sqrt(P), sigma), seeded with that point's support; the best
     refined peak wins, ties toward the smaller threshold.
     """
@@ -234,9 +302,6 @@ def optimize_quantizer_2bit(
     caps = [res.capacity for res in scanned]
     seeds = [res.dist.locations for res in scanned]
 
-    # imported here: the capacity path must not load scipy.optimize
-    from scipy.optimize import minimize_scalar
-
     q_star, cap_star, best_seed = None, -math.inf, None
     top = max(caps)
     for i, cap in enumerate(caps):
@@ -246,13 +311,13 @@ def optimize_quantizer_2bit(
             continue
         lo = qs[i - 1] if i > 0 else 0.5 * qs[0]
         hi = qs[i + 1] if i + 1 < len(qs) else qs[i] + step
-        peak = minimize_scalar(
+        q_peak, neg_peak = _bounded_brent(
             lambda q: -_solve([q], power, noise_variance, tol, seeds[i]).capacity,
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-3 * scale},
+            lo,
+            hi,
+            1e-3 * scale,
         )
-        q_peak, cap_peak = peak.x, -peak.fun
+        cap_peak = -neg_peak
         if cap >= cap_peak:
             q_peak, cap_peak = qs[i], cap
         if cap_peak > cap_star:

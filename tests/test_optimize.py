@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import xlogy
 
 from quantcap import (
@@ -30,7 +30,7 @@ from quantcap import (
     optimize_input_cutting_plane,
 )
 from quantcap.channel import _row_negentropy_bits, bin_probability_matrix
-from quantcap.optimize import _feasible_start, _optimal_masses_rows
+from quantcap.optimize import _brent_root, _feasible_start, _optimal_masses_rows
 
 TWOBIT = Quantizer((-2.0, 0.0, 2.0))
 ONEBIT = Quantizer((0.0,))
@@ -340,8 +340,8 @@ class TestFarThresholds:
     @example(
         bins=8, symmetric=True, snr_db=12.0, half=[7.07, 7.96, 20.0], signed=[0.0] * 7, drop=3
     )
-    # draw 104 of 300: the join step's line search has its root near 0, past
-    # brentq's 100 iterations at xtol 1e-300
+    # draw 104 of 300: the join step's line search has its root near 0, at
+    # 3.4e-19 after up to 98 root-search steps
     @example(
         bins=8,
         symmetric=True,
@@ -390,6 +390,94 @@ class TestFarThresholds:
         assert not res.converged
         assert res.capacity == pytest.approx(0.712131225088277, abs=1e-12)
         assert res.capacity <= res.upper_bound < 0.72
+
+
+def _traced_root(search, f, *args, **kwargs):
+    """(root, points evaluated) of one root search on f."""
+    seen = []
+
+    def g(t):
+        seen.append(t)
+        return f(t)
+
+    return search(g, *args, **kwargs), seen
+
+
+def _monotone(rng):
+    """A random monotone function on [0, 1] with a root in it, often near 0."""
+    s = 10.0 ** rng.uniform(-2.0, 3.0)
+    g = [
+        lambda t: t ** (1.0 + s % 5.0),
+        lambda t: math.expm1(min(s, 700.0) * t),
+        lambda t: math.log1p(s * t),
+        lambda t: math.tanh(s * (t - 0.5)),
+        lambda t: t + 0.9 * math.sin(5.0 * t) / 5.0,
+    ][rng.integers(5)]
+    root = 10.0 ** rng.uniform(-30.0, 0.0) if rng.random() < 0.5 else rng.uniform(0.0, 1.0)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    g_root = g(root)
+    return lambda t: sign * (g(t) - g_root)
+
+
+class TestBrentRoot:
+    """The join step's root search repeats scipy's brentq (xtol 1e-300,
+    disp=False) bit for bit: the same iterates and the same root."""
+
+    @staticmethod
+    def assert_same_search(f, a, b, xtol=1e-300):
+        ours = _traced_root(_brent_root, f, a, b, xtol)
+        theirs = _traced_root(brentq, f, a, b, xtol=xtol, disp=False)
+        assert ours == theirs
+
+    def test_random_monotone_functions(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            self.assert_same_search(_monotone(rng), 0.0, 1.0)
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-3])
+    def test_coarser_tolerances(self, xtol):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            self.assert_same_search(_monotone(rng), 0.0, 1.0, xtol)
+
+    @pytest.mark.parametrize("f, root", [(lambda t: t - 1.0, 1.0), (lambda t: -t, 0.0)])
+    def test_root_at_either_end(self, f, root):
+        assert _brent_root(f, 0.0, 1.0, 1e-300) == root
+        self.assert_same_search(f, 0.0, 1.0)
+
+    def test_rejects_a_bracket_without_a_sign_change(self):
+        with pytest.raises(ValueError):
+            _brent_root(lambda t: t + 1.0, 0.0, 1.0, 1e-300)
+
+    @pytest.mark.parametrize(
+        "snr_db, half, unconverged",
+        [
+            # draw 104 of 300 (see TestFarThresholds)
+            (3.9091136594142863, [12.70353204178001, 15.609314876818178, 17.792099760847705], 0),
+            # draw 167 of 300: two of its roots lie past 100 steps, so both
+            # searches return their last iterate
+            (6.471514224539575, [6.02840239897282, 8.514392857810984, 19.252775619312136], 2),
+        ],
+        ids=["draw-104", "draw-167"],
+    )
+    def test_join_steps_of_fuzz_draws(self, monkeypatch, snr_db, half, unconverged):
+        from quantcap import optimize
+
+        searches = []
+
+        def recorded(f, a, b, xtol):
+            searches.append((f, a, b, xtol))
+            return _brent_root(f, a, b, xtol)
+
+        monkeypatch.setattr(optimize, "_brent_root", recorded)
+        thr = _fuzz_thresholds(8, True, half, None)
+        optimize_input_cutting_plane(spec_db(snr_db, Quantizer(thr)), grid=FAST)
+        assert searches
+        past = 0
+        for f, a, b, xtol in searches:
+            self.assert_same_search(f, a, b, xtol)
+            past += not brentq(f, a, b, xtol=xtol, disp=False, full_output=True)[1].converged
+        assert past == unconverged
 
 
 class TestCapacityResultValidation:

@@ -7,8 +7,8 @@ exception.  A defaulted field of an exported dataclass counts like a
 parameter of its constructor, passed by a call in any module of the
 package, its own included, because result types are built where they are
 defined.  An argument that is a literal equal to the default passes
-nothing.  Last, the fixed-quantizer capacity path, run in a fresh
-interpreter, never loads scipy.optimize."""
+nothing.  Last, no module of the package imports scipy.optimize, and the
+package's paths, run in a fresh interpreter, never load it."""
 
 import ast
 import dataclasses
@@ -181,14 +181,15 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     assert sorted(unpassed) == []
 
 
-# scipy.optimize serves only the joint searches and the mass solve's
-# `_join_step`; the capacity path, the bound path and `verify` never load it.
-_CAPACITY_PATH = textwrap.dedent(
+# Every path of the package: the fixed-quantizer solves, the bound, verify,
+# both joint searches (the 2-bit refinement's bounded Brent search), and
+# fuzz draw 104 of 300, whose mass solve takes the join step's root search.
+_EVERY_PATH = textwrap.dedent(
     """
     import sys
 
     import quantcap
-    from quantcap import cli
+    from quantcap import cli, optimize
 
     spec = quantcap.ChannelSpec.from_snr_db(
         10.0, quantcap.BenchmarkScheme.build(4, 10.0).quantizer
@@ -198,6 +199,7 @@ _CAPACITY_PATH = textwrap.dedent(
         5.0, quantcap.Quantizer((-2.6, -1.3, -0.4, 0.2, 0.9, 1.7, 3.1))
     )
     assert quantcap.optimize_input_cutting_plane(asymmetric).converged
+    assert quantcap.optimize_input_cutting_plane(asymmetric).converged
     assert quantcap.benchmark_mutual_information(8, 10.0) > 0.0
     assert cli.main(["capacity", "--snr-db", "0..10", "--step", "10", "--bits", "2"]) == 0
     assert cli.main(["benchmark", "--snr-db", "0..10", "--step", "10", "--bits", "3"]) == 0
@@ -205,15 +207,45 @@ _CAPACITY_PATH = textwrap.dedent(
     assert cli.main(["verify", "all"]) == 0
     bound, _ = quantcap.duality_upper_bound(spec, result)
     assert bound >= result.capacity - 1e-9, (bound, result.capacity)
-    assert "scipy.optimize" not in sys.modules, "the capacity, bound or verify path loaded it"
+    assert cli.main(["optimize-quantizer", "--snr-db", "3", "--bits", "2"]) == 0
+    assert quantcap.optimize_quantizer(1.0, 8).capacity_result.converged
+
+    roots = []
+    search = optimize._brent_root
+    optimize._brent_root = lambda *args: roots.append(args) or search(*args)
+    halves = (12.70353204178001, 15.609314876818178, 17.792099760847705)
+    draw = quantcap.ChannelSpec.from_snr_db(
+        3.9091136594142863, quantcap.Quantizer((*(-h for h in halves[::-1]), 0.0, *halves))
+    )
+    quantcap.optimize_input_cutting_plane(draw, grid=quantcap.GridConfig(point_count=501))
+    assert roots, "draw 104 took no join step"
+    assert "scipy.optimize" not in sys.modules, "a path of the package loaded it"
     """
 )
 
 
-def test_capacity_path_does_not_load_scipy_optimize():
+def _imports_scipy_optimize(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.optimize") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.optimize") or (
+            module == "scipy" and any(alias.name == "optimize" for alias in node.names)
+        )
+    return False
+
+
+def test_quantcap_never_loads_scipy_optimize():
+    importers = [
+        (name, node.lineno)
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if _imports_scipy_optimize(node)
+    ]
+    assert importers == []
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
-        [sys.executable, "-c", _CAPACITY_PATH],
+        [sys.executable, "-c", _EVERY_PATH],
         capture_output=True,
         text=True,
         env=env,

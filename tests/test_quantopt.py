@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from quantcap import (
     BenchmarkScheme,
@@ -38,6 +38,7 @@ from quantcap.channel import (
 )
 from quantcap.quantopt import (
     _SCAN_GRID,
+    _bounded_brent,
     _threshold_step,
     optimize_quantizer,
     optimize_quantizer_2bit,
@@ -324,6 +325,70 @@ class TestOptimizeQuantizer2bit:
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
             optimize_quantizer_2bit(-1.0)
+
+
+def _counted(f):
+    """f, and the list of the points it is evaluated at."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
+def _assert_same_bounded_search(f, lo, hi, xatol):
+    ours, our_xs = _counted(f)
+    theirs, their_xs = _counted(f)
+    x, fx = _bounded_brent(ours, lo, hi, xatol)
+    res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert (x, fx) == (float(res.x), float(res.fun))
+    assert len(our_xs) == res.nfev
+    assert our_xs == their_xs
+
+
+class TestBoundedBrent:
+    """The 2-bit refinement's search repeats scipy's bounded Brent search
+    bit for bit: the same iterates, minimum and evaluation count."""
+
+    @pytest.mark.parametrize("xatol", [1e-3, 1e-6, 1e-10])
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: math.sin(5.0 * x) + 0.3 * math.cos(17.0 * x), 0.0, 3.0),  # multimodal
+            (lambda x: (x * x - 1.0) ** 2 - 0.1 * x, -2.0, 2.5),  # two wells
+            (lambda x: 0.7, -1.0, 1.0),  # flat
+            (lambda x: x, -1.0, 2.0),  # monotone, minimum at lo
+            (lambda x: -math.exp(8.0 * x), 0.0, 1.0),  # edge-peaked at hi
+            (lambda x: abs(x - 1e-9), 0.0, 1.0),  # kink next to lo
+        ],
+        ids=["multimodal", "two-wells", "flat", "monotone", "edge-peaked", "kink"],
+    )
+    def test_matches_scipy(self, f, lo, hi, xatol):
+        _assert_same_bounded_search(f, lo, hi, xatol)
+
+    def test_stops_after_500_evaluations(self):
+        # a minimum at lo = 0 with an absolute xatol below every iterate's
+        # spacing: the bracket shrinks toward 0 without converging
+        ours, seen = _counted(lambda x: x)
+        _bounded_brent(ours, 0.0, 1.0, 1e-300)
+        assert len(seen) == 500
+        _assert_same_bounded_search(lambda x: x, 0.0, 1.0, 1e-300)
+
+    def test_matches_scipy_on_the_3db_brackets(self, monkeypatch):
+        # the two near-best peaks of test_refines_every_near_best_peak_at_3db
+        searches = []
+
+        def recorded(f, lo, hi, xatol):
+            searches.append((f, lo, hi, xatol))
+            return _bounded_brent(f, lo, hi, xatol)
+
+        monkeypatch.setattr(quantopt, "_bounded_brent", recorded)
+        optimize_quantizer_2bit(10.0**0.3)
+        assert len(searches) == 2
+        for f, lo, hi, xatol in searches:
+            _assert_same_bounded_search(f, lo, hi, xatol)
 
 
 @pytest.mark.parametrize("bins", [2, 16])

@@ -430,6 +430,21 @@ class TestBenchmarkAndBoundCommands:
         assert out == ""
         assert "computation error: bound at 0 dB, thresholds (-1.0, 0.0, 2.0): float" in err
 
+    @pytest.mark.parametrize(
+        "thresholds",
+        # a last bin so far out that its log ratios are infinite, and a hair-
+        # thin bin whose flow was NaN and reached the polish's Newton step
+        ["-1,0,1e60", "-1,0,40,40.00000000000001"],
+        ids=["far-bin", "thin-bin"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bound_that_is_not_finite_fails(self, capsys, thresholds):
+        argv = ["bound", "--snr-db", "0", f"--thresholds={thresholds}"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "bound at 0 dB" in err and "the certificate is not finite" in err
+
     def test_bound_of_a_support_on_the_power_budget(self, capsys):
         # the joint 2-bit quantizer at -10 dB, whose bound polish puts the
         # whole support on x^2 = P
