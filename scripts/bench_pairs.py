@@ -1,5 +1,10 @@
 """Paired benchmark runs of two checkouts, written up as one BENCH_<n>.json.
 
+It answers: is a change faster or slower than its parent on the
+benchmark's end-to-end metrics, by more than their bounds?  Whether it
+moved a number is ``scripts/fingerprint.py``'s question; this script
+records that tool's verdicts next to the timings.
+
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \
         --workload verify=10 --workload tables=5 --workload capacity_sweep=5 \
         --first-seed 151 [--claim verify:pass_s] [--note "what the change does"]
@@ -21,63 +26,30 @@ worst certified gap.  With ``--claim``, ``claim.met`` says whether the
 change wins at least 9/10 of the untied pairs of that metric and its median
 is better than the parent's by more than the parent's IQR.
 
-Then each tree's workload pass functions run once (tables seed 1, verify
-seed 1, capacity_sweep seeds 11 and 21), and every fingerprint value (table
-cells, verify margins, sweep capacities) is compared bit for bit, next to
-each pass's diagnostics (the tables' largest deviations from the published
-values).  Fingerprints check cell values but not labels, row order or
-deviation rows, so each tree also prints every table's report
-(``quantcap reproduce --table T --out -`` with ``SOURCE_DATE_EPOCH=0``), and
-the file records per table whether the two are byte-identical below their
-manifest lines (``reports_identical``), and whether the manifest lines are
-(``manifests_identical``): a manifest records the run, not the numbers.
-Last, one ``--trace 1`` run per tree and workload (seed 1, capacity_sweep
-11) records its per-layer metrics.
+Then ``scripts/fingerprint.py``'s ``solves`` and ``cli`` sets probe both
+trees' ``src/``, and the file records per set whether the two trees print
+the same lines (``fingerprints.<set>.identical``) and fingerprint.py's
+verdict line or diff (``report``).  Last, one ``--trace 1`` run per tree and
+workload (seed 1, capacity_sweep 11) records its per-layer metrics, the
+tables' largest deviations from the published values among them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-FINGERPRINT_SEEDS = {"tables": (1,), "verify": (1,), "capacity_sweep": (11, 21)}
+import fingerprint
+
 TRACED_SEEDS = {"tables": 1, "verify": 1, "capacity_sweep": 11}
-REPORT_TABLES = ("I", "II", "III", "IV", "V")
+#: the fingerprint.py sets whose verdicts the file records
+FINGERPRINT_SETS = ("solves", "cli")
 ENV_KEYS = ("blas", "blas_threads", "cpu_count", "numpy", "python", "scipy", "seconds", "trace")
-
-#: run in a tree's perfbench/ directory: every fingerprint of one pass, as JSON
-FINGERPRINT_CODE = """
-import json, sys
-sys.path[:0] = ["{perfbench}", "{src}"]
-import workloads
-out = {{}}
-for name, seeds in {seeds!r}.items():
-    for seed in seeds:
-        done = workloads.WORKLOADS[name](seed)
-        out[f"{{name}}-{{seed}}"] = {{
-            "ops": dict(zip(done.op_names, done.fingerprint)) if name != "capacity_sweep"
-            else {{"all": [v for op in done.fingerprint for v in op]}},
-            "diagnostics": done.diagnostics,
-            "errors": len(done.errors),
-        }}
-print(json.dumps(out))
-"""
-
-
-def child_env(src: Path) -> dict:
-    """The environment of a child process that imports ``quantcap`` from
-    `src` alone, with BLAS on one thread and ``SOURCE_DATE_EPOCH=0``, so
-    every manifest carries the same timestamp."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), SOURCE_DATE_EPOCH="0")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return env
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -166,59 +138,19 @@ def paired(trees: dict, workload: str, seeds: list, seconds: float, metrics: lis
     }
 
 
-def fingerprints(tree: Path, seeds: dict) -> dict:
-    perfbench = tree / "perfbench"
-    code = FINGERPRINT_CODE.format(perfbench=perfbench, src=tree / "src", seeds=seeds)
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=perfbench, capture_output=True, text=True, check=True
-    )
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def same(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
-def compare_fingerprints(parent: dict, change: dict) -> dict:
-    """Per workload run and op: bit-identical or not, and every moved value."""
+def bit_identity(trees: dict) -> dict:
+    """Per fingerprint.py set of FINGERPRINT_SETS: whether both trees'
+    ``src/`` print the same lines, and fingerprint.py's report of it."""
     out = {}
-    for key, p in parent.items():
-        c = change[key]
-        ops, moved = {}, []
-        for op, p_vals in p["ops"].items():
-            c_vals = c["ops"].get(op, [])
-            ops[op] = len(p_vals) == len(c_vals) and all(map(same, p_vals, c_vals))
-            moved.extend(
-                {"op": op, "index": i, "parent": a, "change": b, "diff": b - a}
-                for i, (a, b) in enumerate(zip(p_vals, c_vals))
-                if not same(a, b)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in FINGERPRINT_SETS:
+            runs = [fingerprint.run_set(name, trees[side] / "src", workdir) for side in trees]
+            report, differs = fingerprint.compare(
+                name, list(trees), [(stdout, error) for stdout, _, error in runs]
             )
-        out[key] = {
-            "identical": ops,
-            "moved": moved,
-            "max_abs_diff": max((abs(m["diff"]) for m in moved), default=0.0),
-            "errors": {"parent": p["errors"], "change": c["errors"]},
-            "diagnostics": {"parent": p["diagnostics"], "change": c["diagnostics"]},
-        }
+            out[name] = {"identical": not differs, "report": report}
+            print(f"fingerprint {name} done", file=sys.stderr)
     return out
-
-
-def report(tree: Path, table: str) -> bytes:
-    """One table's machine report from `tree`'s source, timestamp pinned."""
-    argv = [sys.executable, "-m", "quantcap.cli", "reproduce", "--table", table, "--out", "-"]
-    env = child_env(tree / "src")
-    return subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=True).stdout
-
-
-def compare_reports(trees: dict) -> tuple[dict, dict]:
-    """Per table: are the two trees' reports byte-identical below their
-    manifest lines, and are the manifest lines?"""
-    bodies, manifests = {}, {}
-    for t in REPORT_TABLES:
-        parent, change = (report(trees[side], t).split(b"\n", 1) for side in ("parent", "change"))
-        manifests[t] = parent[0] == change[0]
-        bodies[t] = parent[1:] == change[1:]
-    return bodies, manifests
 
 
 def traced(trees: dict, workloads: list) -> dict:
@@ -252,7 +184,7 @@ def parse_args(argv):
     plan = []
     for item in args.workload:
         name, _, pairs = item.partition("=")
-        if name not in FINGERPRINT_SEEDS or not pairs.isdigit() or int(pairs) < 2:
+        if name not in TRACED_SEEDS or not pairs.isdigit() or int(pairs) < 2:
             parser.error(f"--workload wants NAME=PAIRS with PAIRS >= 2, got {item!r}")
         plan.append((name, int(pairs)))
     args.plan = plan
@@ -299,11 +231,7 @@ def main(argv=None) -> int:
     if args.claim:
         claim = record["claim"]
         claim["met"] = claim_met(results[claim["workload"]]["metrics"][claim["metric"]])
-    seeds = {name: FINGERPRINT_SEEDS[name] for name, _ in args.plan}
-    record["fingerprints"] = compare_fingerprints(
-        fingerprints(trees["parent"], seeds), fingerprints(trees["change"], seeds)
-    )
-    record["reports_identical"], record["manifests_identical"] = compare_reports(trees)
+    record["fingerprints"] = bit_identity(trees)
     record["traced"] = traced(trees, [name for name, _ in args.plan])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -2,6 +2,9 @@
 
     python3 scripts/cold_wall.py [--src SRC [--src SRC ...]] [--repeat 5] > cold.txt
 
+It answers: how long does a user wait for each command, imports and
+start-up included, and how much memory does it take?
+
 Runs each command of ``COMMANDS`` ``--repeat`` times in each source tree,
 one process at a time, cycling through the commands so a drift of the
 machine's speed spreads over all of them.  ``--src`` may be given more than
@@ -10,16 +13,13 @@ each command then runs once in every tree before the next command, and the
 order of the trees alternates between repetitions, as
 ``scripts/bench_pairs.py`` alternates them per seed, so that a drift between
 repetitions reaches every tree alike.  Each process runs in
-``bench_pairs.child_env`` (BLAS on one thread), imports ``quantcap`` from
+``fingerprint.child_env`` (BLAS on one thread), imports ``quantcap`` from
 its tree (default: the ``src/`` next to this script), runs
-``quantcap.cli.main`` and exits.  Per command
-and tree the output gives the median wall time from spawn to exit, the
-median process CPU (user + system, from ``os.wait4``), the median peak RSS,
-whether ``scipy.optimize`` was in ``sys.modules`` when the command returned
-(no module of ``quantcap`` imports it: both Brent searches are the
-package's own, so a ``yes`` means a new import crept in), and the median
-wall time relative to the first tree's.  The ``reproduce`` commands time
-Tables I-V one at a time.  A command that exits nonzero stops the script.
+``quantcap.cli.main`` and exits.  Per command and tree the output gives the
+median wall time from spawn to exit, the median process CPU (user + system,
+from ``os.wait4``), the median peak RSS, and the median wall time relative
+to the first tree's.  The ``reproduce`` commands time Tables I-V one at a
+time.  A command that exits nonzero stops the script.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import child_env
+from fingerprint import child_env
 
 COMMANDS = (
     ("capacity", ["capacity", "--snr-db", "0..20", "--step", "5", "--bits", "2"]),
@@ -47,18 +47,11 @@ COMMANDS = (
     ("verify all", ["verify", "all"]),
 )
 
-# Runs the CLI, then reports on stderr whether scipy.optimize was loaded.
-CHILD = (
-    "import sys\n"
-    "from quantcap.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print('scipy.optimize', 'scipy.optimize' in sys.modules, file=sys.stderr)\n"
-    "raise SystemExit(code)\n"
-)
+CHILD = "import sys\nfrom quantcap.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
 
 
 def run_once(argv, env):
-    """(wall s, CPU s, peak RSS MB, scipy.optimize loaded) of one process."""
+    """(wall s, CPU s, peak RSS MB) of one process."""
     with tempfile.TemporaryFile("w+") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(
@@ -71,43 +64,37 @@ def run_once(argv, env):
         text = err.read()
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{text}")
-    loaded = "scipy.optimize True" in text
     # ru_maxrss is in KiB on Linux
-    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, loaded
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_src = Path(__file__).resolve().parent.parent / "src"
     parser.add_argument(
         "--src", type=Path, action="append", help="tree to import from; repeat to compare trees"
     )
     parser.add_argument("--repeat", type=int, default=5, help="runs per command and tree")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     trees = args.src or [default_src]
 
     envs = [child_env(tree) for tree in trees]
     runs = {(name, k): [] for name, _ in COMMANDS for k in range(len(trees))}
     for rep in range(args.repeat):
         order = range(len(trees)) if rep % 2 == 0 else range(len(trees) - 1, -1, -1)
-        for name, argv in COMMANDS:
+        for name, command in COMMANDS:
             for k in order:
-                runs[name, k].append(run_once(argv, envs[k]))
+                runs[name, k].append(run_once(command, envs[k]))
 
     for k, tree in enumerate(trees):
         print(f"tree {k}: {tree}")
-    print(
-        f"{'command':<13}  tree  {'wall_s':>7}  {'cpu_s':>7}  {'rss_mb':>7}  scipy.optimize  wall_vs_0"
-    )
+    print(f"{'command':<13}  tree  {'wall_s':>7}  {'cpu_s':>7}  {'rss_mb':>7}  wall_vs_0")
     for name, _ in COMMANDS:
         first = statistics.median(s[0] for s in runs[name, 0])
         for k in range(len(trees)):
-            *medians, loaded = zip(*runs[name, k])
-            wall, cpu, rss = map(statistics.median, medians)
-            print(
-                f"{name:<13}  {k:>4}  {wall:7.3f}  {cpu:7.3f}  {rss:7.1f}  "
-                f"{'yes' if any(loaded) else 'no':<14}  {wall / first - 1.0:+9.1%}"
-            )
+            wall, cpu, rss = map(statistics.median, zip(*runs[name, k]))
+            row = f"{name:<13}  {k:>4}  {wall:7.3f}  {cpu:7.3f}  {rss:7.1f}"
+            print(f"{row}  {wall / first - 1.0:+9.1%}")
     return 0
 
 

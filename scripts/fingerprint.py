@@ -2,11 +2,15 @@
 
     python3 scripts/fingerprint.py SET... [--src TREE [--src TREE]]
 
+It answers: which numbers, and which lines of the CLI's output, does a
+change move?  It is the one bit-identity check; ``scripts/bench_pairs.py``
+records its ``solves`` and ``cli`` verdicts beside the paired timings.
+
 SET is one of ``solves``, ``joint``, ``certs``, ``fuzz``, ``cli``, ``masses``,
 ``envelope``, ``steps`` or ``all``; TREE is a directory holding the
 ``quantcap`` package (default: the ``src/`` next to this script).  Each set
-runs in each tree in its own child process (``bench_pairs.child_env``: BLAS
-on one thread, ``SOURCE_DATE_EPOCH=0``) that imports only ``quantcap`` from
+runs in each tree in its own child process (``child_env``: BLAS on one
+thread, ``SOURCE_DATE_EPOCH=0``) that imports only ``quantcap`` from
 the tree: the probe code, the benchmark inputs of ``perfbench/workloads.py``
 and the fuzz draws come from this script's checkout, so every tree is probed
 by the same code.  What a set prints on stdout does not depend on the machine; CPU times
@@ -20,15 +24,15 @@ raised or differs, else 0.
 The sets, one line per item, floats as float hex:
 
 * ``solves``: every cutting-plane result of the benchmark's fingerprint passes
-  (``bench_pairs.FINGERPRINT_SEEDS``), with ``optimize_input_cutting_plane``
+  (``FINGERPRINT_SEEDS``), with ``optimize_input_cutting_plane``
   rebound in every module, so the solves inside the joint optimizers, the
   bound search and the tables are all seen: the pass, its rank in the pass,
   the capacity, upper bound and gamma, the rounds, ``converged``, and the
   support's locations and masses; then per pass its solve and error counts.
-* ``joint``: ``optimize_quantizer_2bit`` and then
-  ``optimize_quantizer_3bit_iterative`` from -30 to 40 dB in 0.5-dB steps:
-  the bit count, the SNR, the capacity, the positive thresholds and the
-  cell's cutting-plane solves; then per bit count the total solves.
+* ``joint``: the joint entry ``quantopt.optimize_quantizer(snr, 2**bits)``
+  for 2 and then 3 bits, from -30 to 40 dB in 0.5-dB steps: the bit count,
+  the SNR, the capacity, the positive thresholds and the cell's
+  cutting-plane solves; then per bit count the total solves.
 * ``certs``: the certificate ``bounds._certified_bound`` of a fixed set of
   output laws: those ``duality_upper_bound`` certifies for the Table I
   quantizer at -5 to 30 dB in 5-dB steps, the K=8 benchmark quantizer at
@@ -68,6 +72,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import importlib
+import os
 import pickle
 import pkgutil
 import statistics
@@ -79,8 +84,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-
-from bench_pairs import FINGERPRINT_SEEDS, child_env
 
 SCRIPTS = Path(__file__).resolve().parent
 ROOT = SCRIPTS.parent
@@ -94,6 +97,8 @@ CHILD = (
     "fingerprint.probe(sys.argv[1])\n"
 )
 
+#: the benchmark passes that ``solves`` fingerprints, by workload
+FINGERPRINT_SEEDS = {"tables": (1,), "verify": (1,), "capacity_sweep": (11, 21)}
 JOINT_DBS = [k / 2 for k in range(-60, 81)]
 FUZZ_DRAWS = 300
 FUZZ_POINTS = 501
@@ -145,6 +150,16 @@ CLI_INVOCATIONS = (
     ["sweep", "--snr-db", "0", "--curve", "q", "--bits", "2"],
     ["reproduce", "--table", "VI"],
 )
+
+
+def child_env(src: Path) -> dict:
+    """The environment of a child process that imports ``quantcap`` from
+    `src` alone, with BLAS on one thread and ``SOURCE_DATE_EPOCH=0``, so
+    every manifest carries the same timestamp."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), SOURCE_DATE_EPOCH="0")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
 
 
 def hexes(values) -> str:
@@ -204,14 +219,11 @@ def joint():
         return original(*args, **kwargs)
 
     with rebound(optimize, "optimize_input_cutting_plane", counted):
-        for bits, optimizer in (
-            (2, quantopt.optimize_quantizer_2bit),
-            (3, quantopt.optimize_quantizer_3bit_iterative),
-        ):
+        for bits in (2, 3):
             total, start = 0, time.thread_time()
             for db in JOINT_DBS:
                 calls[0] = 0
-                res = optimizer(10.0 ** (db / 10.0))
+                res = quantopt.optimize_quantizer(10.0 ** (db / 10.0), 2**bits)
                 thresholds = res.quantizer.thresholds
                 halves = hexes(thresholds[len(thresholds) // 2 + 1:])
                 capacity = float(res.capacity_result.capacity).hex()

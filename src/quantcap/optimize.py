@@ -227,16 +227,16 @@ def _face_basis(xsq, power_row):
     return z, None
 
 
-def _brent_root(f, a, b, xtol):
-    """Root of f between a and b, where f(a) and f(b) differ in sign, by
-    Brent's method (Algorithms for Minimization without Derivatives, 1973):
-    inverse quadratic or secant steps that fall back to bisection.  It
-    stops at the root within xtol + 4 eps |x|, and after 100 steps returns
-    its last iterate.  It repeats scipy's C brentq operation for
-    operation, so every iterate is the same double."""
+def _brent_root(f, a, b, fa, fb, xtol):
+    """Root of f between a and b, given fa = f(a) and fb = f(b) of
+    different signs, by Brent's method (Algorithms for Minimization without
+    Derivatives, 1973): inverse quadratic or secant steps that fall back to
+    bisection.  It stops at the root within xtol + 4 eps |x|, and after 100
+    steps returns its last iterate.  It repeats scipy's C brentq operation
+    for operation, so every iterate is the same double."""
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -291,11 +291,12 @@ def _join_step(pf, wf, negf, xf, power, j, f):
     def slope(t):
         return float(_divergences_bits(wf, negf, (pf + t * v) @ wf) @ v)
 
-    t = 1.0
-    if slope(1.0) < 0.0:
+    t, at_1 = 1.0, slope(1.0)
+    if at_1 < 0.0:
         # a root near 0 can need more than the root search's 100 iterations
         # to reach xtol; its last iterate is still a point of the segment
-        t = _brent_root(slope, 0.0, 1.0, 1e-300) if slope(0.0) > 0.0 else 0.0
+        at_0 = slope(0.0)
+        t = _brent_root(slope, 0.0, 1.0, at_0, at_1, 1e-300) if at_0 > 0.0 else 0.0
     q = np.maximum(pf + t * v, 0.0)
     point = _mass_point(q, wf, negf)
     return (q, *point) if point[2] > f + _F_NOISE * max(1.0, abs(f)) else None

@@ -1,12 +1,15 @@
 """Tests for the verdicts scripts/bench_pairs.py records, on synthetic runs."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 import bench_pairs  # noqa: E402
+import fingerprint  # noqa: E402
 
 PASS_S = {"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25}
 RATE = {"name": "rate_mean_bits", "unit": "bits", "better": "higher", "bound": 0.02}
@@ -74,3 +77,66 @@ def test_a_parent_spread_past_the_bound_is_not_resolved():
     stats = compared(PASS_S, parent, parent)
     assert stats["parent_iqr"] > 0.25 * stats["parent"]["median"]
     assert not stats["resolved"] and not stats["regressed"]
+
+
+END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def fake_run(tree, workload, seed, seconds, trace):
+    """A perfbench result whose every metric is 1.0 in the parent and 0.9 in
+    the change, on every seed."""
+    value = 0.9 if tree.name == "change" else 1.0
+    names = [*END_TO_END, "tables.max_dev_I", "certified_gap_bits"]
+    env = {key: trace for key in bench_pairs.ENV_KEYS}
+    return {
+        "env": {**env, "commit": tree.name, "src_lines": 100},
+        "shown": {"certified_gap_bits": 1e-4},
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {name: {"value": value} for name in names},
+    }
+
+
+def test_main_records_the_timings_and_fingerprint_verdicts(monkeypatch, tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    probed = []
+
+    def fake_set(name, src, workdir):
+        probed.append((name, src.parent.name))
+        moved = name == "cli" and src.parent.name == "change"
+        return ("a 0x1.8p+0\n" if moved else "a 0x1.0p+0\n"), "cpu_s 1.0\n", None
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(fingerprint, "run_set", fake_set)
+    out = tmp_path / "BENCH.json"
+    argv = [
+        str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out),
+        "--workload", "tables=10", "--workload", "verify=2", "--first-seed", "5",
+        "--claim", "tables:pass_s", "--note", "faster",
+    ]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert list(record) == [
+        "change", "claim", "method", "environment", "workloads", "fingerprints", "traced",
+    ]
+    assert record["change"] == "faster" and record["claim"]["met"] is True
+    assert record["workloads"]["verify"]["seeds"] == [15, 16]
+    assert record["environment"]["commit_parent"] == "parent"
+    assert probed == [(name, side) for name in ("solves", "cli") for side in ("parent", "change")]
+    assert record["fingerprints"]["solves"] == {
+        "identical": True, "report": "solves: identical, 1 lines\n",
+    }
+    assert record["fingerprints"]["cli"]["identical"] is False
+    assert "-a 0x1.0p+0\n+a 0x1.8p+0\n" in record["fingerprints"]["cli"]["report"]
+    assert record["traced"]["tables"]["metrics"]["tables.max_dev_I"] == {
+        "parent": 1.0, "change": 0.9,
+    }
+
+
+def test_a_workload_without_a_traced_seed_is_a_usage_error(capsys):
+    argv = ["p", "c", "--out", "o", "--workload", "fuzz=3", "--first-seed", "1"]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.parse_args(argv)
+    assert exit_.value.code == 2
+    assert "'fuzz=3'" in capsys.readouterr().err

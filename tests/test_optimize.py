@@ -425,7 +425,8 @@ class TestBrentRoot:
 
     @staticmethod
     def assert_same_search(f, a, b, xtol=1e-300):
-        ours = _traced_root(_brent_root, f, a, b, xtol)
+        # the end values go through the traced function too, in brentq's order
+        ours = _traced_root(lambda g: _brent_root(g, a, b, g(a), g(b), xtol), f)
         theirs = _traced_root(brentq, f, a, b, xtol=xtol, disp=False)
         assert ours == theirs
 
@@ -442,12 +443,12 @@ class TestBrentRoot:
 
     @pytest.mark.parametrize("f, root", [(lambda t: t - 1.0, 1.0), (lambda t: -t, 0.0)])
     def test_root_at_either_end(self, f, root):
-        assert _brent_root(f, 0.0, 1.0, 1e-300) == root
+        assert _brent_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-300) == root
         self.assert_same_search(f, 0.0, 1.0)
 
     def test_rejects_a_bracket_without_a_sign_change(self):
         with pytest.raises(ValueError):
-            _brent_root(lambda t: t + 1.0, 0.0, 1.0, 1e-300)
+            _brent_root(lambda t: t + 1.0, 0.0, 1.0, 1.0, 2.0, 1e-300)
 
     @pytest.mark.parametrize(
         "snr_db, half, unconverged",
@@ -465,9 +466,10 @@ class TestBrentRoot:
 
         searches = []
 
-        def recorded(f, a, b, xtol):
+        def recorded(f, a, b, fa, fb, xtol):
+            assert (fa, fb) == (f(a), f(b))
             searches.append((f, a, b, xtol))
-            return _brent_root(f, a, b, xtol)
+            return _brent_root(f, a, b, fa, fb, xtol)
 
         monkeypatch.setattr(optimize, "_brent_root", recorded)
         thr = _fuzz_thresholds(8, True, half, None)
@@ -478,6 +480,36 @@ class TestBrentRoot:
             self.assert_same_search(f, a, b, xtol)
             past += not brentq(f, a, b, xtol=xtol, disp=False, full_output=True)[1].converged
         assert past == unconverged
+
+    def test_join_step_evaluates_no_point_twice(self, monkeypatch):
+        # fuzz draw 104: each root search takes the slope's end values from
+        # the join step instead of evaluating both ends again
+        from quantcap import optimize
+
+        join, divergences = optimize._join_step, optimize._divergences_bits
+        steps, points = [], None  # the output laws of each join step's slopes
+
+        def traced_join(*args):
+            nonlocal points
+            points = []
+            try:
+                return join(*args)
+            finally:
+                steps.append(points)
+                points = None
+
+        def traced_divergences(w, negent, r):
+            if points is not None:
+                points.append(r.tobytes())
+            return divergences(w, negent, r)
+
+        monkeypatch.setattr(optimize, "_join_step", traced_join)
+        monkeypatch.setattr(optimize, "_divergences_bits", traced_divergences)
+        half = [12.70353204178001, 15.609314876818178, 17.792099760847705]
+        thr = _fuzz_thresholds(8, True, half, None)
+        optimize_input_cutting_plane(spec_db(3.9091136594142863, Quantizer(thr)), grid=FAST)
+        assert any(len(points) > 2 for points in steps), "draw 104 took no root search"
+        assert all(len(set(points)) == len(points) for points in steps)
 
 
 class TestCapacityResultValidation:
